@@ -44,7 +44,7 @@ def forward_packets(
     columnar: bool | None = None,
 ) -> int:
     """Single-link forwarding; ``columnar`` overrides the link's packet
-    representation (None = the module default, normally columnar)."""
+    representation (None = the default, columnar)."""
     sim = Simulator()
     streams = RandomStreams(0)
     scheduler = make_scheduler(scheduler_name, (1.0, 2.0, 4.0, 8.0))

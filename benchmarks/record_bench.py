@@ -13,13 +13,9 @@ Recorded metrics (events or packets per second, higher is better):
 * ``kernel_events_per_sec``       -- plain tuple-heap event chain
 * ``cancellable_events_per_sec``  -- handle-based (cancellable) chain
 * ``trace_replay_packets_per_sec`` -- TraceSource -> WTP link replay
-* ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding in
-  the session's packet representation (columnar unless
-  ``--object-packets``)
+* ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding
 * ``columnar_forwarded_packets_per_sec`` -- the same cell with the
-  columnar hot path forced ON; with ``--object-packets`` the two
-  metrics form an in-record columnar-vs-object A/B pair (mirroring the
-  scalar-vs-compiled arrival pairs from :mod:`bench_sources`)
+  columnar hot path requested explicitly
 * ``multihop_packets_per_sec``    -- Table 1 smoke cell (4 hops,
   rho=0.85, WTP, compiled arrivals): the chain-fused drain kernel's
   guarded workload
@@ -63,12 +59,6 @@ stream back one record at a time, so the two figures must stay within
 a few tens of MB of each other -- that flatness IS the O(shard) memory
 claim, checked by eye in the record and by gate in
 :mod:`check_regression`).
-
-``--object-packets`` flips the module-wide packet-representation
-default (``repro.sim.link.COLUMNAR_DEFAULT``) to evented ``Packet``
-objects for every benchmark that builds links internally (multihop,
-sweeps, figure 1), so a pair of runs with and without the flag is a
-whole-suite columnar A/B.
 
 plus the end-to-end figure-1 smoke sweep, in seconds (lower is better):
 
@@ -134,11 +124,7 @@ def figure1_smoke_seconds(compiled: bool, repeats: int = 3) -> float:
     return best
 
 
-def collect(repeats: int, object_packets: bool = False) -> dict:
-    import repro.sim.link as link_mod
-
-    link_mod.COLUMNAR_DEFAULT = not object_packets
-
+def collect(repeats: int) -> dict:
     def forward_columnar(name: str) -> int:
         return forward_packets(name, columnar=True)
 
@@ -233,7 +219,6 @@ def collect(repeats: int, object_packets: bool = False) -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "repeats": repeats,
-        "packet_representation": "object" if object_packets else "columnar",
         "metrics": {k: round(v, 4) for k, v in metrics.items()},
         "multihop_vs_single_hop": multihop_vs_single,
         "sweep_streaming": sweep_streaming,
@@ -276,21 +261,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="earlier BENCH_*.json to embed per-metric speedups against",
     )
-    parser.add_argument(
-        "--object-packets",
-        action="store_true",
-        help=(
-            "run with evented Packet objects instead of the columnar "
-            "hot path (flips repro.sim.link.COLUMNAR_DEFAULT for the "
-            "whole suite; the columnar_* metric still forces columnar, "
-            "giving an in-record A/B pair)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.baseline is not None and not args.baseline.exists():
         parser.error(f"baseline not found: {args.baseline}")
 
-    record = collect(args.repeats, object_packets=args.object_packets)
+    record = collect(args.repeats)
     if args.baseline is not None:
         old = json.loads(args.baseline.read_text())["metrics"]
         record["baseline"] = args.baseline.name

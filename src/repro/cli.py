@@ -74,13 +74,11 @@ def _figure1(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
     parts = []
     for sdps, label in ((SDP_RATIO_2, "1a"), (SDP_RATIO_4, "1b")):
         config = FigureOneConfig(
             sdps=sdps, check_invariants=checked, compiled_arrivals=compiled,
-            drain=drain,
         ).scaled(scale)
         points = run_figure1(config, runner=runner)
         parts.append(f"--- Figure {label} ---")
@@ -97,13 +95,11 @@ def _figure2(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
     parts = []
     for sdps, label in ((SDP_RATIO_2, "2a"), (SDP_RATIO_4, "2b")):
         config = FigureTwoConfig(
             sdps=sdps, check_invariants=checked, compiled_arrivals=compiled,
-            drain=drain,
         ).scaled(scale)
         points = run_figure2(config, runner=runner)
         parts.append(f"--- Figure {label} ---")
@@ -120,10 +116,9 @@ def _figure3(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
     config = FigureThreeConfig(
-        check_invariants=checked, compiled_arrivals=compiled, drain=drain
+        check_invariants=checked, compiled_arrivals=compiled
     ).scaled(scale)
     boxes = run_figure3(config, runner=runner)
     if export_dir is not None:
@@ -138,10 +133,9 @@ def _figure45(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
     config = MicroscopicConfig(
-        check_invariants=checked, compiled_arrivals=compiled, drain=drain
+        check_invariants=checked, compiled_arrivals=compiled
     ).scaled(scale)
     views = run_figure45(config, runner=runner)
     if export_dir is not None:
@@ -161,11 +155,9 @@ def _table1(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
     config = TableOneConfig(
-        check_invariants=checked, compiled_arrivals=compiled,
-        drain_kernel=drain,
+        check_invariants=checked, compiled_arrivals=compiled
     ).scaled(scale)
     cells = run_table1(config, runner=runner)
     if export_dir is not None:
@@ -180,9 +172,8 @@ def _selfcheck(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
-    del scale, export_dir, runner, checked, compiled, drain
+    del scale, export_dir, runner, checked, compiled
     from .validation import format_selfcheck, run_selfcheck
 
     return format_selfcheck(run_selfcheck())
@@ -194,10 +185,9 @@ def _ablations(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
 ) -> str:
     del export_dir  # nothing tabular worth exporting
-    del scale, checked, compiled, drain  # ablations are already laptop-sized
+    del scale, checked, compiled  # ablations are already laptop-sized
     parts = [
         format_ablation_rows(
             sdp_ratio_sweep(runner=runner), "SDP-ratio sweep (worst rel. error)"
@@ -230,7 +220,6 @@ def _city(
     runner: SweepRunner,
     checked: bool,
     compiled: bool,
-    drain: bool,
     hybrid=None,
     fidelity_curve_epsilon: Optional[float] = None,
 ) -> str:
@@ -248,11 +237,10 @@ def _city(
             format_fidelity_curve,
         )
 
-        base = dataclasses.replace(
-            fidelity_curve_base(scale), drain=drain
-        )
         rows = fidelity_curve(
-            base=base, epsilon=fidelity_curve_epsilon, runner=runner
+            base=fidelity_curve_base(scale),
+            epsilon=fidelity_curve_epsilon,
+            runner=runner,
         )
         if export_dir is not None:
             fidelity_curve_to_csv(rows, export_dir / "fidelity_curve.csv")
@@ -263,7 +251,7 @@ def _city(
     grid = dataclasses.replace(
         grid,
         base=dataclasses.replace(
-            grid.base, check_invariants=checked, drain=drain, hybrid=hybrid
+            grid.base, check_invariants=checked, hybrid=hybrid
         ),
     ).scaled(scale)
     points = run_city(grid, runner=runner)
@@ -344,17 +332,6 @@ def main(argv: list[str] | None = None) -> int:
             "generate arrivals with the scalar per-packet path instead "
             "of the block-drawn compiled path (bit-identical results; "
             "only useful for A/B verification and benchmarking)"
-        ),
-    )
-    parser.add_argument(
-        "--no-drain",
-        action="store_true",
-        help=(
-            "disable the link's busy-period drain kernel and run every "
-            "service completion through the event calendar "
-            "(bit-identical results; only useful for A/B verification "
-            "and benchmarking; cached separately via the config "
-            "fingerprint)"
         ),
     )
     parser.add_argument(
@@ -498,7 +475,6 @@ def main(argv: list[str] | None = None) -> int:
                 runner,
                 args.check_invariants,
                 not args.scalar_arrivals,
-                not args.no_drain,
                 **(
                     {
                         "hybrid": hybrid_config,

@@ -63,10 +63,6 @@ class SingleHopConfig:
     #: (start, end) windows for per-packet taps.
     tap_windows: tuple[tuple[float, float], ...] = ()
     keep_samples: bool = False
-    #: Busy-period drain kernel A/B switch (bit-identical results; see
-    #: :mod:`repro.sim.link`).  Part of the config, so sweep-cache
-    #: fingerprints distinguish drained from evented runs.
-    drain: bool = True
 
     def __post_init__(self) -> None:
         if len(self.sdps) != self.loads.num_classes:
@@ -194,10 +190,7 @@ def replay_through_scheduler(
     violation raises :class:`~repro.errors.InvariantViolation`.
     """
     sim = Simulator()
-    link = Link(
-        sim, scheduler, config.capacity, target=PacketSink(),
-        drain=config.drain,
-    )
+    link = Link(sim, scheduler, config.capacity, target=PacketSink())
     monitor = DelayMonitor(
         config.num_classes, warmup=config.warmup, keep_samples=config.keep_samples
     )

@@ -57,8 +57,6 @@ class FigureOneConfig:
     check_invariants: bool = False
     #: Block-drawn trace compilation (bit-identical; much faster).
     compiled_arrivals: bool = True
-    #: Busy-period drain kernel on the link (bit-identical; faster).
-    drain: bool = True
 
     def scaled(self, factor: float) -> "FigureOneConfig":
         """Shrink run length and seed count by ``factor`` (0 < f <= 1)."""
@@ -74,7 +72,6 @@ class FigureOneConfig:
             check_feasibility=self.check_feasibility,
             check_invariants=self.check_invariants,
             compiled_arrivals=self.compiled_arrivals,
-            drain=self.drain,
         )
 
 
@@ -116,7 +113,6 @@ def figure1_tasks(config: FigureOneConfig) -> list[SingleHopTask]:
                             horizon=config.horizon,
                             warmup=config.warmup,
                             seed=seed,
-                            drain=config.drain,
                         ),
                         # The paper verifies Figures 1-2 operate at feasible
                         # DDPs (Section 3); checking one seed per point

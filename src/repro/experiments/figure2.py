@@ -37,8 +37,6 @@ class FigureTwoConfig:
     check_invariants: bool = False
     #: Block-drawn trace compilation (bit-identical; much faster).
     compiled_arrivals: bool = True
-    #: Busy-period drain kernel on the link (bit-identical; faster).
-    drain: bool = True
 
     def scaled(self, factor: float) -> "FigureTwoConfig":
         seeds = self.seeds[: max(1, round(len(self.seeds) * factor))]
@@ -53,7 +51,6 @@ class FigureTwoConfig:
             check_feasibility=self.check_feasibility,
             check_invariants=self.check_invariants,
             compiled_arrivals=self.compiled_arrivals,
-            drain=self.drain,
         )
 
 
@@ -94,7 +91,6 @@ def figure2_tasks(config: FigureTwoConfig) -> list[SingleHopTask]:
                             horizon=config.horizon,
                             warmup=config.warmup,
                             seed=seed,
-                            drain=config.drain,
                         ),
                         compute_feasibility=(
                             config.check_feasibility and seed_index == 0

@@ -45,8 +45,6 @@ class FigureThreeConfig:
     check_invariants: bool = False
     #: Block-drawn trace compilation (bit-identical; much faster).
     compiled_arrivals: bool = True
-    #: Busy-period drain kernel on the link (bit-identical; faster).
-    drain: bool = True
 
     def scaled(self, factor: float) -> "FigureThreeConfig":
         return FigureThreeConfig(
@@ -60,7 +58,6 @@ class FigureThreeConfig:
             warmup=max(2e3, self.warmup * factor),
             check_invariants=self.check_invariants,
             compiled_arrivals=self.compiled_arrivals,
-            drain=self.drain,
         )
 
 
@@ -96,7 +93,6 @@ def run_figure3(
                 warmup=config.warmup,
                 seed=config.seed,
                 interval_taus=taus_time_units,
-                drain=config.drain,
             ),
             check_invariants=config.check_invariants,
             compiled_arrivals=config.compiled_arrivals,

@@ -64,8 +64,6 @@ class MicroscopicConfig:
     check_invariants: bool = False
     #: Block-drawn trace compilation (bit-identical; much faster).
     compiled_arrivals: bool = True
-    #: Busy-period drain kernel on the link (bit-identical; faster).
-    drain: bool = True
 
     def scaled(self, factor: float) -> "MicroscopicConfig":
         return MicroscopicConfig(
@@ -80,7 +78,6 @@ class MicroscopicConfig:
             view2_window_p_units=self.view2_window_p_units,
             check_invariants=self.check_invariants,
             compiled_arrivals=self.compiled_arrivals,
-            drain=self.drain,
         )
 
 
@@ -142,7 +139,6 @@ def run_figure45(
                 seed=config.seed,
                 interval_taus=(view1_tau,),
                 tap_windows=((view2_start, view2_end),),
-                drain=config.drain,
             ),
             scheduler=name,
             view1_tau=view1_tau,

@@ -37,8 +37,6 @@ class TableOneConfig:
     check_invariants: bool = False
     #: Drive cross-traffic through the compiled arrival cursor.
     compiled_arrivals: bool = True
-    #: Busy-period drain kernel on every hop's link (bit-identical).
-    drain_kernel: bool = True
 
     def scaled(self, factor: float) -> "TableOneConfig":
         return TableOneConfig(
@@ -51,7 +49,6 @@ class TableOneConfig:
             seed=self.seed,
             check_invariants=self.check_invariants,
             compiled_arrivals=self.compiled_arrivals,
-            drain_kernel=self.drain_kernel,
         )
 
 
@@ -91,7 +88,6 @@ def table1_tasks(config: TableOneConfig) -> list[MultiHopTask]:
                                 experiments=config.experiments,
                                 warmup=config.warmup,
                                 seed=config.seed,
-                                drain_kernel=config.drain_kernel,
                             ),
                             check_invariants=config.check_invariants,
                             compiled_arrivals=config.compiled_arrivals,

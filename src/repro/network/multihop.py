@@ -64,9 +64,9 @@ class MultiHopConfig:
     warmup: float = 100_000.0           # ms (paper: 100 s)
     drain: float = 2000.0               # ms to let the last flows finish
     seed: int = 1
-    #: Busy-period drain *kernel* A/B switch for every hop's link
-    #: (bit-identical results; see :mod:`repro.sim.link`).  Distinct
-    #: from ``drain``, the end-of-run settle window above.
+    #: ``False`` runs every hop's link evented: the reference the
+    #: drain kernels are tested against (see :mod:`repro.sim.link`).
+    #: Distinct from ``drain``, the end-of-run settle window above.
     drain_kernel: bool = True
     #: Optional per-hop utilizations (length == hops); overrides
     #: ``utilization`` so heterogeneous paths (e.g. one bottleneck hop)

@@ -100,8 +100,9 @@ class RoutedNetwork:
         self.links: dict[tuple[str, str], Link] = {}
         self._routes: dict[int, _FlowRoute] = {}
         #: Default for :meth:`add_link`'s ``drain`` flag -- the routed
-        #: path's equivalent of ``MultiHopConfig.drain_kernel`` /
-        #: the CLI's ``--no-drain`` A/B switch.
+        #: path's equivalent of ``MultiHopConfig.drain_kernel``; False
+        #: builds the evented reference the drain paths are tested
+        #: against.
         self.drain = drain
         #: Bumped on every route-table change; RouteDemux resolution
         #: caches and cached drain chains revalidate against it.

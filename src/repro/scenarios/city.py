@@ -91,8 +91,6 @@ class CityScenarioConfig:
     seed: int = 1
     pareto_shape: float = 1.9
     check_invariants: bool = False
-    #: Busy-period drain kernel A/B switch for every link.
-    drain: bool = True
     #: Long-timescale load modulation applied to every flow's arrival
     #: process (diurnal swing, flash crowd).  Part of the trace
     #: identity: cells with different shapes never share traces.

@@ -371,7 +371,6 @@ def _make_link(sim, config, capacity: float, target, name: str) -> Link:
         capacity=capacity,
         target=target,
         name=name,
-        drain=config.drain,
     )
 
 

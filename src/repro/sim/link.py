@@ -18,142 +18,94 @@ code with no hook branches; ``_start_service`` deliberately looks up
 ``self._complete_service`` at call time so the per-instance override
 takes effect.
 
-Busy-period drain kernel
-------------------------
-With ``drain=True`` (the default) the link fuses service completions --
-and the arrivals of *fused feeders* (sources that registered through
-:meth:`Link.attach_feeder`) -- into a tight loop instead of bouncing
-every one through the event calendar.  Within a busy period departures
-are deterministic given the backlog, so the calendar adds no
-information; the drain advances a local clock by ``size / capacity``
-per packet and calls ``scheduler.select`` directly.
+Completion paths
+----------------
+Every completion event enters :meth:`Link._complete_service`, which
+routes it by the link's shape to one of three paths.  The two drain
+paths run a whole stretch of completions and arrivals in one loop,
+without the event calendar, and leave the calendar bit-identical to
+the evented path's whenever control is back in the run loop:
 
-Bit-identity with the evented path is structural, not best-effort:
+===========================  =============================  ==================
+link shape                   completion path                representation
+===========================  =============================  ==================
+``drain=False``, or          ``_complete_service_evented``  objects
+invariant-checker hooks      (the reference: one
+attached                     calendar event per
+                             departure)
 
-* A fused feeder keeps scheduling its *real* arrival event exactly as
-  an unfused source would, while mirroring that event's ``(time, seq)``
-  key in ``next_time`` / ``next_seq`` attributes.  Whenever control is
-  in the run loop, the heap contents are therefore *identical* to an
-  evented run.
-* The drain only processes an event inline when its ``(time, seq)``
-  key is the global calendar minimum (and within the active run
-  horizon, :attr:`Simulator._run_until`).  A mirrored feeder arrival is
-  popped off the heap at that moment and the feeder switches to
-  *virtual* mode: subsequent arrivals reserve a sequence number from
-  the kernel without pushing an event.  Completions likewise reserve
-  their sequence number at select time.
-* When any foreign event precedes the next fused one (a monitor tick,
-  another link's completion, the horizon), the drain *parks*: every
-  virtual feeder pushes its reserved arrival back onto the heap and the
-  pending completion is pushed with its reserved key -- restoring the
-  exact heap an evented run would have at that point -- and control
-  returns to the run loop.
+member of a coupled chain    ``_drain_chain`` over the      columns on
+that fuses: coupled          whole chain                    unmonitored stock
+successors or fan-in, an                                    and generated-body
+inline arrival source, no                                   members; objects
+hooks in the walk                                           on the others
 
-Because sequence numbers are reserved at exactly the points the
-evented path would allocate them, the interleaving with *any* external
-event stream is reproduced exactly; golden runs and drain-vs-event
-property tests (``tests/test_drain_equivalence.py``) pin this down.
-The one observable difference is :attr:`Simulator.events_processed`,
-which only counts real calendar dispatches.  When invariant-checking
-hooks are attached the drain steps aside entirely (see
-:meth:`Link._complete_service`).
+unobserved fast path:        ``_drain_fused``               columns when every
+lossless, stock scheduler,                                  feeder implements
+bare ``PacketSink`` target,                                 ``pull_col``
+fused feeders, no monitors
 
-Chain-fused drain (DAG of coupled servers)
-------------------------------------------
-A single-link drain still parks whenever the *next hop's* completion
-precedes its own, so a chain of saturated links (the Section 6
-multi-hop path) bounces through the calendar once per packet per hop.
-When this link's target resolves -- directly, or through a
-demultiplexer implementing the drain-demux protocol
-(``drain_resolve(packet)`` / ``drain_successors()`` /
+any other link: monitored,   ``_drain_chain`` over a        as a chain member;
+another target, non-stock    *chain of one*                 objects when lossy
+scheduler, cursor-fed or
+without inline source,
+lossy, or a chain that
+cannot fuse this entry
+===========================  =============================  ==================
+
+Mirror protocol.  A fused feeder (a source registered through
+:meth:`Link.attach_feeder`) and an
+:class:`~repro.traffic.compile.ArrivalCursor` keep scheduling their
+real arrival event exactly as an unfused source would, while mirroring
+its ``(time, seq)`` key in ``next_time`` / ``next_seq``; a busy link
+mirrors its completion's key in :attr:`Link._pending_key`.  A drain
+processes an event inline only when its key is the global calendar
+minimum and within the run horizon (:attr:`Simulator._run_until`),
+absorbing -- popping -- a mirrored calendar event at that moment.
+Later arrivals and completions reserve their sequence numbers at
+exactly the points the evented path would allocate them.  When a
+foreign event precedes the next fused one (a monitor tick, another
+link's completion, the horizon) the drain *parks*: every virtual
+feeder and cursor re-pushes its reserved event and every busy member
+pushes its pending completion with its reserved key, so the calendar
+is the evented run's.  Only :attr:`Simulator.events_processed`, which
+counts real calendar dispatches, tells the paths apart.
+
+Chains.  :meth:`Link._build_chain` walks the target graph -- direct
+``Link`` targets and demultiplexers implementing the drain-demux
+protocol (``drain_resolve(packet)`` / ``drain_successors()`` /
 ``drain_guard()``, see :class:`~repro.network.topology.FlowDemux` and
-:class:`~repro.network.routed.RouteDemux`) -- to further drain-capable
-links, those links are *coupled*: the fused loop keeps one local
-``(time, seq)``-keyed heap over every member's pending completion,
-every member's fused feeder arrivals, and the pending keys of any
-:class:`~repro.traffic.compile.ArrivalCursor` feeding a member, and
-repeatedly processes the globally earliest fused event inline.  A
-departure whose resolved receiver is another member is enqueued there
-directly (opening the downstream busy period inline, reserving its
-completion's sequence number exactly where ``receive`` would have
-called ``sim.schedule``); any other receiver gets a plain
-``receive`` call, whose scheduled events surface as foreign calendar
-entries the loop parks on.
+:class:`~repro.network.routed.RouteDemux`) -- then adopts upstream
+fan-in links by a fixpoint over the simulator's link registry.
+Members must be drain-enabled, lossless, hook-free and use the stock
+``Link`` method bodies.  The fused loop keeps one local ``(time,
+seq)``-keyed heap over every member's pending completion, fused feeder
+arrivals and cursor keys; a departure whose receiver is a member is
+enqueued there inline, any other receiver gets a plain ``receive``
+call whose scheduled events the loop parks on.  An invariant checker
+on any link the walk reaches *blocks* fusion, so hooked links only
+ever see plain ``receive`` calls.  A chain of one is the same member
+state without the walk: its departures reach every other receiver
+through ``receive``, and its cursor and feeder arrivals are absorbed
+inline.  A lossy link is only ever a chain of one, and its arrivals
+apply the drop policy where ``receive`` does.
 
-The mirror protocol generalizes to members and cursors:
-
-* A member that was already busy when the chain formed has a *real*
-  completion event in the calendar; its key is mirrored in
-  :attr:`Link._pending_key` (maintained at every point control leaves
-  the link) and the event is absorbed -- popped -- only when it is the
-  global heap minimum, exactly like a mirrored feeder arrival.
-* An :class:`~repro.traffic.compile.ArrivalCursor` mirrors its single
-  pending calendar entry the same way; once absorbed, the chain runs
-  the cursor's batch-injection loop inline against an *emulated* heap
-  minimum (real calendar union the chain's virtual keys), so the batch
-  boundaries -- and therefore sequence-number consumption -- are
-  bit-identical to an evented run.
-* On park, every still-busy member pushes one resumption event with
-  its reserved key, every virtual feeder and cursor re-parks, and the
-  calendar is restored bit-identical to the evented run's.
-
-Eligibility is strict: members must be lossless (no buffer, no drop
-policy), drain-enabled, hook-free, and use the stock
-``receive``/``_complete_service`` method bodies.  An invariant checker
-attached to *any* link reachable through the walk marks the chain
-*blocked*: chain fusion is disabled and every link keeps its
-single-link drain paths, which hand packets through plain ``receive``
-calls and therefore never bypass another link's hooks
-(``tests/test_multihop_drain_equivalence.py`` pins both the fallback
-and chain-vs-evented bit-identity).  Fusion also stays off -- purely a
-performance choice -- when no member has an inline arrival source
-(fused feeder or cursor), since every arrival would then be a foreign
-calendar event to park on; the routing decision is cached on the link
-(:attr:`Link._chain_fuse`) so non-fusing completions pay one flag
-check, and the cache refreshes when a source attaches or routes
-change.
-
-Columnar hot path (structure-of-arrays)
----------------------------------------
-With ``columnar=True`` (the default) the drain loops above stop
-materializing :class:`~repro.sim.packet.Packet` objects for packets
-nothing observes.  Fused arrivals enter the scheduler's
-:class:`~repro.sim.queues.ClassQueueSet` as flat per-class column
-entries ``(arrived_at, size, meta)`` -- ``meta`` being an ``int``
-packet id or a ``(packet_id, flow_id, created_at, hop_history)`` tuple
--- and stock schedulers select straight off the maintained
-``head_arrivals`` timestamps, so a packet can traverse queueing,
-selection, transmission, chain hand-off, and the departure counters as
-three scalars that never exist as an object.  A real ``Packet`` is
-built (:func:`~repro.sim.queues.materialize_entry`, bit-identical to
-the one the evented path would carry) only at an observation boundary:
-
-* a sink that retains packets (``keep_packets``) or any non-``Link``
-  receiver (``FlowRecorder``, custom sinks) at departure,
-* a monitor tap (monitors force the generic drain loop / object-mode
-  chain members, whose selects materialize on pop),
-* a drop policy or bounded buffer (columns never form: those links
-  fail ``_fast_ok`` and are excluded from chains),
-* the invariant checker (attach demotes every column to objects, and
-  the hook fallback in :meth:`Link._complete_service` demotes as a
-  safety net),
-* a hook-overriding scheduler *without* a verified generated drain
-  body (bpr/hpd/pad/drr/wfq/adaptive-wtp are non-stock; inside a
-  fused chain each runs columnar through its
-  :mod:`repro.schedulers.draingen` body when its exact class verified,
-  but a subclass, a failed verification, or a single unfused link
-  never receives columnar pushes, and
-  ``ClassQueueSet.pop``/``head``/``heads`` materialize transparently
-  for any residue),
-* a park (the pending completion must become a real calendar event
-  payload; queued columns stay columnar across parks).
-
-Because the column entries carry exactly the fields the evented path
-would have written at the same points -- and every float expression,
-mutation order, and sequence-number reservation is kept verbatim --
-columnar and object runs are bit-identical in all externally visible
-state (``tests/test_drain_equivalence.py`` pins every registered
-scheduler, plus mid-run materialization boundaries).
+Columns.  With ``columnar=True`` (the default) unobserved packets live
+in the scheduler's :class:`~repro.sim.queues.ClassQueueSet` as flat
+per-class column entries ``(arrived_at, size, meta)`` and are
+selected, transmitted, handed between chain members and counted as
+scalars.  A real ``Packet`` -- bit-identical to the evented path's --
+is built (:func:`~repro.sim.queues.materialize_entry`) only at an
+observation boundary: a receiver other than a ``Link`` or a
+non-keeping ``PacketSink``, a monitor (monitored members pop objects),
+routing that inspects the packet, the invariant checker (attach
+demotes every column), a non-stock scheduler without a verified
+:mod:`repro.schedulers.draingen` body, and a park (the pending
+completion becomes a calendar payload).
+``tests/test_drain_equivalence.py``,
+``tests/test_multihop_drain_equivalence.py`` and
+``tests/differential.py`` pin every path bit-identical to the evented
+reference.
 """
 
 from __future__ import annotations
@@ -171,13 +123,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..dropping.base import DropPolicy
     from ..schedulers.base import Scheduler
 
-__all__ = ["Link", "PacketSink", "Receiver", "COLUMNAR_DEFAULT"]
-
-#: Default for :class:`Link`'s ``columnar`` flag (the structure-of-arrays
-#: hot path; see the module docstring).  Read once per Link constructor,
-#: so benchmarks can A/B the object path by flipping the module
-#: attribute before building a topology.
-COLUMNAR_DEFAULT = True
+__all__ = ["Link", "PacketSink", "Receiver"]
 
 #: Consumed-prefix length (elements) at which a drain loop compacts a
 #: column in place; mirrors ``repro.sim.queues._COL_COMPACT``.
@@ -205,6 +151,45 @@ class PacketSink:
             self.packets.append(packet)
 
 
+def _hooked(link: "Link") -> bool:
+    """True while invariant-checker hooks replace ``link``'s methods."""
+    return (
+        "_complete_service" in link.__dict__
+        or "receive" in link.__dict__
+        or "select" in link.scheduler.__dict__
+    )
+
+
+def _stock_scheduler(scheduler: "Scheduler") -> bool:
+    """True when ``scheduler`` uses the stock enqueue/select wrappers
+    with no hook overrides, so a drain may inline their bodies."""
+    from ..schedulers.base import Scheduler  # deferred: import cycle
+
+    cls = type(scheduler)
+    return (
+        cls.select is Scheduler.select
+        and cls.enqueue is Scheduler.enqueue
+        and cls.on_enqueue is Scheduler.on_enqueue
+        and cls.on_select is Scheduler.on_select
+        and cls.on_departure is Scheduler.on_departure
+    )
+
+
+def _couplable(link: "Link", sim: Simulator) -> bool:
+    """True when a chain on ``sim`` may adopt ``link`` as a member:
+    drain-enabled, lossless, and running the stock ``Link`` method
+    bodies (hooks are tested separately, by :func:`_hooked`)."""
+    cls = type(link)
+    return (
+        link.drain
+        and link.sim is sim
+        and link.buffer_packets is None
+        and cls.receive is Link.receive
+        and cls._complete_service is Link._complete_service
+        and cls._start_service is Link._start_service
+    )
+
+
 class _ChainLink:
     """Per-member state for one coupled server in a chain drain.
 
@@ -215,9 +200,10 @@ class _ChainLink:
     :mod:`repro.sim.queues`), its reserved ``(time, seq)`` heap key,
     and whether that key is virtual (reserved inline) or mirrors a real
     calendar event that predates the drain entry.  They are reset on
-    every entry; ``colmode`` (columnar link + stock scheduler + no
-    monitors) is likewise recomputed per entry, so a monitor attached
-    between events flips the member to object mode at the next one.
+    every entry; ``colmode`` (columnar link + stock scheduler or
+    generated body + no monitors) is likewise recomputed per entry, so
+    a monitor attached between events flips the member to object mode
+    at the next one.
     """
 
     __slots__ = (
@@ -255,7 +241,7 @@ class _ChainLink:
         "virtual",
     )
 
-    def __init__(self, link: "Link", stock: bool) -> None:
+    def __init__(self, link: "Link") -> None:
         scheduler = link.scheduler
         queues = scheduler.queues
         self.link = link
@@ -275,11 +261,13 @@ class _ChainLink:
         self.cross_rcv: Optional[Receiver] = None
         self.flow_dcl: Optional["_ChainLink"] = None
         self.cross_dcl: Optional["_ChainLink"] = None
-        #: True when the scheduler uses the stock enqueue/select
-        #: wrappers with no hook overrides, so their bodies (queue
-        #: push/pop, no-op hooks) are inlined verbatim -- the same
-        #: criterion and inlining as the link's _fast_ok drain loops.
-        self.stock = stock
+        lossless = link.buffer_packets is None
+        #: True on a lossless link whose scheduler passes
+        #: :func:`_stock_scheduler`: the wrapper bodies (queue
+        #: push/pop, no-op hooks) are inlined verbatim.  A lossy member
+        #: is never stock, so its arrivals take the wrapper branch of
+        #: :func:`_chain_arrival`, which applies the drop policy.
+        self.stock = lossless and _stock_scheduler(scheduler)
         self.choose = scheduler.choose_class
         self.qlist = queues.queues
         self.heads = queues.head_arrivals
@@ -299,6 +287,19 @@ class _ChainLink:
         #: columnar scalars) for schedulers that tag packets at arrival
         #: (SCFQ); called after every columnar push into this member.
         self.genq = None
+        if (
+            lossless
+            and not self.stock
+            and link.columnar
+            and not link.monitors
+        ):
+            # Bind the body only where colmode can engage: monitors are
+            # never detached, and a lossy member is never columnar.
+            from ..schedulers.draingen import generated_drain_pair
+
+            pair = generated_drain_pair(scheduler)
+            if pair is not None:
+                self.gsel, self.genq = pair
         #: In-service representation (None == idle): real Packet, int
         #: packet id, or (pid, flow_id, created_at, hop_history) tuple.
         self.pend_meta = None
@@ -327,27 +328,26 @@ class _Chain:
     def __init__(
         self,
         members: list[_ChainLink],
-        coupled: Optional[dict],
+        coupled: dict,
         blocked: bool,
         sources: bool,
         guards: list,
     ) -> None:
+        #: The entry link's member first.  One member is a chain of one.
         self.members = members
-        #: id(link) -> _ChainLink for every member, or None when the
-        #: chain is this link alone (no fusion possible).
+        #: id(link) -> _ChainLink for every member.
         self.coupled = coupled
         #: True when an invariant checker is attached somewhere in the
         #: couplable graph: chain fusion is disabled (the entry link
-        #: keeps its single-link paths, which never bypass another
-        #: link's hooks).
+        #: drains as a chain of one, whose departures reach every other
+        #: link through plain ``receive`` and so never bypass hooks).
         self.blocked = blocked
         #: True when some member had fused feeders or an arrival cursor
         #: at build time.  Without inline arrival sources every arrival
         #: is a foreign calendar event, so a chain drain would park
         #: once per arrival and its setup would dominate; the entry
-        #: then keeps the cheap single-link drain paths.  (A source
-        #: attached later clears the link's chain cache, refreshing
-        #: this.)
+        #: then drains as a chain of one.  (A source attached later
+        #: clears the link's chain cache, refreshing this.)
         self.sources = sources
         self.guards = guards
 
@@ -362,20 +362,13 @@ class _Chain:
                         L.target is not g[2]
                         or L.scheduler is not g[3]
                         or not L.drain
-                        or "_complete_service" in L.__dict__
-                        or "receive" in L.__dict__
-                        or "select" in L.scheduler.__dict__
+                        or _hooked(L)
                     ):
                         return False
-                else:
+                elif not _hooked(L):
                     # Blocked guard: the chain stays blocked only while
                     # the checker hooks remain attached.
-                    if not (
-                        "_complete_service" in L.__dict__
-                        or "receive" in L.__dict__
-                        or "select" in L.scheduler.__dict__
-                    ):
-                        return False
+                    return False
             elif not g():
                 # Demux guard closure (drain_guard protocol).
                 return False
@@ -481,8 +474,7 @@ def _chain_select(cl: _ChainLink, now: float, sim):
 
 
 def _chain_arrival(cl: _ChainLink, packet: Packet, now: float, sim, fheap) -> None:
-    """Object arrival at a coupled member: Link.receive for the
-    lossless case.
+    """Object arrival at a chain member: ``Link.receive``.
 
     The completion's sequence number is reserved exactly where
     ``receive -> _start_service`` would have called ``sim.schedule``.
@@ -490,7 +482,8 @@ def _chain_arrival(cl: _ChainLink, packet: Packet, now: float, sim, fheap) -> No
     and mutation order; only the call layers disappear).  The enqueue
     is hybrid-aware: when the class tail lives in a column the object
     is appended there (as a pre-materialized meta) so FIFO order never
-    interleaves.
+    interleaves.  A lossy member (never stock) runs the link's buffer
+    management first, at the same point ``receive`` does.
     """
     L = cl.link
     packet.arrived_at = now
@@ -513,6 +506,8 @@ def _chain_arrival(cl: _ChainLink, packet: Packet, now: float, sim, fheap) -> No
         cl.backlog[cid] += packet.size
         cl.queues.total_packets += 1
     else:
+        if L.buffer_packets is not None and not L._admit(packet, now):
+            return  # the arriving packet itself was dropped
         cl.scheduler.enqueue(packet, now)
     if not L.busy:
         L.busy = True
@@ -773,11 +768,13 @@ class Link:
         self.buffer_packets = buffer_packets
         self.drop_policy = drop_policy
         self.monitors: list = []
-        #: Busy-period drain kernel A/B switch (see module docstring).
+        #: ``False`` runs every completion evented: the reference the
+        #: drain paths are tested against (module docstring).
         self.drain = drain
-        #: Columnar hot-path A/B switch (module docstring); ``None``
-        #: takes the module-level :data:`COLUMNAR_DEFAULT`.
-        self.columnar = COLUMNAR_DEFAULT if columnar is None else columnar
+        #: ``False`` keeps every packet an object: the reference the
+        #: columnar representation is tested against.  ``None`` means
+        #: the default, columnar.
+        self.columnar = True if columnar is None else columnar
         self._feeders: list = []
         self._cursors: list = []
         #: ``(time, seq)`` heap key of the scheduled completion event
@@ -788,6 +785,9 @@ class Link:
         #: keeps the link uncoupled until it parks again.
         self._pending_key: Optional[tuple] = None
         self._chain_cache: Optional[_Chain] = None
+        #: This link's chain of one, built on the first completion that
+        #: drains through it and rebuilt when its guards fail.
+        self._solo_chain: Optional[_Chain] = None
         #: Simulator topology revision the cached chain was built at.
         #: A moved version forces a rebuild even when ``_chain_fuse``
         #: is False -- upstream-side edits (a new fan-in link, a feeder
@@ -800,27 +800,15 @@ class Link:
         #: cache is cleared (forcing recomputation) whenever a feeder
         #: or cursor attaches, a checker detaches, or routes change.
         self._chain_fuse = False
-        # A link qualifies for the specialized drain loops when nothing
-        # can observe intermediate per-packet state: a bare PacketSink
-        # target, no buffer management, and a scheduler that uses the
-        # stock enqueue/select wrappers with no hook overrides (so the
-        # wrapper calls can be inlined verbatim).  Monitors are checked
-        # at dispatch time since they may be attached later.
-        from ..schedulers.base import Scheduler  # deferred: import cycle
-
-        scheduler_cls = type(scheduler)
-        self._stock_sched = (
-            scheduler_cls.select is Scheduler.select
-            and scheduler_cls.enqueue is Scheduler.enqueue
-            and scheduler_cls.on_enqueue is Scheduler.on_enqueue
-            and scheduler_cls.on_select is Scheduler.on_select
-            and scheduler_cls.on_departure is Scheduler.on_departure
-        )
+        # A link qualifies for _drain_fused when nothing can observe
+        # intermediate per-packet state: a bare PacketSink target, no
+        # buffer management, and a stock scheduler (so the wrapper
+        # calls can be inlined verbatim).  Feeders and monitors are
+        # checked at dispatch time since they may be attached later.
         self._fast_ok = (
-            drop_policy is None
-            and buffer_packets is None
+            buffer_packets is None
             and type(self._target) is PacketSink
-            and self._stock_sched
+            and _stock_scheduler(scheduler)
         )
 
         self.busy = False
@@ -871,12 +859,7 @@ class Link:
         kernel is disabled or instrumentation hooks are already
         attached, in which case the source simply runs evented.
         """
-        if (
-            not self.drain
-            or "_complete_service" in self.__dict__
-            or "receive" in self.__dict__
-            or "select" in self.scheduler.__dict__
-        ):
+        if not self.drain or _hooked(self):
             return False
         self._feeders.append(feeder)
         # A new inline arrival source may flip the cached chain-fusion
@@ -941,14 +924,8 @@ class Link:
         now = self.sim.now
         packet.arrived_at = now
         self.arrivals += 1
-        if self.drop_policy is not None:
-            self.drop_policy.on_arrival(packet.class_id, now)
-        if (
-            self.buffer_packets is not None
-            and self.backlog_packets >= self.buffer_packets
-        ):
-            if not self._drop_for(packet):
-                return  # arriving packet itself was dropped
+        if self.buffer_packets is not None and not self._admit(packet, now):
+            return  # arriving packet itself was dropped
         self.scheduler.enqueue(packet, now)
         if not self.busy:
             self._begin_busy_period(now)
@@ -1008,25 +985,34 @@ class Link:
             backlogs[packet.class_id] += min(max(remaining, 0.0), packet.size)
         return backlogs
 
-    def _drop_for(self, arriving: Packet) -> bool:
-        """Make room for ``arriving``; return False if *it* was dropped."""
-        if self.drop_policy is None:
+    def _admit(self, packet: Packet, now: float) -> bool:
+        """Buffer management for an arrival at a lossy link.
+
+        Reports the arrival to the drop policy, then makes room when
+        the buffer is full; returns False if ``packet`` itself was
+        dropped.
+        """
+        policy = self.drop_policy
+        if policy is not None:
+            policy.on_arrival(packet.class_id, now)
+        queues = self.scheduler.queues
+        if queues.total_packets < self.buffer_packets:
+            return True
+        if policy is None:
             # Plain tail drop of the arriving packet.
             self.drops += 1
-            self.drops_per_class[arriving.class_id] += 1
+            self.drops_per_class[packet.class_id] += 1
             return False
-        victim_class = self.drop_policy.choose_victim(
-            self.scheduler.queues, arriving, self.sim.now
-        )
+        victim_class = policy.choose_victim(queues, packet, now)
         if victim_class is None:
             self.drops += 1
-            self.drops_per_class[arriving.class_id] += 1
-            self.drop_policy.on_drop(arriving.class_id, self.sim.now)
+            self.drops_per_class[packet.class_id] += 1
+            policy.on_drop(packet.class_id, now)
             return False
-        self.scheduler.queues.pop_tail(victim_class)
+        queues.pop_tail(victim_class)
         self.drops += 1
         self.drops_per_class[victim_class] += 1
-        self.drop_policy.on_drop(victim_class, self.sim.now)
+        policy.on_drop(victim_class, now)
         return True
 
     # ------------------------------------------------------------------
@@ -1045,7 +1031,8 @@ class Link:
         sim.schedule(t_c, self._complete_service, packet)
 
     def _complete_service(self, packet: Packet) -> None:
-        """Service completion: drain the busy period, or fall back.
+        """Service completion: route to one of the three completion
+        paths (module docstring).
 
         Entry point for every completion event.  Routes to the evented
         path when the drain kernel is off or per-instance hooks (the
@@ -1054,492 +1041,72 @@ class Link:
         override present means we were called from inside a hook
         wrapper and must not drain underneath it.
         """
-        scheduler = self.scheduler
-        if (
-            not self.drain
-            or "_complete_service" in self.__dict__
-            or "receive" in self.__dict__
-            or "select" in scheduler.__dict__
-        ):
+        if not self.drain or _hooked(self):
             if self._feeders:
                 self.suspend_drain()
-            if scheduler.queues.col_count:
+            queues = self.scheduler.queues
+            if queues.col_count:
                 # Hooks observe whole queues: any columnar residue is
                 # an observation boundary (checker attach demotes too;
                 # this is the safety net for hooks installed by hand).
-                scheduler.queues.demote()
+                queues.demote()
             self._complete_service_evented(packet)
             return
         sim = self.sim
         chain = self._chain_cache
-        if chain is None or self._chain_topo != sim._topo_version:
-            chain = self._build_chain()
-            self._chain_cache = chain
+        # Guards are only checked on fusing entries -- once per chain
+        # entry, not per completion; the topology stamp catches the
+        # upstream edits a non-fusing entry's guards could not see.
+        if (
+            chain is None
+            or self._chain_topo != sim._topo_version
+            or (self._chain_fuse and not chain.valid())
+        ):
+            chain = self._chain_cache = self._build_chain()
             self._chain_topo = sim._topo_version
             self._chain_fuse = (
-                chain.coupled is not None
+                len(chain.members) > 1
                 and not chain.blocked
                 and chain.sources
             )
-        if self._chain_fuse:
-            # Revalidation (and a rebuild on guard failure) only runs
-            # on fusing entries -- once per chain entry, not per
-            # completion; a non-fusing link pays a single flag check.
-            if not chain.valid():
-                chain = self._build_chain()
-                self._chain_cache = chain
-                self._chain_topo = sim._topo_version
-                self._chain_fuse = (
-                    chain.coupled is not None
-                    and not chain.blocked
-                    and chain.sources
-                )
-            if self._chain_fuse and self._drain_chain(packet, chain):
-                return
-        if not self._stock_sched and scheduler.queues.col_count:
-            # Generated-body columns are only readable by the generated
-            # select; any residue crossing into the wrapper-based paths
-            # below (whose choose_class sees deques via the live
-            # wrappers) is an observation boundary -- demote it.
-            scheduler.queues.demote()
-        feeders = self._feeders
-        if self._fast_ok and feeders and not self.monitors:
-            # Specialized loops: nothing observes per-packet state, so
-            # the scheduler wrappers and sink dispatch are inlined.
-            if len(feeders) == 1:
-                self._drain_fused_single(packet, feeders[0])
-            else:
-                self._drain_fused_multi(packet)
+        if self._chain_fuse and self._drain_chain(packet, chain):
             return
-        heap = sim._heap
-        until = sim._run_until
-        capacity = self.capacity
-        queues = scheduler.queues
-        monitors = self.monitors
-        target = self.target
-        select = scheduler.select
-        on_departure = scheduler.on_departure
-        complete = self._complete_service
-        now = sim.now
-        while True:
-            # -- departure of `packet` at `now` (mirrors the evented path)
-            packet.departed_at = now
-            packet.hop_delays.append(packet.service_start - packet.arrived_at)
-            self.departures += 1
-            self.bytes_sent += packet.size
-            self._in_service = None
-            on_departure(packet, now)
-            for monitor in monitors:
-                monitor.on_departure(packet, now)
-            target.receive(packet)
-            if queues.total_packets:
-                nxt = select(now)
-                nxt.service_start = now
-                self._in_service = nxt
-                t_c = now + nxt.size / capacity
-                # Reserve the completion's sequence number exactly where
-                # the evented path would have called sim.schedule.
-                s_c = sim._seq
-                sim._seq = s_c + 1
-            else:
-                nxt = None
-                self.busy = False
-                self.busy_time += now - self._busy_since
-            # -- consume fused arrivals that precede the next completion
-            while True:
-                feeder = None
-                t_a = inf
-                s_a = 0
-                for f in feeders:
-                    ft = f.next_time
-                    if ft is not None and (
-                        ft < t_a or (ft == t_a and f.next_seq < s_a)
-                    ):
-                        t_a = ft
-                        s_a = f.next_seq
-                        feeder = f
-                if feeder is None or (
-                    nxt is not None
-                    and (t_c < t_a or (t_c == t_a and s_c < s_a))
-                ):
-                    # Next fused event is the completion (or nothing).
-                    if nxt is None:
-                        return  # idle, no fused arrivals pending
-                    if t_c > until or (
-                        heap
-                        and (
-                            heap[0][0] < t_c
-                            or (heap[0][0] == t_c and heap[0][1] < s_c)
-                        )
-                    ):
-                        for f in feeders:
-                            f.park(heap)
-                        self._pending_key = (t_c, s_c)
-                        heappush(heap, (t_c, s_c, complete, nxt))
-                        return
-                    now = t_c
-                    sim.now = t_c
-                    packet = nxt
-                    break
-                # Next fused event is `feeder`'s arrival at (t_a, s_a).
-                if t_a > until:
-                    for f in feeders:
-                        f.park(heap)
-                    if nxt is not None:
-                        self._pending_key = (t_c, s_c)
-                        heappush(heap, (t_c, s_c, complete, nxt))
-                    return
-                if heap:
-                    head = heap[0]
-                    ht = head[0]
-                    if ht < t_a or (ht == t_a and head[1] < s_a):
-                        for f in feeders:
-                            f.park(heap)
-                        if nxt is not None:
-                            self._pending_key = (t_c, s_c)
-                            heappush(heap, (t_c, s_c, complete, nxt))
-                        return
-                    if ht == t_a and head[1] == s_a:
-                        # The arrival's own mirrored calendar event is
-                        # the heap minimum: absorb it and go virtual.
-                        heappop(heap)
-                        feeder._virtual = True
-                now = t_a
-                sim.now = t_a
-                arriving = feeder.pull()
-                arriving.arrived_at = t_a
-                self.arrivals += 1
-                if self.drop_policy is not None:
-                    self.drop_policy.on_arrival(arriving.class_id, t_a)
-                if (
-                    self.buffer_packets is not None
-                    and queues.total_packets >= self.buffer_packets
-                    and not self._drop_for(arriving)
-                ):
-                    feeder.advance(t_a)
-                    continue
-                scheduler.enqueue(arriving, t_a)
-                if nxt is None:
-                    # Arrival onto an idle link: the drain spans the
-                    # idle gap and opens the next busy period inline.
-                    self.busy = True
-                    self._busy_since = t_a
-                    nxt = select(t_a)
-                    nxt.service_start = t_a
-                    self._in_service = nxt
-                    t_c = t_a + nxt.size / capacity
-                    s_c = sim._seq
-                    sim._seq = s_c + 1
-                feeder.advance(t_a)
+        if self._fast_ok and self._feeders and not self.monitors:
+            self._drain_fused(packet)
+            return
+        solo = self._solo_chain
+        if solo is None or not solo.valid():
+            solo = self._solo_chain = self._build_chain(walk=False)
+        self._drain_chain(packet, solo)
 
-    def _drain_fused_single(self, packet: Packet, feeder) -> None:
-        """Drain loop specialized for exactly one fused feeder.
+    def _drain_fused(self, packet: Packet) -> None:
+        """Drain loop of the unobserved fast path.
 
-        Only runs when ``_fast_ok`` holds and no monitors are attached:
-        per-packet state is then unobservable between events, so the
-        plain scheduler's ``enqueue``/``select`` wrappers (whose hooks
-        are the base no-ops) and the bare :class:`PacketSink` dispatch
-        are inlined verbatim -- float expressions and mutation order
-        are kept identical to the evented path, only the Python call
-        layers disappear.
-
-        With ``columnar`` on (and the feeder implementing ``pull_col``,
-        which implies a ``flow_id`` attribute), arrivals enter the
-        per-class columns as ``(arrived_at, size, meta)`` scalars and
-        are selected, transmitted, and counted without ever existing as
-        objects; a real :class:`Packet` is materialized only when the
-        sink keeps packets (at departure, fully stamped) or at a park
-        (the pending completion becomes a calendar event payload).
-        Link counters accumulate in locals and are published in the
-        ``finally`` block, which runs on every park/idle exit (and on
-        errors), so externally-visible state is consistent whenever
-        control is back in the run loop.
-        """
-        sim = self.sim
-        heap = sim._heap
-        until = sim._run_until
-        capacity = self.capacity
-        scheduler = self.scheduler
-        choose = scheduler.choose_class
-        queues = scheduler.queues
-        qlist = queues.queues
-        cols = queues.cols
-        cheads = queues.col_heads
-        heads = queues.head_arrivals
-        backlog_bytes = queues.bytes_backlog
-        num_classes = queues.num_classes
-        target = self.target
-        keep = target.keep_packets
-        kept = target.packets
-        complete = self._complete_service
-        pull = feeder.pull
-        pull_col = (
-            getattr(feeder, "pull_col", None) if self.columnar else None
-        )
-        colmode = pull_col is not None
-        fid = feeder.flow_id if colmode else None
-        advance = feeder.advance
-        now = sim.now
-        ft = feeder.next_time
-        fs = feeder.next_seq
-        total = queues.total_packets
-        ccount = queues.col_count
-        # Departing-service scalars (the completion being handled) and
-        # pending-service scalars (the next reserved completion).
-        dmeta = packet
-        dcid = packet.class_id
-        darr = packet.arrived_at
-        dsize = packet.size
-        dstart = packet.service_start
-        smeta = None
-        scid = 0
-        sarr = 0.0
-        ssize = 0.0
-        sstart = 0.0
-        arrivals = 0
-        departures = 0
-        nbytes = 0.0
-        received = 0
-        try:
-            while True:
-                # -- departure of the in-service packet at `now`
-                departures += 1
-                nbytes += dsize
-                received += 1
-                if keep:
-                    if type(dmeta) is Packet:
-                        p = dmeta
-                    else:
-                        p = materialize_entry(dcid, darr, dsize, dmeta)
-                    p.service_start = dstart
-                    p.departed_at = now
-                    p.hop_delays.append(dstart - darr)
-                    kept.append(p)
-                smeta = None
-                if total:
-                    # inline Scheduler.select + the hybrid
-                    # ClassQueueSet.pop; the packet count is kept in a
-                    # local -- publish it before choose_class so
-                    # scheduler code sees a consistent queue set.
-                    queues.total_packets = total
-                    cid = choose(now)
-                    queue = qlist[cid]
-                    if queue:
-                        nxt = queue.popleft()
-                        ssize = nxt.size
-                        if queue:
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = queue[0].arrived_at
-                        else:
-                            col = cols[cid]
-                            h = cheads[cid]
-                            if h < len(col):
-                                backlog_bytes[cid] -= ssize
-                                heads[cid] = col[h]
-                            else:
-                                backlog_bytes[cid] = 0.0
-                                heads[cid] = inf
-                        smeta = nxt
-                        sarr = nxt.arrived_at
-                    else:
-                        col = cols[cid]
-                        h = cheads[cid]
-                        sarr = col[h]
-                        ssize = col[h + 1]
-                        smeta = col[h + 2]
-                        h += 3
-                        ccount -= 1
-                        if h == len(col):
-                            col.clear()
-                            cheads[cid] = 0
-                            backlog_bytes[cid] = 0.0
-                            heads[cid] = inf
-                        else:
-                            if h >= _COL_COMPACT:
-                                del col[:h]
-                                h = 0
-                            cheads[cid] = h
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = col[h]
-                    scid = cid
-                    total -= 1
-                    sstart = now
-                    t_c = now + ssize / capacity
-                    s_c = sim._seq
-                    sim._seq = s_c + 1
-                else:
-                    self.busy = False
-                    self.busy_time += now - self._busy_since
-                # -- consume fused arrivals preceding the completion
-                while True:
-                    if ft is None or (
-                        smeta is not None
-                        and (t_c < ft or (t_c == ft and s_c < fs))
-                    ):
-                        if smeta is None:
-                            return  # idle, feeder exhausted for now
-                        if t_c > until or (
-                            heap
-                            and (
-                                heap[0][0] < t_c
-                                or (heap[0][0] == t_c and heap[0][1] < s_c)
-                            )
-                        ):
-                            feeder.park(heap)
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
-                            return
-                        now = t_c
-                        dmeta = smeta
-                        dcid = scid
-                        darr = sarr
-                        dsize = ssize
-                        dstart = sstart
-                        break
-                    if ft > until:
-                        feeder.park(heap)
-                        if smeta is not None:
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
-                        return
-                    if heap:
-                        head = heap[0]
-                        ht = head[0]
-                        if ht < ft or (ht == ft and head[1] < fs):
-                            feeder.park(heap)
-                            if smeta is not None:
-                                if type(smeta) is not Packet:
-                                    smeta = materialize_entry(
-                                        scid, sarr, ssize, smeta
-                                    )
-                                smeta.service_start = sstart
-                                heappush(heap, (t_c, s_c, complete, smeta))
-                            return
-                        if ht == ft and head[1] == fs:
-                            heappop(heap)
-                            feeder._virtual = True
-                    now = ft
-                    idle = smeta is None
-                    if colmode:
-                        if idle:
-                            # The evented path schedules the completion
-                            # (inside receive) before the next arrival:
-                            # reserve its seq ahead of pull_col's.
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        pid, acid, asize = pull_col(ft)
-                        arrivals += 1
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        if heads[acid] == inf:
-                            heads[acid] = ft
-                        cols[acid].extend(
-                            (
-                                ft,
-                                asize,
-                                pid if fid is None else (pid, fid, ft, ()),
-                            )
-                        )
-                        ccount += 1
-                        backlog_bytes[acid] += asize
-                        total += 1
-                        if idle:
-                            # Arrival onto an idle link: open the next
-                            # busy period inline.  The wrapper select
-                            # reads the published counts (and its pop
-                            # materializes a columnar head -- one
-                            # object per busy period, not per packet).
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            queues.col_count = ccount
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            ccount = queues.col_count
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                        ft = feeder.next_time
-                        fs = feeder.next_seq
-                    else:
-                        arriving = pull()
-                        arrivals += 1
-                        # inline Scheduler.enqueue + ClassQueueSet.push;
-                        # pull() guarantees arrived_at == ft already.
-                        # Columns are never live in object mode, so the
-                        # plain deque push is exact.
-                        acid = arriving.class_id
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        queue = qlist[acid]
-                        if not queue:
-                            heads[acid] = ft
-                        queue.append(arriving)
-                        backlog_bytes[acid] += arriving.size
-                        total += 1
-                        if idle:
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        advance(ft)
-                        ft = feeder.next_time
-                        fs = feeder.next_seq
-        finally:
-            queues.total_packets = total
-            queues.col_count = ccount
-            sim.now = now
-            if smeta is None:
-                self._in_service = None
-                self._pending_key = None
-            else:
-                # Park/exception boundary: the pending completion must
-                # be a real calendar payload.
-                if type(smeta) is not Packet:
-                    smeta = materialize_entry(scid, sarr, ssize, smeta)
-                smeta.service_start = sstart
-                self._in_service = smeta
-                self._pending_key = (t_c, s_c)
-            self.arrivals += arrivals
-            self.departures += departures
-            self.bytes_sent += nbytes
-            target.received += received
-
-    def _drain_fused_multi(self, packet: Packet) -> None:
-        """Drain loop for several fused feeders (same terms as single).
+        Only runs when ``_fast_ok`` holds, fused feeders are attached
+        and no monitors are: per-packet state is then unobservable
+        between events, so the plain scheduler's ``enqueue``/``select``
+        wrappers (whose hooks are the base no-ops) and the bare
+        :class:`PacketSink` dispatch are inlined verbatim -- float
+        expressions and mutation order are kept identical to the
+        evented path, only the Python call layers disappear.
 
         The pending feeder arrivals are tracked in a local min-heap of
         ``(time, seq, feeder)`` keyed exactly like the calendar, so the
         next fused arrival is a peek instead of an O(feeders) scan per
         event.  Seq uniqueness means the feeder object itself is never
-        compared.  Columnar mode (see :meth:`_drain_fused_single`)
-        engages only when *every* feeder implements ``pull_col``.
+        compared.
+
+        With ``columnar`` on and *every* feeder implementing
+        ``pull_col`` (which implies a ``flow_id`` attribute), arrivals
+        enter the per-class columns as ``(arrived_at, size, meta)``
+        scalars and are selected, transmitted, and counted without ever
+        existing as objects; a real :class:`Packet` is materialized only
+        when the sink keeps packets (at departure, fully stamped) or at
+        a park (the pending completion becomes a calendar event
+        payload).  Link counters accumulate in locals and are published
+        in the ``finally`` block, which runs on every park/idle exit
+        (and on errors), so externally-visible state is consistent
+        whenever control is back in the run loop.
         """
         sim = self.sim
         heap = sim._heap
@@ -1842,17 +1409,17 @@ class Link:
             self.busy_time += now - self._busy_since
 
     # ------------------------------------------------------------------
-    def _build_chain(self) -> _Chain:
+    def _build_chain(self, walk: bool = True) -> _Chain:
         """Walk the target graph and snapshot the couplable chain.
 
         Breadth-first from this link through direct ``Link`` targets
         and demuxes implementing the drain-demux protocol.  Couplable
-        successors (drain-enabled, same simulator, lossless, hook-free,
-        stock method bodies) become chain members; a hooked successor
-        (invariant checker) marks the chain *blocked*; anything else is
-        a chain boundary reached via plain ``receive``.  Every object
-        examined contributes a guard so :meth:`_Chain.valid` detects
-        any change that could alter the walk's outcome.
+        successors (:func:`_couplable` and not :func:`_hooked`) become
+        chain members; a hooked successor (invariant checker) marks the
+        chain *blocked*; anything else is a chain boundary reached via
+        plain ``receive``.  Every object examined contributes a guard
+        so :meth:`_Chain.valid` detects any change that could alter the
+        walk's outcome.
 
         After the downstream walk, a fan-in fixpoint scans the
         simulator's link registry for *upstream* members: couplable
@@ -1861,44 +1428,28 @@ class Link:
         multiple feeder-driven upstream links converging on one server
         -- and routed DAGs converging through ``RouteDemux`` -- drain
         in one fused loop.  A hooked or lossy upstream candidate is
-        simply left out (it keeps running evented; its departures reach
-        the member as foreign calendar events the drain parks on), and
-        upstream edits that no guard can see are caught by the
-        simulator's ``_topo_version`` stamp instead.
-        """
-        from ..schedulers.base import Scheduler  # deferred: import cycle
-        from ..schedulers.draingen import generated_drain_pair
+        simply left out (it keeps draining on its own; its departures
+        reach the member as foreign calendar events the drain parks
+        on), and upstream edits that no guard can see are caught by
+        the simulator's ``_topo_version`` stamp instead.
 
+        Without ``walk`` -- and always for a lossy link -- the result
+        is this link's chain of one: the same member state and guards,
+        no successor walk and no fan-in fixpoint.
+        """
         guards: list = []
         members: list[_ChainLink] = []
         by_id: dict[int, _ChainLink] = {}
         blocked = False
         sim = self.sim
-        # A lossy entry keeps its single-link drain (which implements
-        # the drop path); only lossless links may join a fused chain.
-        extend = self.buffer_packets is None and self.drop_policy is None
+        walk = walk and self.buffer_packets is None
         pending: list[Link] = [self]
         seen = {id(self)}
         while True:
             while pending:
                 L = pending.pop(0)
                 tgt = L.target
-                scls = type(L.scheduler)
-                stock = (
-                    scls.select is Scheduler.select
-                    and scls.enqueue is Scheduler.enqueue
-                    and scls.on_enqueue is Scheduler.on_enqueue
-                    and scls.on_select is Scheduler.on_select
-                    and scls.on_departure is Scheduler.on_departure
-                )
-                cl = _ChainLink(L, stock)
-                if not stock and L.columnar:
-                    # Non-stock scheduler on a columnar link: bind the
-                    # generated (oracle-verified) drain body when one
-                    # exists, so the member can run colmode.
-                    pair = generated_drain_pair(L.scheduler)
-                    if pair is not None:
-                        cl.gsel, cl.genq = pair
+                cl = _ChainLink(L)
                 members.append(cl)
                 by_id[id(L)] = cl
                 guards.append((0, L, tgt, L.scheduler))
@@ -1918,31 +1469,18 @@ class Link:
                             cl.flow_rcv, cl.cross_rcv = split()
                         guards.append(tgt.drain_guard())
                         succs = tuple(tgt.drain_successors())
-                if not extend:
+                if not walk:
                     continue
                 for r in succs:
                     if not isinstance(r, Link) or id(r) in seen:
                         continue
                     seen.add(id(r))
-                    if (
-                        "_complete_service" in r.__dict__
-                        or "receive" in r.__dict__
-                        or "select" in r.scheduler.__dict__
-                    ):
+                    if _hooked(r):
                         blocked = True
                         guards.append((1, r))
-                        continue
-                    if (
-                        r.drain
-                        and r.sim is sim
-                        and r.buffer_packets is None
-                        and r.drop_policy is None
-                        and type(r).receive is Link.receive
-                        and type(r)._complete_service is Link._complete_service
-                        and type(r)._start_service is Link._start_service
-                    ):
+                    elif _couplable(r, sim):
                         pending.append(r)
-            if not extend:
+            if not walk:
                 break
             # Fan-in fixpoint: adopt couplable registered links that
             # feed a current member.  Repeats (via the outer loop) until
@@ -1950,19 +1488,7 @@ class Link:
             # a merge point join too.
             grew = False
             for r in sim._links:
-                if id(r) in seen:
-                    continue
-                if (
-                    not r.drain
-                    or r.buffer_packets is not None
-                    or r.drop_policy is not None
-                    or type(r).receive is not Link.receive
-                    or type(r)._complete_service is not Link._complete_service
-                    or type(r)._start_service is not Link._start_service
-                    or "_complete_service" in r.__dict__
-                    or "receive" in r.__dict__
-                    or "select" in r.scheduler.__dict__
-                ):
+                if id(r) in seen or _hooked(r) or not _couplable(r, sim):
                     continue
                 rt = r.target
                 if isinstance(rt, Link):
@@ -1978,20 +1504,18 @@ class Link:
                     grew = True
             if not grew:
                 break
-        coupled = by_id if len(members) > 1 else None
         sources = any(
             cl.link._feeders or cl.link._cursors for cl in members
         )
-        if coupled is not None:
-            # Pre-resolve each member's receivers to coupled members so
-            # the hot departure path never touches the dict.
-            for cl in members:
-                if cl.direct_target is not None:
-                    cl.direct_dcl = by_id.get(id(cl.direct_target))
-                elif cl.split is not None:
-                    cl.flow_dcl = by_id.get(id(cl.flow_rcv))
-                    cl.cross_dcl = by_id.get(id(cl.cross_rcv))
-        return _Chain(members, coupled, blocked, sources, guards)
+        # Pre-resolve each member's receivers to coupled members so the
+        # hot departure path never touches the dict.
+        for cl in members:
+            if cl.direct_target is not None:
+                cl.direct_dcl = by_id.get(id(cl.direct_target))
+            elif cl.split is not None:
+                cl.flow_dcl = by_id.get(id(cl.flow_rcv))
+                cl.cross_dcl = by_id.get(id(cl.cross_rcv))
+        return _Chain(members, by_id, blocked, sources, guards)
 
     def _drain_chain(self, first: Packet, chain: _Chain) -> bool:
         """Fused drain over the whole coupled chain (module docstring).
@@ -1999,8 +1523,9 @@ class Link:
         Returns ``False`` -- with no state touched -- when a member is
         busy mid-period with an unknown completion key (its event was
         scheduled while the chain shape was different); the entry then
-        falls back to the single-link drain paths until that member
-        parks with a mirrored key again.
+        drains on its own (fused loop or chain of one) until that
+        member parks with a mirrored key again.  A chain of one always
+        returns ``True``.
         """
         members = chain.members
         sim = self.sim

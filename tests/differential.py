@@ -372,8 +372,8 @@ def differential_cell(scheduler: str, shape: str, seed: int = 9) -> RunCapture:
     # Fusion sanity: on multi-link shapes the entry must really have
     # fused a chain of more than one member -- a silent fallback to the
     # wrapper path would make the equality above vacuous.  (A single
-    # hop drains through the one-link busy-period kernel instead; its
-    # chain walk finds no coupled successor and leaves fusion off.)
+    # hop's walk finds no coupled successor and leaves fusion off; it
+    # drains as a chain of one instead.)
     entry = fused_links[0]
     if shape != "single":
         assert entry._chain_fuse is True, (

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dropping import PLRDropper, TailDropPolicy
 from repro.invariants import InvariantChecker
 from repro.schedulers import available_schedulers, make_scheduler
 from repro.sim import (
@@ -26,12 +27,18 @@ from repro.sim import (
 )
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
+    PAPER_DEFAULT_LOADS,
     FixedPacketSize,
     PacketIdAllocator,
+    ParetoInterarrivals,
     PoissonInterarrivals,
     TrafficSource,
+    paper_trimodal_sizes,
 )
 from repro.traffic.trace import ArrivalTrace, TraceSource
+from repro.units import PAPER_LINK_CAPACITY
+
+from .differential import HORIZON, _capture, build_single
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
@@ -168,8 +175,8 @@ def test_columnar_vs_object_bit_identical_all_schedulers(name):
 
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_columnar_vs_evented_bit_identical_all_schedulers(name):
-    """Columnar forced ON (independent of COLUMNAR_DEFAULT) against the
-    classic one-event-per-departure path."""
+    """Columnar forced ON against the classic one-event-per-departure
+    path."""
     trace = random_trace(seed=29)
     sim_c, link_c, _, _ = replay(trace, name, drain=True, columnar=True)
     sim_e, link_e, _, _ = replay(trace, name, drain=False)
@@ -265,6 +272,35 @@ def test_drain_actually_engages():
     assert sim_d.events_processed < sim_e.events_processed / 10
 
 
+def test_cursor_fed_single_link_absorbs_cursor_inline():
+    """A drained single link fed only by an ArrivalCursor (the
+    differential harness's single-hop shape) drains as a chain of one
+    that absorbs the cursor's calendar event: the whole run costs a
+    couple of real dispatches instead of one per arrival and
+    completion, with the evented run's exact outputs."""
+
+    def run(drain: bool):
+        sim = Simulator()
+        links, _, recorder = build_single(
+            sim, "wtp", drain, True, RandomStreams(9), PacketIdAllocator()
+        )
+        sim.run(until=HORIZON)
+        link = links[0]
+        demux = link.target
+        return sim, (
+            _capture(sim, links, recorder, 0),
+            demux.cross_packets,
+            demux.cross_sink.received,
+        )
+
+    sim_d, outputs_d = run(True)
+    sim_e, outputs_e = run(False)
+    assert outputs_d == outputs_e
+    assert outputs_d[1] > 100
+    assert sim_e.events_processed > 400
+    assert sim_d.events_processed <= 10
+
+
 def test_invariant_checker_suspends_drain():
     """Attaching the checker falls back to the evented path and still
     produces identical results."""
@@ -293,8 +329,9 @@ def test_invariant_checker_suspends_drain():
 def test_monitor_attached_mid_drain_bit_identical():
     """A DelayMonitor attached by a calendar event landing inside a
     busy period: the columnar fast loop must park on the foreign key,
-    and every later drain entry (``monitors`` now non-empty) routes to
-    the generic loop, which materializes queued column entries on pop.
+    and every later drain entry (``monitors`` now non-empty) drains as
+    an object-mode chain of one, which materializes queued column
+    entries on pop.
     Post-attach monitor series and the full departure fingerprint must
     match the object-mode and evented runs exactly."""
     trace = random_trace(seed=41)
@@ -343,40 +380,94 @@ def test_monitor_attached_mid_drain_bit_identical():
     assert [s.mean for s in mon_c.stats] == [s.mean for s in mon_e.stats]
 
 
-def test_drop_policy_forces_object_fallback():
-    """A drop policy (bounded buffer) is an observation boundary at
-    arrival time: the link fails ``_fast_ok``, columns never form even
-    with columnar requested, and the generic drain still matches the
-    evented run drop for drop."""
-    from repro.dropping import TailDropPolicy
+def _tail_drop_trace(sim, scheduler, drain):
+    """A trace replayed into a tail-drop buffer of six packets."""
+    link = Link(
+        sim,
+        make_scheduler(scheduler, SDPS),
+        capacity=1.0,
+        target=PacketSink(keep_packets=True),
+        drain=drain,
+        columnar=True,
+        buffer_packets=6,
+        drop_policy=TailDropPolicy(),
+    )
+    TraceSource(sim, link, random_trace(seed=13)).start()
+    return link, None, None
 
-    trace = random_trace(seed=13)
+
+def _lossy_sweep_point(sim, scheduler, drain):
+    """The ``experiments/lossy.py`` shape past saturation: a PLR
+    push-out dropper on a bounded buffer, a delay monitor, and one
+    Pareto source per class with the paper's size mix."""
+    streams = RandomStreams(29)
+    dropper = PLRDropper((8.0, 4.0, 2.0, 1.0))
+    link = Link(
+        sim,
+        make_scheduler(scheduler, SDPS),
+        capacity=PAPER_LINK_CAPACITY,
+        target=PacketSink(keep_packets=True),
+        drain=drain,
+        columnar=True,
+        buffer_packets=20,
+        drop_policy=dropper,
+    )
+    monitor = DelayMonitor(4, warmup=500.0, keep_samples=True)
+    link.add_monitor(monitor)
+    ids = PacketIdAllocator()
+    sizes_mean = paper_trimodal_sizes().mean
+    gaps = PAPER_DEFAULT_LOADS.mean_gaps(1.2, PAPER_LINK_CAPACITY, sizes_mean)
+    for class_id, gap in enumerate(gaps):
+        TrafficSource(
+            sim,
+            link,
+            class_id,
+            ParetoInterarrivals(gap, rng=streams.generator()),
+            paper_trimodal_sizes(streams.generator()),
+            ids=ids,
+        ).start()
+    return link, monitor, 2e4
+
+
+@pytest.mark.parametrize(
+    "build, scheduler",
+    [
+        (_tail_drop_trace, "wtp"),
+        (_lossy_sweep_point, "wtp"),
+        (_lossy_sweep_point, "bpr"),
+    ],
+    ids=["tail-drop-trace-wtp", "lossy-plr-wtp", "lossy-plr-bpr"],
+)
+def test_drop_policy_forces_object_fallback(build, scheduler):
+    """A drop policy (bounded buffer) is an observation boundary at
+    arrival time: columns never form even with columnar requested, and
+    the drain -- a chain of one applying the policy where ``receive``
+    does, push-out victims included -- matches the evented run drop for
+    drop."""
 
     def run(drain: bool):
         sim = Simulator()
-        link = Link(
-            sim,
-            make_scheduler("wtp", SDPS),
-            capacity=1.0,
-            target=PacketSink(keep_packets=True),
-            drain=drain,
-            columnar=True,
-            buffer_packets=6,
-            drop_policy=TailDropPolicy(),
-        )
-        TraceSource(sim, link, trace).start()
-        sim.run()
-        return sim, link
+        link, monitor, until = build(sim, scheduler, drain)
+        sim.run(until=until)
+        return sim, link, monitor
 
-    sim_d, link_d = run(True)
-    sim_e, link_e = run(False)
-    assert link_d._fast_ok is False
+    sim_d, link_d, mon_d = run(True)
+    sim_e, link_e, mon_e = run(False)
     assert link_d.scheduler.queues.col_count == 0
     assert link_d.drops == link_e.drops > 0
+    assert link_d.drops_per_class == link_e.drops_per_class
     assert packet_fingerprint(link_d.target) == packet_fingerprint(
         link_e.target
     )
     assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+    if mon_d is not None:
+        policy_d, policy_e = link_d.drop_policy, link_e.drop_policy
+        assert policy_d.drops == policy_e.drops
+        assert policy_d.arrivals == policy_e.arrivals
+        assert [s.count for s in mon_d.stats] == [s.count for s in mon_e.stats]
+        assert mon_d.mean_delays() == mon_e.mean_delays()
+        for series_d, series_e in zip(mon_d.samples, mon_e.samples):
+            assert np.array_equal(series_d, series_e)
 
 
 def test_checker_attached_mid_run_demotes_columns():

@@ -13,7 +13,7 @@ scheduler named in the Table 1 reproduction, including
   park and resume without disturbing a single timestamp;
 * an :class:`InvariantChecker` attached to a *middle* hop, which must
   disable chain fusion across the whole walk (the checker's hooks see
-  every event) while the entry keeps its single-link drain;
+  every event) while the entry drains as a chain of one;
 * the routed-network topology (``RouteDemux`` resolution instead of
   ``FlowDemux``), under its own ``drain`` flag;
 * the ``truncated_experiments`` diagnostic surfaced by
@@ -290,8 +290,8 @@ def test_flow_launch_at_exact_drain_instant():
 def test_checker_mid_chain_disables_fusion_only():
     """A checker attached to the middle hop must force the entry's walk
     to report blocked (its hooks would be bypassed by a fused drain)
-    without breaking equivalence -- the entry falls back to single-link
-    drains, which hand off through plain ``receive``."""
+    without breaking equivalence -- the entry falls back to its chain
+    of one, which hands off through plain ``receive``."""
     sim_d, links_d, delays_d, state_d, checker_d = run_chain(
         "wtp", drain=True, checker_hop=1
     )
