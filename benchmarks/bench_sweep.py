@@ -1,18 +1,14 @@
-"""Sweep-tier benchmarks: sharded vs per-cell dispatch, and RSS bounds.
+"""Sweep-runner benchmarks: a shared-trace city grid, and RSS bounds.
 
 Two workloads:
 
 * ``BENCH_GRID`` -- a small city grid (8 cells, one trace group of 256
-  Pareto flows).  The *same* grid runs through both tiers:
-  ``run_city_shard`` (ShardRunner: traces compiled once and shared
-  zero-copy, shard dispatch) and ``run_city_sweep`` (SweepRunner with
-  per-cell dispatch, every worker compiling its own traces -- the
-  pre-shard behavior).  The cells/sec ratio is the sharded tier's
-  headline speedup; it comes from *structure* (one trace compile
-  instead of eight, dispatch per shard instead of per cell), so it
-  holds on a single-core host too.
+  Pareto flows) through ``run_city_shard``: the coordinator compiles
+  the trace group once and the runner shares it zero-copy with 4
+  pool workers, which run the cells in shards.  Its cells/sec is
+  ``sweep_cells_per_sec``.
 * ``run_tiny_sweep`` -- N thousand near-trivial single-hop cells
-  through the ShardRunner's streaming consume path.  Its report's
+  through the runner's streaming consume path.  Its report's
   ``coordinator_peak_rss_mb`` is what bounds the coordinator: results
   go to shard files and stream back one at a time, so peak RSS must
   stay flat as the grid grows (recorded alongside the rate by
@@ -31,14 +27,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.common import SingleHopConfig  # noqa: E402
-from repro.runner import ShardRunner, SingleHopTask, SweepRunner  # noqa: E402
+from repro.runner import SingleHopTask, SweepRunner  # noqa: E402
 from repro.scenarios import CityGridConfig, CityScenarioConfig, run_city  # noqa: E402
 
 #: One trace group (single seed) swept over scheduler x SDP x rho.
 #: The traffic shape is the city regime the tier targets: thousands of
 #: slow long-lived flows, so trace compilation (per-flow RNG streams)
-#: dominates a cell and the shard tier's compile-once sharing is the
-#: structural win being measured.
+#: dominates a cell and the runner's compile-once sharing is what is
+#: being measured.
 BENCH_GRID = CityGridConfig(
     base=CityScenarioConfig(
         flows=4000, branches=16, flow_gap=1200.0, horizon=3000.0,
@@ -54,19 +50,8 @@ BENCH_JOBS = 4
 
 
 def run_city_shard(jobs: int = BENCH_JOBS) -> int:
-    """The bench grid through the sharded tier (shared traces)."""
-    with ShardRunner(jobs=jobs, cache=None) as runner:
-        points = run_city(BENCH_GRID, runner=runner)
-    return len(points)
-
-
-def run_city_sweep(jobs: int = BENCH_JOBS) -> int:
-    """The bench grid through SweepRunner per-cell dispatch.
-
-    Workers get no shared traces, so each cell compiles its own -- the
-    cost profile every city sweep had before the sharded tier.
-    """
-    with SweepRunner(jobs=jobs, cache=None, chunksize=1) as runner:
+    """The bench grid through the runner (shared traces, shards)."""
+    with SweepRunner(jobs=jobs, cache=None) as runner:
         points = run_city(BENCH_GRID, runner=runner)
     return len(points)
 
@@ -123,7 +108,7 @@ def run_tiny_sweep(cells: int, jobs: int = BENCH_JOBS) -> tuple[int, float]:
             if d == d:  # skip NaN (idle class in a tiny cell)
                 totals[i] += d
 
-    with ShardRunner(jobs=jobs, cache=None) as runner:
+    with SweepRunner(jobs=jobs, cache=None) as runner:
         runner.map(tiny_cell_summary, tiny_tasks(cells), consume=consume)
         report = runner.last_report
     assert done == cells, f"streamed {done} of {cells} cells"
@@ -133,8 +118,6 @@ def run_tiny_sweep(cells: int, jobs: int = BENCH_JOBS) -> tuple[int, float]:
 if __name__ == "__main__":
     import time
 
-    for label, fn in (("shard", run_city_shard), ("sweep", run_city_sweep)):
-        start = time.perf_counter()
-        count = fn()
-        rate = count / (time.perf_counter() - start)
-        print(f"{label}: {rate:.2f} cells/sec")
+    start = time.perf_counter()
+    count = run_city_shard()
+    print(f"city grid: {count / (time.perf_counter() - start):.2f} cells/sec")

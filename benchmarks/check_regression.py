@@ -31,13 +31,13 @@ each warn/fail line therefore also shows its host-normalized factor
 (raw factor divided by host factor), and the context is embedded in
 the ``--out`` JSON.
 
-Two sweep-tier numbers ride along: ``sweep_cells_per_sec`` (the city
-bench grid through the sharded runner, compared to baseline like any
-throughput metric) and ``sweep1k_coordinator_peak_rss_mb`` (peak
-coordinator RSS while streaming 10^3 tiny cells through the shard
-store; gated on an absolute ceiling via ``--rss-gate`` -- the
-coordinator holds O(shard) results, so blowing the ceiling means
-results are accumulating in RAM again).
+Two sweep-runner numbers ride along: ``sweep_cells_per_sec`` (the city
+bench grid through the runner with shared traces, compared to baseline
+like any throughput metric) and ``sweep1k_coordinator_peak_rss_mb``
+(peak coordinator RSS while streaming 10^3 tiny cells through the
+runner's shard store; gated on an absolute ceiling via ``--rss-gate``
+-- the coordinator holds O(shard) results, so blowing the ceiling
+means results are accumulating in RAM again).
 
 The hybrid fluid/packet engine contributes absolute hard gates (from
 :mod:`bench_hybrid`'s smoke cells): the DDP fidelity error of a hybrid

@@ -28,13 +28,9 @@ Recorded metrics (events or packets per second, higher is better):
 * ``sweep_runs_per_sec``          -- SweepRunner over a small single-hop
   sweep (serial, cache disabled): runner dispatch overhead + simulation
 * ``sweep_cells_per_sec``         -- the 8-cell city bench grid through
-  the sharded tier (ShardRunner, 4 jobs, traces compiled once and
-  shared zero-copy)
-* ``sweep_runner_cells_per_sec``  -- the same grid through SweepRunner
-  per-cell dispatch (every worker compiles its own traces)
-* ``sweep_shard_speedup``         -- sharded / per-cell cells per second
+  SweepRunner (4 jobs, traces compiled once and shared zero-copy)
 * ``sweep10k_cells_per_sec``      -- 10^4 tiny cells streamed through
-  the ShardRunner consume path (one shot, not best-of-N)
+  the SweepRunner consume path (one shot, not best-of-N)
 * ``hybrid_horizon_speedup``      -- pure-packet / hybrid wall-clock on
   the long-horizon city cell from :mod:`bench_hybrid` (300 flows over
   600 s, shared precompiled traces, one shot each)
@@ -62,9 +58,9 @@ claim, checked by eye in the record and by gate in
 
 plus the end-to-end figure-1 smoke sweep, in seconds (lower is better):
 
-* ``figure1_smoke_compiled_sec`` / ``figure1_smoke_scalar_sec`` -- the
-  same 14-cell sweep with block-drawn trace compilation on and off
-* ``figure1_smoke_speedup``      -- scalar / compiled
+* ``figure1_smoke_compiled_sec`` -- the 14-cell sweep (block-drawn
+  trace compilation; the scalar-vs-compiled comparison per arrival
+  process is in :mod:`bench_sources`)
 
 ``--baseline`` embeds a ``vs_baseline`` map of per-metric improvement
 factors against an earlier record (``*_sec`` metrics are inverted so
@@ -109,15 +105,13 @@ def best_rate(fn, arg, work_units: int, repeats: int = 3) -> float:
     return work_units / best
 
 
-def figure1_smoke_seconds(compiled: bool, repeats: int = 3) -> float:
+def figure1_smoke_seconds(repeats: int = 3) -> float:
     """Best-of-``repeats`` wall-clock of the 14-cell figure-1 smoke sweep."""
     from repro.experiments.figure1 import FigureOneConfig, run_figure1
 
     best = float("inf")
     for _ in range(repeats):
-        config = FigureOneConfig(
-            check_feasibility=False, compiled_arrivals=compiled
-        ).scaled(0.05)
+        config = FigureOneConfig(check_feasibility=False).scaled(0.05)
         start = time.perf_counter()
         run_figure1(config)
         best = min(best, time.perf_counter() - start)
@@ -164,12 +158,6 @@ def collect(repeats: int) -> dict:
     metrics["sweep_cells_per_sec"] = best_rate(
         bench_sweep.run_city_shard, bench_sweep.BENCH_JOBS, grid_cells, repeats
     )
-    metrics["sweep_runner_cells_per_sec"] = best_rate(
-        bench_sweep.run_city_sweep, bench_sweep.BENCH_JOBS, grid_cells, repeats
-    )
-    metrics["sweep_shard_speedup"] = (
-        metrics["sweep_cells_per_sec"] / metrics["sweep_runner_cells_per_sec"]
-    )
     # Streaming-store scaling: one shot each (a 10^4-cell sweep is too
     # long to best-of-N) -- the point is the RSS pair, not the rate.
     sweep_streaming = {}
@@ -185,11 +173,7 @@ def collect(repeats: int) -> dict:
         "cells_per_sec"
     ]
     metrics.update(bench_sources.collect(repeats))
-    compiled_sec = figure1_smoke_seconds(True, repeats)
-    scalar_sec = figure1_smoke_seconds(False, repeats)
-    metrics["figure1_smoke_compiled_sec"] = compiled_sec
-    metrics["figure1_smoke_scalar_sec"] = scalar_sec
-    metrics["figure1_smoke_speedup"] = scalar_sec / compiled_sec
+    metrics["figure1_smoke_compiled_sec"] = figure1_smoke_seconds(repeats)
     # Generated-body cost check: single-hop vs 4-hop multihop packet
     # rates for the non-stock schedulers whose fused bodies come from
     # the code generator.  The recorded ratio is single/multihop --

@@ -63,7 +63,7 @@ from .experiments.figures_svg import (
 )
 from .experiments.reporting import format_ablation_rows
 from .experiments.table1 import TableOneConfig, format_table1, run_table1
-from .runner import DEFAULT_CACHE_DIR, ResultCache, ShardRunner, SweepRunner
+from .runner import DEFAULT_CACHE_DIR, ResultCache, SweepRunner
 
 __all__ = ["main"]
 
@@ -73,12 +73,11 @@ def _figure1(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
     parts = []
     for sdps, label in ((SDP_RATIO_2, "1a"), (SDP_RATIO_4, "1b")):
         config = FigureOneConfig(
-            sdps=sdps, check_invariants=checked, compiled_arrivals=compiled,
+            sdps=sdps, check_invariants=checked,
         ).scaled(scale)
         points = run_figure1(config, runner=runner)
         parts.append(f"--- Figure {label} ---")
@@ -94,12 +93,11 @@ def _figure2(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
     parts = []
     for sdps, label in ((SDP_RATIO_2, "2a"), (SDP_RATIO_4, "2b")):
         config = FigureTwoConfig(
-            sdps=sdps, check_invariants=checked, compiled_arrivals=compiled,
+            sdps=sdps, check_invariants=checked,
         ).scaled(scale)
         points = run_figure2(config, runner=runner)
         parts.append(f"--- Figure {label} ---")
@@ -115,11 +113,8 @@ def _figure3(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
-    config = FigureThreeConfig(
-        check_invariants=checked, compiled_arrivals=compiled
-    ).scaled(scale)
+    config = FigureThreeConfig(check_invariants=checked).scaled(scale)
     boxes = run_figure3(config, runner=runner)
     if export_dir is not None:
         figure3_to_csv(boxes, export_dir / "figure3.csv")
@@ -132,11 +127,8 @@ def _figure45(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
-    config = MicroscopicConfig(
-        check_invariants=checked, compiled_arrivals=compiled
-    ).scaled(scale)
+    config = MicroscopicConfig(check_invariants=checked).scaled(scale)
     views = run_figure45(config, runner=runner)
     if export_dir is not None:
         figure45_to_json(views, export_dir / "figure45.json")
@@ -154,11 +146,8 @@ def _table1(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
-    config = TableOneConfig(
-        check_invariants=checked, compiled_arrivals=compiled
-    ).scaled(scale)
+    config = TableOneConfig(check_invariants=checked).scaled(scale)
     cells = run_table1(config, runner=runner)
     if export_dir is not None:
         table1_to_csv(cells, export_dir / "table1.csv")
@@ -171,9 +160,8 @@ def _selfcheck(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
-    del scale, export_dir, runner, checked, compiled
+    del scale, export_dir, runner, checked
     from .validation import format_selfcheck, run_selfcheck
 
     return format_selfcheck(run_selfcheck())
@@ -184,10 +172,9 @@ def _ablations(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
 ) -> str:
     del export_dir  # nothing tabular worth exporting
-    del scale, checked, compiled  # ablations are already laptop-sized
+    del scale, checked  # ablations are already laptop-sized
     parts = [
         format_ablation_rows(
             sdp_ratio_sweep(runner=runner), "SDP-ratio sweep (worst rel. error)"
@@ -219,11 +206,9 @@ def _city(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
     hybrid=None,
     fidelity_curve_epsilon: Optional[float] = None,
 ) -> str:
-    del compiled  # city traces are always block-compiled
     import dataclasses
 
     from .scenarios import CityGridConfig, city_to_csv, format_city, run_city
@@ -326,15 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the on-disk result cache entirely",
     )
     parser.add_argument(
-        "--scalar-arrivals",
-        action="store_true",
-        help=(
-            "generate arrivals with the scalar per-packet path instead "
-            "of the block-drawn compiled path (bit-identical results; "
-            "only useful for A/B verification and benchmarking)"
-        ),
-    )
-    parser.add_argument(
         "--check-invariants",
         action="store_true",
         help=(
@@ -376,28 +352,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--shard",
-        action="store_true",
-        help=(
-            "use the sharded sweep tier (disk-backed results, "
-            "shared-memory traces, crash resume); bit-identical to the "
-            "default runner, built for city-scale grids"
-        ),
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=0,
-        help="cells per shard with --shard (0 = auto; default: 0)",
-    )
-    parser.add_argument(
         "--store-dir",
         type=Path,
         default=None,
         help=(
-            "shard-file directory with --shard; a killed sweep pointed "
-            "back at the same directory resumes from the complete "
-            "records (default: fresh temp dir, no resume)"
+            "keep each sweep's shard files in this directory; a killed "
+            "sweep pointed back at the same directory resumes from the "
+            "complete records (default: fresh temp dir, no resume)"
         ),
     )
     parser.add_argument(
@@ -414,8 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--scale must be in (0, 1]")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.shard_size < 0:
-        parser.error("--shard-size must be >= 0")
+    if args.explain_cache and args.no_cache:
+        parser.error("--explain-cache needs the cache; drop --no-cache")
     if args.hybrid_epsilon < 0:
         parser.error("--hybrid-epsilon must be >= 0")
     hybrid_config = None
@@ -446,16 +407,12 @@ def main(argv: list[str] | None = None) -> int:
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.shard:
-        runner: SweepRunner | ShardRunner = ShardRunner(
-            jobs=jobs,
-            shard_size=args.shard_size,
-            cache=cache,
-            store_dir=args.store_dir,
-            explain=args.explain_cache,
-        )
-    else:
-        runner = SweepRunner(jobs=jobs, cache=cache, explain=args.explain_cache)
+    runner = SweepRunner(
+        jobs=jobs,
+        cache=cache,
+        store_dir=args.store_dir,
+        explain=args.explain_cache,
+    )
 
     # "all" reproduces the paper's figures/tables; the city-scale grid
     # is opt-in (it is this library's extension, not a paper artifact).
@@ -474,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.export_dir,
                 runner,
                 args.check_invariants,
-                not args.scalar_arrivals,
                 **(
                     {
                         "hybrid": hybrid_config,

@@ -55,8 +55,6 @@ class FigureOneConfig:
     check_feasibility: bool = True
     #: Run every point under the runtime invariant checker.
     check_invariants: bool = False
-    #: Block-drawn trace compilation (bit-identical; much faster).
-    compiled_arrivals: bool = True
 
     def scaled(self, factor: float) -> "FigureOneConfig":
         """Shrink run length and seed count by ``factor`` (0 < f <= 1)."""
@@ -71,7 +69,6 @@ class FigureOneConfig:
             warmup=max(2e3, self.warmup * factor),
             check_feasibility=self.check_feasibility,
             check_invariants=self.check_invariants,
-            compiled_arrivals=self.compiled_arrivals,
         )
 
 
@@ -121,7 +118,6 @@ def figure1_tasks(config: FigureOneConfig) -> list[SingleHopTask]:
                             config.check_feasibility and seed_index == 0
                         ),
                         check_invariants=config.check_invariants,
-                        compiled_arrivals=config.compiled_arrivals,
                     )
                 )
     return tasks

@@ -35,8 +35,6 @@ class FigureTwoConfig:
     check_feasibility: bool = True
     #: Run every point under the runtime invariant checker.
     check_invariants: bool = False
-    #: Block-drawn trace compilation (bit-identical; much faster).
-    compiled_arrivals: bool = True
 
     def scaled(self, factor: float) -> "FigureTwoConfig":
         seeds = self.seeds[: max(1, round(len(self.seeds) * factor))]
@@ -50,7 +48,6 @@ class FigureTwoConfig:
             warmup=max(2e3, self.warmup * factor),
             check_feasibility=self.check_feasibility,
             check_invariants=self.check_invariants,
-            compiled_arrivals=self.compiled_arrivals,
         )
 
 
@@ -96,7 +93,6 @@ def figure2_tasks(config: FigureTwoConfig) -> list[SingleHopTask]:
                             config.check_feasibility and seed_index == 0
                         ),
                         check_invariants=config.check_invariants,
-                        compiled_arrivals=config.compiled_arrivals,
                     )
                 )
     return tasks

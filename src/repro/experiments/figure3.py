@@ -43,8 +43,6 @@ class FigureThreeConfig:
     warmup: float = 5e4
     #: Run every point under the runtime invariant checker.
     check_invariants: bool = False
-    #: Block-drawn trace compilation (bit-identical; much faster).
-    compiled_arrivals: bool = True
 
     def scaled(self, factor: float) -> "FigureThreeConfig":
         return FigureThreeConfig(
@@ -57,7 +55,6 @@ class FigureThreeConfig:
             horizon=max(1e5, self.horizon * factor),
             warmup=max(2e3, self.warmup * factor),
             check_invariants=self.check_invariants,
-            compiled_arrivals=self.compiled_arrivals,
         )
 
 
@@ -95,7 +92,6 @@ def run_figure3(
                 interval_taus=taus_time_units,
             ),
             check_invariants=config.check_invariants,
-            compiled_arrivals=config.compiled_arrivals,
         )
         for scheduler in config.schedulers
     ]

@@ -62,8 +62,6 @@ class MicroscopicConfig:
     view2_window_p_units: float = 1000.0
     #: Run both replays under the runtime invariant checker.
     check_invariants: bool = False
-    #: Block-drawn trace compilation (bit-identical; much faster).
-    compiled_arrivals: bool = True
 
     def scaled(self, factor: float) -> "MicroscopicConfig":
         return MicroscopicConfig(
@@ -77,7 +75,6 @@ class MicroscopicConfig:
             view1_window_p_units=self.view1_window_p_units,
             view2_window_p_units=self.view2_window_p_units,
             check_invariants=self.check_invariants,
-            compiled_arrivals=self.compiled_arrivals,
         )
 
 
@@ -145,7 +142,6 @@ def run_figure45(
             view1_start=view1_start,
             view1_end=view1_end,
             check_invariants=config.check_invariants,
-            compiled_arrivals=config.compiled_arrivals,
         )
         for name in schedulers
     ]

@@ -35,8 +35,6 @@ class TableOneConfig:
     seed: int = 1
     #: Run every cell under the runtime invariant checker (one per hop).
     check_invariants: bool = False
-    #: Drive cross-traffic through the compiled arrival cursor.
-    compiled_arrivals: bool = True
 
     def scaled(self, factor: float) -> "TableOneConfig":
         return TableOneConfig(
@@ -48,7 +46,6 @@ class TableOneConfig:
             warmup=max(5_000.0, self.warmup * factor),
             seed=self.seed,
             check_invariants=self.check_invariants,
-            compiled_arrivals=self.compiled_arrivals,
         )
 
 
@@ -90,7 +87,6 @@ def table1_tasks(config: TableOneConfig) -> list[MultiHopTask]:
                                 seed=config.seed,
                             ),
                             check_invariants=config.check_invariants,
-                            compiled_arrivals=config.compiled_arrivals,
                         )
                     )
     return tasks

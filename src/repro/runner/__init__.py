@@ -1,17 +1,15 @@
-"""Parallel sweep runners with a content-addressed result cache.
+"""The sweep runner and its content-addressed result cache.
 
-The training-sweep-shaped orchestrators behind every figure/table
-driver.  Two tiers, one contract (parallel == serial, bit-identical):
-
-* :class:`SweepRunner` -- fan independent seeded runs out over
-  processes, memoize their summaries on disk keyed by config hash +
-  delta-aware code version (:class:`ResultCache`), aggregate in
-  deterministic task order.  Right up to a few hundred cells.
-* :class:`ShardRunner` -- the city-scale tier: contiguous shards
-  stream results to an on-disk :class:`ResultStore` (O(shard), not
-  O(grid), coordinator RAM), arrival traces cross process boundaries
-  zero-copy through shared memory, and crashed sweeps resume from the
-  salvaged shard files.
+The training-sweep-shaped orchestrator behind every figure/table
+driver.  :class:`SweepRunner` runs independent seeded cells -- in
+process at ``jobs=1``, over a process pool otherwise -- and keeps one
+contract: a parallel sweep is bit-identical to a serial one.  Each
+``map`` call looks cells up in a :class:`ResultCache` keyed by config
+hash + delta-aware code version, runs the misses in contiguous shards
+that stream results to an on-disk :class:`ResultStore` (O(shard)
+coordinator RAM, crash resume with ``store_dir``), publishes arrival
+traces to the workers zero-copy through shared memory
+(:func:`shared_trace`), and merges everything back in task order.
 
 ``--explain-cache`` support lives in :mod:`repro.runner.explain`: the
 by-task index lets a cold sweep say *which modules'* edits invalidated
@@ -30,8 +28,7 @@ from .hashing import (
     worker_code_version,
     worker_manifest,
 )
-from .runner import SweepReport, SweepRunner, cache_key, serial_runner
-from .shard import ShardReport, ShardRunner, shared_trace
+from .runner import SweepReport, SweepRunner, cache_key, serial_runner, shared_trace
 from .store import ResultStore, ShardWriter
 from .tasks import (
     MicroscopicTask,
@@ -55,8 +52,6 @@ __all__ = [
     "fingerprint",
     "SweepReport",
     "SweepRunner",
-    "ShardReport",
-    "ShardRunner",
     "shared_trace",
     "ResultStore",
     "ShardWriter",

@@ -10,7 +10,7 @@ closure* changes the code-version component of that worker's keys (see
 :mod:`repro.runner.hashing` -- modules outside the closure no longer
 invalidate anything).
 
-Alongside the result blobs, the runners maintain a small *by-task
+Alongside the result blobs, the sweep runner maintains a small *by-task
 index* under ``<cache_dir>/by-task/``: one JSON per (worker, task)
 fingerprint recording the cache key last written for that cell plus the
 per-module manifest behind it.  The index never serves results -- it

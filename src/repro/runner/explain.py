@@ -22,7 +22,7 @@ Statuses
     The index says this exact key was written before, but the blob is
     missing or unreadable (evicted, cleared, or corrupt).
 
-Both runners collect explanations when constructed with
+The sweep runner collects explanations when constructed with
 ``explain=True``; the CLI surfaces them via ``--explain-cache``.
 """
 

@@ -1,10 +1,9 @@
-"""Bounded on-disk results store for sharded sweeps.
+"""Bounded on-disk results store for sweep shards.
 
 A 10^5-cell grid must not hold 10^5 result payloads in the
-coordinator's RAM (the failure mode of ``SweepRunner``'s
-results-come-back-through-the-pipe design at city scale).  Instead,
-shard workers append each finished cell to a *shard file* -- one JSON
-record per line, ``{"i": <cell index>, "r": <payload>}`` -- and the
+coordinator's RAM.  Instead, :class:`~repro.runner.runner.SweepRunner`
+shards append each finished cell to a *shard file* -- one JSON record
+per line, ``{"i": <cell index>, "r": <payload>}`` -- and the
 coordinator merges the files back into global cell order *streaming*,
 holding one record at a time.
 
@@ -24,8 +23,12 @@ Durability contract
   different fingerprint resets the store (stale records from another
   grid can never leak into this one's results).
 * Workers never share a file.  Each shard file is written by exactly
-  one worker invocation, in ascending index order, which makes the
-  merge a k-way heap merge over sorted runs -- O(open files) memory.
+  one shard run, in ascending index order, which makes the merge a
+  k-way heap merge over sorted runs -- O(open files) memory.  A record
+  that breaks a file's ascending order (never written by
+  :class:`ShardWriter`) is treated like a truncated line by both
+  :meth:`~ResultStore.scan` and :meth:`~ResultStore.iter_results`: not
+  done, not merged, so its cell reruns.
 * Cell payloads are deterministic, so a cell recorded twice (a crashed
   run's partial shard plus its rerun) is recorded *identically*; the
   merge deduplicates by index and the parallel == serial bit-identical
@@ -39,7 +42,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 __all__ = ["ResultStore", "ShardWriter"]
 
@@ -93,7 +96,7 @@ class ResultStore:
         self.run = 0
         #: Cells with a parseable record on disk (filled by scan).
         self.done: set[int] = set()
-        #: Shard files that ended in a truncated line (crash evidence).
+        #: Shard files with a truncated or out-of-order line (crash evidence).
         self.partial_files: list[Path] = []
 
     # ------------------------------------------------------------------
@@ -138,17 +141,18 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def scan(self) -> set[int]:
-        """Indices of every complete record on disk (salvage pass).
+        """Indices of every record the merge will yield (salvage pass).
 
-        A truncated final line (killed worker mid-write) parses as
-        garbage and is skipped; the file is remembered in
-        ``partial_files`` so callers can report the crash evidence.
+        A truncated final line (killed worker mid-write) or an
+        out-of-order record is skipped exactly as :meth:`iter_results`
+        skips it; the file is remembered in ``partial_files`` so callers
+        can report the evidence.
         """
         self.partial_files = []
         done: set[int] = set()
         for path in self.shard_files():
             saw_garbage = False
-            for record in self._iter_file(path, on_garbage=lambda: None):
+            for record in self._iter_file(path):
                 if record is None:
                     saw_garbage = True
                     continue
@@ -158,18 +162,27 @@ class ResultStore:
         return done
 
     @staticmethod
-    def _iter_file(path: Path, on_garbage=None) -> Iterator:
-        """Yield ``(index, result)`` per parseable line; ``None`` for a
-        truncated/corrupt line (always the crash-cut tail in practice,
-        but every line is guarded)."""
+    def _iter_file(path: Path) -> Iterator:
+        """Yield ``(index, result)`` per usable line; ``None`` for a
+        truncated/corrupt line or one whose index does not ascend past
+        the file's previous record (crash-cut tail in practice, but
+        every line is guarded)."""
+        last = -1
         try:
             with path.open("r", encoding="utf-8") as handle:
                 for line in handle:
                     try:
                         record = json.loads(line)
-                        yield int(record["i"]), record["r"]
+                        index = int(record["i"])
+                        result = record["r"]
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                         yield None
+                        continue
+                    if index <= last:
+                        yield None
+                        continue
+                    last = index
+                    yield index, result
         except OSError:
             return
 
@@ -181,29 +194,10 @@ class ResultStore:
         (partial shard + rerun) are identical by determinism; the first
         wins.
         """
-        def sorted_run(path: Path) -> Iterator[tuple[int, Any]]:
-            last = None
-            pending: list[tuple[int, Any]] = []
-            for record in self._iter_file(path):
-                if record is None:
-                    continue
-                if last is not None and record[0] <= last:
-                    # Defensive: a hand-edited/merged file with
-                    # out-of-order records falls back to sorting it.
-                    pending.append(record)
-                    continue
-                last = record[0]
-                yield record
-            # NOTE: out-of-order stragglers (never produced by
-            # ShardWriter) are sorted and yielded last; heapq.merge
-            # requires sorted inputs, so splice them via a nested merge.
-            if pending:
-                yield from sorted(pending)
-
-        runs = []
-        for path in self.shard_files():
-            run: Iterator[tuple[int, Any]] = sorted_run(path)
-            runs.append(run)
+        runs = [
+            (record for record in self._iter_file(path) if record is not None)
+            for path in self.shard_files()
+        ]
         last_index = None
         for index, result in heapq.merge(*runs, key=lambda rec: rec[0]):
             if index == last_index:

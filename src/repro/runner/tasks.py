@@ -41,11 +41,6 @@ class SingleHopTask:
     its cache fingerprint: a cached result remembers whether it was
     produced by a validated run, and checked/unchecked sweeps never
     serve each other's entries.
-
-    ``compiled_arrivals`` selects the block-drawn trace compilation
-    (default) or the scalar per-packet path.  The two are bit-identical,
-    but the flag still enters the cache fingerprint so an A/B sweep can
-    prove that empirically instead of assuming it.
     """
 
     config: "SingleHopConfig"  # noqa: F821 - imported lazily below
@@ -54,7 +49,6 @@ class SingleHopTask:
     epoch: Optional[float] = None
     compute_feasibility: bool = False
     check_invariants: bool = False
-    compiled_arrivals: bool = True
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,6 @@ class MicroscopicTask:
     view1_start: float
     view1_end: float
     check_invariants: bool = False
-    compiled_arrivals: bool = True
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,6 @@ class MultiHopTask:
 
     config: "MultiHopConfig"  # noqa: F821
     check_invariants: bool = False
-    compiled_arrivals: bool = True
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +88,7 @@ def single_hop_summary(task: SingleHopTask) -> dict:
     else:
         name = task.scheduler if task.scheduler is not None else config.scheduler
         scheduler = make_scheduler(name, sdps)
-    trace = generate_trace(config, compiled=task.compiled_arrivals)
+    trace = generate_trace(config)
     result = replay_through_scheduler(
         trace, scheduler, config, check_invariants=task.check_invariants
     )
@@ -138,7 +130,7 @@ def microscopic_summary(task: MicroscopicTask) -> dict:
     from ..schedulers.registry import make_scheduler
 
     config = task.config
-    trace = generate_trace(config, compiled=task.compiled_arrivals)
+    trace = generate_trace(config)
     result = replay_through_scheduler(
         trace,
         make_scheduler(task.scheduler, config.sdps),
@@ -174,11 +166,7 @@ def multihop_summary(task: MultiHopTask) -> dict:
     """Execute one Table 1 cell; return its per-experiment comparisons."""
     from ..network.multihop import run_multihop
 
-    result = run_multihop(
-        task.config,
-        check_invariants=task.check_invariants,
-        compiled_arrivals=task.compiled_arrivals,
-    )
+    result = run_multihop(task.config, check_invariants=task.check_invariants)
     # NaN rd values survive JSON round-trips (Python's encoder emits
     # bare NaN tokens and the decoder restores them), so the cached and
     # fresh payloads stay bit-identical.

@@ -1,8 +1,9 @@
-"""City-scale scenario corpus for the sharded sweep tier.
+"""City-scale scenario corpus for the sweep runner.
 
 The paper's own grids top out at a few hundred cells of single-link or
-4-hop-chain traffic.  This package generates the workloads the sharded
-runner (:mod:`repro.runner.shard`) exists for: metro-aggregation
+4-hop-chain traffic.  This package generates the workloads the sweep
+runner's shards, result store and shared traces
+(:mod:`repro.runner.runner`) exist for: metro-aggregation
 topologies (a star of branch chains converging on a hub, or a
 three-layer fat-tree-lite), thousands of Pareto flows with heavy-tailed
 packet-size mixes, swept over scheduler x SDP x utilization x seed
@@ -13,8 +14,9 @@ close do the measured per-class delay ratios stay to the SDP targets
 The expensive part of a city cell is compiling its arrival traces, and
 the traces depend only on the traffic geometry -- not on the scheduler
 or the SDP vector.  Every cell that shares a traffic configuration
-shares one *trace group*, compiled once in the coordinator and
-published to the workers zero-copy through shared memory.
+shares one *trace group*, compiled once in the coordinator (only for
+cells that miss the result cache) and published to the workers
+zero-copy through shared memory.
 """
 
 from .generators import (

@@ -11,12 +11,14 @@ A *grid* (:class:`CityGridConfig`) sweeps scheduler x SDP vector x
 utilization x seed.  The expensive part of a cell -- compiling
 thousands of per-flow Pareto arrival streams into per-branch traces --
 depends only on the traffic side of the config, so every cell sharing
-a :func:`trace_group_key` reuses one compiled trace set.  Under the
-sharded runner the coordinator compiles each group once and publishes
-it zero-copy through shared memory (:func:`run_city`); workers fall
-back to compiling locally when nothing was published (plain
-``SweepRunner``, serial runs), bit-identically by construction --
-the compile path is the same seeded code either way.
+a :func:`trace_group_key` reuses one compiled trace set.
+:func:`run_city` and :func:`fidelity_curve` hand the sweep runner a
+trace-group compiler, so the coordinator compiles each group of the
+cache-missing cells once and the runner publishes it to the workers
+(zero-copy through shared memory in a pool); a warm re-run compiles
+nothing.  :func:`city_summary` falls back to compiling locally when
+nothing was published (a direct call), bit-identically by construction
+-- the compile path is the same seeded code either way.
 """
 
 from __future__ import annotations
@@ -215,12 +217,12 @@ def compile_city_traces(config: CityScenarioConfig) -> list[ArrivalTrace]:
 def city_summary(task: CityTask) -> dict:
     """Worker: simulate one city cell; JSON-able summary.
 
-    Traces come from the sharded runner's shared-memory registry when
-    the coordinator published this cell's trace group
-    (:func:`~repro.runner.shard.shared_trace`), else they are compiled
+    Traces come from the sweep runner's registry when the coordinator
+    published this cell's trace group
+    (:func:`~repro.runner.runner.shared_trace`), else they are compiled
     locally -- same seeded code, bit-identical arrays.
     """
-    from ..runner.shard import shared_trace
+    from ..runner.runner import shared_trace
 
     config = task.config
     group = trace_group_key(config)
@@ -347,41 +349,34 @@ def city_tasks(grid: CityGridConfig) -> list[CityTask]:
     return [CityTask(config=config) for config in grid.cells()]
 
 
-def run_city(grid: CityGridConfig, runner=None) -> list[dict]:
-    """Run a city grid; per-cell summaries in sweep order.
+def _group_traces(tasks: Sequence[CityTask]) -> dict[str, ArrivalTrace]:
+    """Every distinct trace group among ``tasks``, compiled once.
 
-    With a :class:`~repro.runner.shard.ShardRunner`, each distinct
-    trace group in the grid is compiled once here and published to the
-    workers through shared memory, and summaries stream back through
-    the consume callback (coordinator RAM stays O(shard) plus the
-    points list).  Any other runner gets a plain ``map``; workers then
-    compile their own traces from the config.
+    Keys are ``"<group>:b<branch>"``, the names :func:`city_summary`
+    looks up; the sweep runner calls this with the cache-missing tasks
+    only.
     """
-    from ..runner.shard import ShardRunner
+    shared: dict[str, ArrivalTrace] = {}
+    for task in tasks:
+        group = trace_group_key(task.config)
+        if f"{group}:b0" not in shared:
+            for branch, trace in enumerate(compile_city_traces(task.config)):
+                shared[f"{group}:b{branch}"] = trace
+    return shared
 
-    tasks = city_tasks(grid)
-    points: list[dict] = []
+
+def _map_cells(tasks: list[CityTask], runner) -> list[dict]:
+    """Per-cell summaries in task order, each trace group compiled once."""
     if runner is None:
         from ..runner import serial_runner
 
         runner = serial_runner()
-    if isinstance(runner, ShardRunner):
-        shared: dict[str, ArrivalTrace] = {}
-        for task in tasks:
-            group = trace_group_key(task.config)
-            if not any(key.startswith(f"{group}:") for key in shared):
-                for branch, trace in enumerate(
-                    compile_city_traces(task.config)
-                ):
-                    shared[f"{group}:b{branch}"] = trace
-        runner.map(
-            city_summary,
-            tasks,
-            shared_traces=shared,
-            consume=lambda index, payload: points.append(payload),
-        )
-        return points
-    return list(runner.map(city_summary, tasks))
+    return runner.map(city_summary, tasks, shared_traces=_group_traces)
+
+
+def run_city(grid: CityGridConfig, runner=None) -> list[dict]:
+    """Run a city grid; per-cell summaries in sweep order."""
+    return _map_cells(city_tasks(grid), runner)
 
 
 def format_city(points: Sequence[dict]) -> str:
@@ -491,13 +486,7 @@ def fidelity_curve(
         cells.append(
             dataclasses.replace(pure, hybrid=HybridConfig(epsilon=epsilon))
         )
-    if runner is None:
-        from ..runner import serial_runner
-
-        runner = serial_runner()
-    summaries = list(
-        runner.map(city_summary, [CityTask(config=c) for c in cells])
-    )
+    summaries = _map_cells([CityTask(config=c) for c in cells], runner)
     rows: list[dict] = []
     for i, rho in enumerate(utilizations):
         pure, hybrid = summaries[2 * i], summaries[2 * i + 1]

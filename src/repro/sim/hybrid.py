@@ -92,8 +92,8 @@ Wall-clock wiring: :meth:`Simulator.run(hybrid=...)
 <repro.sim.engine.Simulator.run>` delegates a whole run to a
 :class:`HybridController`; :func:`repro.scenarios.city.city_summary`
 builds one when the cell config carries a :class:`HybridConfig`;
-``repro.cli city --hybrid`` and the :class:`ShardRunner` sweeps flow
-through that config field (which also lands in the runner cache
+``repro.cli city --hybrid`` and the sweep runner flow through that
+config field (which also lands in the runner cache
 fingerprint automatically -- hybrid and pure cells never collide).
 """
 

@@ -6,8 +6,8 @@ as compressed ``.npz`` (exact, fast) or as CSV (interoperable with
 tcpdump-style post-processing pipelines: one line per packet with
 ``time,class,size``).
 
-The second half of the module is the sharded sweep tier's **shared-
-memory handle protocol**: a coordinator packs a trace's three arrays
+The second half of the module is the sweep runner's **shared-memory
+handle protocol**: a coordinator packs a trace's three arrays
 into one ``multiprocessing.shared_memory`` block (:func:`share_trace`)
 and ships workers only a :class:`SharedTraceHandle` -- name, length,
 layout -- a few hundred bytes regardless of trace size.  Workers
@@ -15,8 +15,8 @@ layout -- a few hundred bytes regardless of trace size.  Workers
 pickling, no copy, one mapping per process.  When shared memory is
 unavailable (``/dev/shm`` unmounted, exotic platforms), the same call
 sites degrade to an :class:`InlineTraceHandle` that simply carries the
-arrays and crosses process boundaries by pickle -- the pre-shard
-behavior, bit-identical results, just slower.
+arrays and crosses process boundaries by pickle -- bit-identical
+results, just slower.
 
 Layout inside a block: ``float64 times | int64 class_ids | float64
 sizes``, each ``count * 8`` bytes, in that order.  The handle stores
@@ -122,7 +122,7 @@ def load_trace_csv(path: str | Path) -> ArrivalTrace:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory trace exchange (the sharded sweep tier's handle protocol)
+# Shared-memory trace exchange (the sweep runner's handle protocol)
 # ----------------------------------------------------------------------
 #: Bump on any change to the block layout below.
 SHM_PROTOCOL = 1
@@ -201,7 +201,7 @@ def share_trace(trace: ArrivalTrace):
 
     The caller (coordinator) keeps ``block`` alive for the sweep's
     duration and must ``block.close(); block.unlink()`` afterwards --
-    :class:`repro.runner.shard.ShardRunner` does this in its cleanup.
+    :class:`repro.runner.runner.SweepRunner` does this in its cleanup.
     """
     from multiprocessing import shared_memory
 
@@ -219,8 +219,8 @@ def attach_trace(handle):
 
     For a :class:`SharedTraceHandle` the returned trace's arrays are
     zero-copy views into the block -- the caller must keep the returned
-    block referenced for as long as the trace is used (the shard
-    worker's per-process registry does).  Inline handles return their
+    block referenced for as long as the trace is used (the sweep
+    runner's per-process registry does).  Inline handles return their
     arrays directly with ``None``.
     """
     if isinstance(handle, InlineTraceHandle):

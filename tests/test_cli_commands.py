@@ -36,6 +36,25 @@ class TestCLISmoke:
         assert "Figure 2a" in out and "Figure 2b" in out
         assert "40/30/20/10" in out
 
+    def test_explain_cache_without_cache_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["figure3", "--no-cache", "--explain-cache"])
+        assert "--explain-cache" in capsys.readouterr().err
+
+    def test_store_dir_alone_leaves_a_resumable_store(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        argv = [
+            "figure3", "--scale", "0.05", "--jobs", "1", "--no-cache",
+            "--store-dir", str(store),
+        ]
+        assert main(argv) == 0
+        assert "2 executed" in capsys.readouterr().out
+        assert (store / "MANIFEST.json").is_file()
+        assert len(list(store.glob("shard-*.jsonl"))) == 2
+        # Pointed back at the same store, the sweep salvages every cell.
+        assert main(argv) == 0
+        assert "2 resumed, 0 executed" in capsys.readouterr().out
+
     def test_help_lists_all_experiments(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

@@ -403,7 +403,7 @@ class _StubRunner:
     def __init__(self) -> None:
         self.tasks: list = []
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, shared_traces=None):
         self.tasks = list(tasks)
         out = []
         for task in self.tasks:

@@ -240,16 +240,14 @@ class TestWarmPoolAndChunks:
         runner.shutdown()
         runner.shutdown()
 
-    def test_auto_chunksize_matches_serial(self):
-        tasks = [small_task(seed) for seed in (1, 2, 3, 4, 5)]
+    def test_auto_shard_size_matches_serial(self):
+        tasks = [small_task(seed) for seed in range(1, 21)]
         serial = serial_runner().map(single_hop_summary, tasks)
-        with SweepRunner(jobs=2, chunksize=0) as runner:
-            chunked = runner.map(single_hop_summary, tasks)
-        assert chunked == serial
-
-    def test_rejects_negative_chunksize(self):
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=1, chunksize=-1)
+        with SweepRunner(jobs=2) as runner:
+            sharded = runner.map(single_hop_summary, tasks)
+        # ceil(20 / (2 jobs * 4 waves)) = 3 cells per shard.
+        assert runner.last_report.shards == 7
+        assert sharded == serial
 
 
 class TestTaskShape:

@@ -7,8 +7,9 @@ The load-bearing properties:
 * trace compilation is bit-identical across processes (spawn-order
   seeded) and its group key tracks exactly the traffic-shaping fields,
 * both topologies build and run, including under the invariant checker,
-* a sharded city sweep with shared-memory traces equals the serial
-  per-cell-compile reference bit for bit.
+* a parallel city sweep with shared-memory traces equals the serial
+  sweep bit for bit, and either one compiles each trace group once --
+  none at all when every cell hits the cache.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import json
 import numpy as np
 import pytest
 
+import repro.scenarios.city as city_module
+import repro.traffic.io as traffic_io
 from repro.errors import ConfigurationError
-from repro.runner import ShardRunner, serial_runner
+from repro.runner import ResultCache, SweepRunner, serial_runner, shared_trace
 from repro.scenarios import (
     CITY_SIZE_PROBS,
     CITY_SIZES,
@@ -55,6 +58,22 @@ TINY_GRID = CityGridConfig(
     utilizations=(0.8, 0.9),
     seeds=(1,),
 )
+
+#: 2 schedulers x 2 utilizations at one seed: one trace group.
+FOUR_CELL_GRID = dataclasses.replace(TINY_GRID, schedulers=("wtp", "bpr"))
+
+
+def _count_compiles(monkeypatch) -> list[int]:
+    """Count ``compile_city_traces`` calls (coordinator and fallback)."""
+    calls = [0]
+    original = city_module.compile_city_traces
+
+    def counted(config):
+        calls[0] += 1
+        return original(config)
+
+    monkeypatch.setattr(city_module, "compile_city_traces", counted)
+    return calls
 
 
 class TestConfigValidation:
@@ -200,15 +219,36 @@ class TestCityGrid:
 
     def test_sharded_city_sweep_equals_serial(self):
         serial = run_city(TINY_GRID, runner=serial_runner())
-        with ShardRunner(jobs=2, shard_size=1) as runner:
+        with SweepRunner(jobs=2) as runner:
             sharded = run_city(TINY_GRID, runner=runner)
         assert sharded == serial
 
-    def test_inline_fallback_city_sweep_equals_serial(self):
+    def test_inline_fallback_city_sweep_equals_serial(self, monkeypatch):
         serial = run_city(TINY_GRID, runner=serial_runner())
-        with ShardRunner(jobs=2, use_shm=False) as runner:
+        monkeypatch.setattr(traffic_io, "_SHM_PROBED", False)
+        with SweepRunner(jobs=2) as runner:
             sharded = run_city(TINY_GRID, runner=runner)
         assert sharded == serial
+
+    def test_default_runner_compiles_each_trace_group_once(self, monkeypatch):
+        compiles = _count_compiles(monkeypatch)
+        points = run_city(FOUR_CELL_GRID)
+        assert len(points) == 4
+        assert compiles == [1]
+        # The coordinator's in-process registrations do not outlive the sweep.
+        group = trace_group_key(FOUR_CELL_GRID.base)
+        assert shared_trace(f"{group}:b0") is None
+
+    def test_warm_rerun_compiles_nothing(self, monkeypatch, tmp_path):
+        cold = run_city(
+            FOUR_CELL_GRID, runner=SweepRunner(cache=ResultCache(tmp_path))
+        )
+        compiles = _count_compiles(monkeypatch)
+        warm_runner = SweepRunner(cache=ResultCache(tmp_path))
+        warm = run_city(FOUR_CELL_GRID, runner=warm_runner)
+        assert compiles == [0]
+        assert warm_runner.last_report.cache_hits == 4
+        assert warm == cold
 
     def test_format_and_csv_cover_every_cell(self, tmp_path):
         points = run_city(TINY_GRID, runner=serial_runner())

@@ -1,20 +1,23 @@
-"""Tests of the sharded sweep tier: store, shm handles, merge, resume.
+"""Tests of the sweep runner's shards: store, shm handles, merge, resume.
 
 The load-bearing properties:
 
-* a sharded parallel sweep is bit-identical to the serial reference,
-  with and without shared-memory trace publication,
+* a parallel sweep (shards in a pool) is bit-identical to the serial
+  reference (shards in-process), with and without shared-memory trace
+  publication,
 * the shm handle protocol round-trips traces exactly and degrades to
   the pickled inline fallback when shm is unavailable,
 * delta-aware cache keys survive edits to modules outside the worker's
   import closure (zero re-execution) and invalidate on edits inside it,
   with ``--explain-cache`` naming the module,
 * the on-disk result store salvages complete records after a crash and
-  a resumed sweep executes only the missing cells.
+  a resumed sweep executes only the missing cells -- including a shard
+  file whose records are out of order, which scan and merge both skip.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,7 +30,6 @@ from repro.experiments.figure1 import FigureOneConfig, run_figure1
 from repro.runner import (
     ResultCache,
     ResultStore,
-    ShardRunner,
     ShardWriter,
     SingleHopTask,
     SweepRunner,
@@ -155,6 +157,20 @@ class TestResultStore:
         assert done == set()
         assert not other.shard_files()
 
+    def test_out_of_order_record_is_neither_done_nor_merged(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.open_grid("grid-a", "w", total=4)
+        store.shard_path(0).write_text(
+            "".join(
+                json.dumps({"i": i, "r": {"v": i}}) + "\n" for i in (0, 1, 3, 2)
+            )
+        )
+        resumed = ResultStore(tmp_path)
+        done = resumed.open_grid("grid-a", "w", total=4)
+        assert done == {0, 1, 3}
+        assert resumed.partial_files == resumed.shard_files()
+        assert [i for i, _ in resumed.iter_results()] == [0, 1, 3]
+
     def test_merge_dedups_first_wins_across_runs(self, tmp_path):
         store = ResultStore(tmp_path)
         store.open_grid("grid-a", "w", total=3)
@@ -179,21 +195,27 @@ class TestShardedParity:
     def test_sharded_equals_serial_single_hop(self):
         tasks = small_tasks()
         serial = serial_runner().map(single_hop_summary, tasks)
-        with ShardRunner(jobs=2, shard_size=2) as runner:
+        with SweepRunner(jobs=2) as runner:
             sharded = runner.map(single_hop_summary, tasks)
+        assert runner.last_report.shards == len(tasks)
         assert sharded == serial
 
     def test_sharded_equals_serial_figure1(self):
         serial = run_figure1(TINY_FIG1, runner=serial_runner())
-        with ShardRunner(jobs=2) as runner:
+        with SweepRunner(jobs=2) as runner:
             sharded = run_figure1(TINY_FIG1, runner=runner)
         assert sharded == serial
 
-    def test_inline_fallback_is_bit_identical(self):
+    def test_inline_fallback_is_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(traffic_io, "_SHM_PROBED", False)
         tasks = small_tasks(4)
         serial = serial_runner().map(single_hop_summary, tasks)
-        with ShardRunner(jobs=2, shard_size=1, use_shm=False) as runner:
-            sharded = runner.map(single_hop_summary, tasks)
+        with SweepRunner(jobs=2) as runner:
+            sharded = runner.map(
+                single_hop_summary,
+                tasks,
+                shared_traces=lambda pending: {"t": tiny_trace()},
+            )
         assert sharded == serial
 
     def test_consume_streams_in_ascending_order(self):
@@ -205,7 +227,7 @@ class TestShardedParity:
             seen.append(index)
             payloads[index] = payload
 
-        with ShardRunner(jobs=2, shard_size=2) as runner:
+        with SweepRunner(jobs=2) as runner:
             returned = runner.map(single_hop_summary, tasks, consume=consume)
         assert returned is None
         assert seen == list(range(len(tasks)))
@@ -213,38 +235,40 @@ class TestShardedParity:
 
     def test_report_counts_and_summary(self):
         tasks = small_tasks(4)
-        with ShardRunner(jobs=1, shard_size=2) as runner:
+        with SweepRunner(jobs=1) as runner:
             runner.map(single_hop_summary, tasks)
         report = runner.last_report
         assert report.total == 4 and report.executed == 4
-        assert report.shards == 2 and report.shard_size == 2
+        assert report.shards == 4  # ceil(4 / (jobs * 4)) cells per shard
         assert report.coordinator_peak_rss_mb > 0
         assert "peak rss" in report.summary()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ShardRunner(jobs=0)
-        with pytest.raises(ValueError):
-            ShardRunner(shard_size=-1)
+            SweepRunner(jobs=0)
+        settable = [f.name for f in dataclasses.fields(SweepRunner) if f.init]
+        assert settable == ["jobs", "cache", "store_dir", "explain"]
 
 
 class TestShardedCacheAndResume:
     def test_both_tiers_share_one_cache(self, tmp_path):
+        """In-process shards fill the cache that pool shards read."""
         tasks = small_tasks(3)
-        with SweepRunner(jobs=1, cache=ResultCache(tmp_path)) as sweep:
-            first = sweep.map(single_hop_summary, tasks)
-        with ShardRunner(jobs=1, cache=ResultCache(tmp_path)) as shard:
-            second = shard.map(single_hop_summary, tasks)
-        assert shard.last_report.cache_hits == 3
-        assert shard.last_report.executed == 0
+        with SweepRunner(jobs=1, cache=ResultCache(tmp_path)) as serial:
+            first = serial.map(single_hop_summary, tasks)
+        with SweepRunner(jobs=2, cache=ResultCache(tmp_path)) as parallel:
+            second = parallel.map(single_hop_summary, tasks)
+        assert parallel.last_report.cache_hits == 3
+        assert parallel.last_report.executed == 0
         assert second == first
 
     def test_crash_resume_executes_only_missing_cells(self, tmp_path):
         tasks = small_tasks(6)
         store_dir = tmp_path / "store"
-        with ShardRunner(jobs=1, shard_size=2, store_dir=store_dir) as runner:
+        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
             first = runner.map(single_hop_summary, tasks)
         assert runner.last_report.executed == 6
+        assert runner.last_report.shards == 3
 
         # "Crash": drop one whole shard file and truncate another
         # mid-record, leaving 3 complete cells on disk.
@@ -254,18 +278,41 @@ class TestShardedCacheAndResume:
         lines = files[1].read_text().splitlines(keepends=True)
         files[1].write_text(lines[0] + lines[1][:10])
 
-        with ShardRunner(jobs=1, shard_size=2, store_dir=store_dir) as runner:
+        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
             second = runner.map(single_hop_summary, tasks)
         report = runner.last_report
         assert report.resumed == 3
         assert report.executed == 3
         assert second == first
 
+    def test_out_of_order_shard_file_resumes(self, tmp_path):
+        """Every cell on disk, one file out of order: the stray cell reruns."""
+        tasks = small_tasks(4)
+        store_dir = tmp_path / "store"
+        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
+            first = runner.map(single_hop_summary, tasks)
+        files = ResultStore(store_dir).shard_files()
+        lines = [
+            line
+            for path in files
+            for line in path.read_text().splitlines(keepends=True)
+        ]
+        for path in files:
+            path.unlink()
+        files[0].write_text(lines[0] + lines[1] + lines[3] + lines[2])
+
+        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
+            second = runner.map(single_hop_summary, tasks)
+        report = runner.last_report
+        assert report.resumed == 3
+        assert report.executed == 1
+        assert second == first
+
     def test_explain_reports_full_hits_on_warm_rerun(self, tmp_path):
         tasks = small_tasks(3)
-        with ShardRunner(jobs=1, cache=ResultCache(tmp_path)) as cold:
+        with SweepRunner(jobs=1, cache=ResultCache(tmp_path)) as cold:
             cold.map(single_hop_summary, tasks)
-        warm = ShardRunner(jobs=1, cache=ResultCache(tmp_path), explain=True)
+        warm = SweepRunner(jobs=1, cache=ResultCache(tmp_path), explain=True)
         with warm:
             warm.map(single_hop_summary, tasks)
         (report,) = warm.explanations
@@ -291,12 +338,12 @@ class TestDeltaAwareInvalidation:
 
     def test_unrelated_edit_keeps_every_hit(self, tmp_path):
         tasks = small_tasks(3)
-        with ShardRunner(jobs=1, cache=ResultCache(tmp_path)) as cold:
+        with SweepRunner(jobs=1, cache=ResultCache(tmp_path)) as cold:
             cold.map(single_hop_summary, tasks)
 
         # figures_svg renders plots; single_hop_summary never imports it.
         self._edit("repro.experiments.figures_svg")
-        warm = ShardRunner(jobs=1, cache=ResultCache(tmp_path), explain=True)
+        warm = SweepRunner(jobs=1, cache=ResultCache(tmp_path), explain=True)
         with warm:
             warm.map(single_hop_summary, tasks)
         assert warm.last_report.executed == 0
@@ -306,11 +353,11 @@ class TestDeltaAwareInvalidation:
 
     def test_closure_edit_invalidates_and_names_the_module(self, tmp_path):
         tasks = small_tasks(2)
-        with ShardRunner(jobs=1, cache=ResultCache(tmp_path)) as cold:
+        with SweepRunner(jobs=1, cache=ResultCache(tmp_path)) as cold:
             cold.map(single_hop_summary, tasks)
 
         self._edit("repro.sim.link")
-        warm = ShardRunner(jobs=1, cache=ResultCache(tmp_path), explain=True)
+        warm = SweepRunner(jobs=1, cache=ResultCache(tmp_path), explain=True)
         with warm:
             warm.map(single_hop_summary, tasks)
         assert warm.last_report.cache_hits == 0
@@ -335,21 +382,21 @@ class TestDeltaAwareInvalidation:
 
 class TestShardWorkerRegistry:
     def test_shared_trace_returns_none_when_unpublished(self):
-        from repro.runner.shard import shared_trace
+        from repro.runner import shared_trace
 
         assert shared_trace("never-published") is None
 
     def test_registry_attaches_inline_handles(self):
-        from repro.runner import shard as shard_mod
+        from repro.runner import runner as runner_mod
 
         trace = tiny_trace()
         handle, _ = publish_trace(trace, use_shm=False)
-        shard_mod._register_traces({"t": handle})
+        runner_mod._register_traces({"t": handle})
         try:
-            got = shard_mod.shared_trace("t")
+            got = runner_mod.shared_trace("t")
             assert np.array_equal(got.times, trace.times)
         finally:
-            shard_mod._PROCESS_TRACES.pop("t", None)
+            runner_mod._PROCESS_TRACES.pop("t", None)
 
     def test_store_records_are_json_lines(self, tmp_path):
         path = tmp_path / "s.jsonl"
