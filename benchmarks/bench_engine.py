@@ -133,10 +133,11 @@ def run_multihop_cell(scheduler: str = "wtp") -> int:
     coupled server behind a ``FlowDemux`` and all cross-traffic rides
     one ``ArrivalCursor``, so this cell collapses to a handful of
     calendar events per busy period when chain fusion engages -- and
-    reverts to roughly the evented rate when it does not.  Non-stock
-    schedulers (``drr`` et al.) additionally exercise the generated
-    drain bodies (:mod:`repro.schedulers.draingen`).  Returns total
-    departures across all hops (the throughput work unit).
+    reverts to roughly the evented rate when it does not.  Schedulers
+    with hooks (``drr`` et al.) run their own ``choose_class`` and
+    bound ``on_select``/``on_enqueue`` inside the fused loop, on the
+    same columnar path as the rest.  Returns total departures across
+    all hops (the throughput work unit).
     """
     import warnings
 

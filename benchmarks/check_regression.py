@@ -13,8 +13,8 @@ shared CI runners are far too noisy for a tight hard gate.  The
 throughput metrics guarded by the drain kernels
 (``trace_replay_packets_per_sec``, ``wtp_forwarded_packets_per_sec``,
 ``multihop_packets_per_sec`` guarding the *chain-fused* drain across
-coupled hops, ``multihop_drr_packets_per_sec`` guarding the *generated*
-non-stock drain bodies, and ``fanin_packets_per_sec`` guarding the
+coupled hops, ``multihop_drr_packets_per_sec`` guarding it for a
+scheduler with hooks (DRR), and ``fanin_packets_per_sec`` guarding the
 chain walk's upstream fan-in fixpoint) are the exception: a regression
 beyond ``--hard-threshold`` (default 35%) means a drain kernel stopped
 engaging, which no runner noise explains, so the check exits non-zero

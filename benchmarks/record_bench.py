@@ -20,8 +20,8 @@ Recorded metrics (events or packets per second, higher is better):
   rho=0.85, WTP, compiled arrivals): the chain-fused drain kernel's
   guarded workload
 * ``multihop_drr_packets_per_sec`` -- the same cell under DRR: the
-  generated drain bodies' guarded workload (a non-stock scheduler
-  only chain-fuses through :mod:`repro.schedulers.draingen`)
+  guarded workload of a scheduler with hooks, whose own
+  ``choose_class``/``on_select`` run inside the chain-fused drain
 * ``fanin_packets_per_sec``       -- fan-in merge cell (two upstreams
   + merge-point cross traffic): the chain walk's upstream fan-in
   fixpoint's guarded workload
@@ -174,11 +174,11 @@ def collect(repeats: int) -> dict:
     ]
     metrics.update(bench_sources.collect(repeats))
     metrics["figure1_smoke_compiled_sec"] = figure1_smoke_seconds(repeats)
-    # Generated-body cost check: single-hop vs 4-hop multihop packet
-    # rates for the non-stock schedulers whose fused bodies come from
-    # the code generator.  The recorded ratio is single/multihop --
-    # multihop per-packet cost stays within ~1.5x of single-hop when
-    # the generated chain-fused drains engage.
+    # Hooked-scheduler cost check: single-hop vs 4-hop multihop packet
+    # rates for schedulers with on_select/on_enqueue hooks, which run
+    # their own methods inside the chain-fused drain.  The recorded
+    # ratio is single/multihop -- multihop per-packet cost stays within
+    # ~1.5x of single-hop when the chain-fused drains engage.
     multihop_vs_single = {}
     for name in ("bpr", "drr", "wfq"):
         single = best_rate(

@@ -506,7 +506,9 @@ def make_drr_check(scheduler: "Scheduler") -> BoundDispatchCheck:
                     deficits[active] = 0.0
                 cursor_active[1] = None
         if predicted < 0:
-            for _ in range(2 * num_classes * 64):
+            # Terminates: the chosen class is backlogged and gains a
+            # positive quantum every round until it covers its head.
+            while True:
                 cid = cursor_active[0]
                 cursor_active[0] = (cursor_active[0] + 1) % num_classes
                 if cid != ccid and not queues[cid]:
@@ -518,13 +520,6 @@ def make_drr_check(scheduler: "Scheduler") -> BoundDispatchCheck:
                     cursor_active[1] = cid
                     predicted = cid
                     break
-            else:
-                raise _violation(
-                    "drr-round-order",
-                    "reference round never reached a sendable class",
-                    chosen,
-                    now,
-                )
         if predicted != ccid:
             raise _violation(
                 "drr-round-order",

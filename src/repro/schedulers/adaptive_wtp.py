@@ -28,7 +28,6 @@ import math
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..sim.packet import Packet
 from .base import Scheduler, validate_sdps
 
 __all__ = ["AdaptiveWTPScheduler"]
@@ -71,21 +70,23 @@ class AdaptiveWTPScheduler(Scheduler):
     def choose_class(self, now: float) -> int:
         best_class = -1
         best_priority = -1.0
-        queues = self.queues.queues
+        heads = self.queues.head_arrivals
         sdps = self.effective_sdps
+        inf = math.inf
         for cid in range(self.num_classes - 1, -1, -1):
-            queue = queues[cid]
-            if not queue:
+            arrived = heads[cid]
+            if arrived == inf:
                 continue
-            priority = (now - queue[0].arrived_at) * sdps[cid]
+            priority = (now - arrived) * sdps[cid]
             if priority > best_priority:
                 best_priority = priority
                 best_class = cid
         return best_class
 
-    def on_select(self, packet: Packet, now: float) -> None:
-        cid = packet.class_id
-        delay = now - packet.arrived_at
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
+        delay = now - arrived_at
         previous = self._ewma_delay[cid]
         if math.isnan(previous):
             self._ewma_delay[cid] = delay

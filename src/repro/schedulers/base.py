@@ -9,32 +9,45 @@ The contract with :class:`~repro.sim.link.Link`:
 * ``enqueue(packet, now)`` -- a packet arrived at the queueing point.
 * ``select(now)`` -- the link is idle and at least one packet is queued;
   pop and return the packet to transmit next.
-* ``on_departure(packet, now)`` -- transmission of ``packet`` finished
-  (hook used by schedulers that track service history, e.g. PAD/HPD).
 
 Subclasses implement :meth:`choose_class`; ``select`` handles the pop and
 bookkeeping.  ``num_classes`` follows the paper's convention: index 0 is
 paper class 1, the *lowest* class (largest delay target).
 
-Drain-kernel contract: the link's busy-period drain kernel
-(:mod:`repro.sim.link`) calls ``enqueue``/``select``/``on_departure``
-through exactly this interface, just from inside an inline loop rather
-than one calendar event per call, with ``now`` equal to the event time
-the evented path would have used.  A scheduler is therefore drain-safe
-by construction as long as it derives all state from these calls and
-its own counters -- none may read ``Simulator.now`` or the link
-directly.  Schedulers wanting cheap selections can scan the
-incrementally-maintained
-:attr:`~repro.sim.queues.ClassQueueSet.head_arrivals` keys (WTP,
-quantized WTP and FCFS do); any replacement expression must be
-*bit-identical* to the per-packet form, since golden runs and the
-drain-vs-event property tests pin exact float equality.
+Drain-kernel contract: every scheduler is *column-native*, so each
+dispatch rule is written exactly once, in its class.  The link's drain
+kernels (:mod:`repro.sim.link`) keep unobserved packets as columnar
+``(arrived_at, size, meta)`` entries instead of ``Packet`` objects (see
+:mod:`repro.sim.queues`), so:
+
+* ``choose_class`` reads only state that is exact in either
+  representation: the incrementally-maintained
+  :attr:`~repro.sim.queues.ClassQueueSet.head_arrivals` keys (``+inf``
+  for an empty class) and, where needed, ``bytes_backlog``.  A rule
+  that needs more of the head packet reads it from the deque head, or
+  else from the column head, in place -- BPR and DRR the head size,
+  SCFQ the packet id (:func:`~repro.sim.queues.meta_packet_id`).
+* The hooks take scalars: ``on_enqueue(cid, size, meta, now)`` after a
+  push and ``on_select(cid, arrived_at, size, meta, now)`` after a pop,
+  where ``meta`` is a real ``Packet`` on the object path and a column
+  meta otherwise.  ``enqueue``/``select`` (the evented reference) call
+  them with the popped or pushed packet; the drain kernels inline the
+  push/pop and call the same bound hooks, skipping a hook the class
+  leaves as the base no-op.
+* ``now`` is the event time the evented path would have used, and no
+  scheduler may read ``Simulator.now`` or the link directly.
+
+Float expressions and mutation order are therefore identical on every
+path: golden runs and the drain-vs-event tests pin exact float
+equality.  A class that overrides ``select`` or ``enqueue`` itself
+opts out of the contract; its links run evented, like a link with the
+invariant checker attached.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError, SchedulingError
 from ..sim.packet import Packet
@@ -80,7 +93,7 @@ class Scheduler(ABC):
     def enqueue(self, packet: Packet, now: float) -> None:
         """Accept an arriving packet into its class FIFO."""
         self.queues.push(packet)
-        self.on_enqueue(packet, now)
+        self.on_enqueue(packet.class_id, packet.size, packet, now)
 
     def select(self, now: float) -> Packet:
         """Pop and return the next packet to transmit."""
@@ -88,7 +101,9 @@ class Scheduler(ABC):
         if not queues.total_packets:
             raise SchedulingError(f"{self.name}: select() with empty backlog")
         packet = queues.pop(self.choose_class(now))
-        self.on_select(packet, now)
+        self.on_select(
+            packet.class_id, packet.arrived_at, packet.size, packet, now
+        )
         return packet
 
     @property
@@ -103,14 +118,14 @@ class Scheduler(ABC):
     def choose_class(self, now: float) -> int:
         """Return the index of the backlogged class to serve next."""
 
-    def on_enqueue(self, packet: Packet, now: float) -> None:
-        """Hook: called after ``packet`` joined its queue."""
+    def on_enqueue(self, cid: int, size: float, meta, now: float) -> None:
+        """Hook: called after a packet joined queue ``cid``."""
 
-    def on_select(self, packet: Packet, now: float) -> None:
-        """Hook: called after ``packet`` was popped for service."""
-
-    def on_departure(self, packet: Packet, now: float) -> None:
-        """Hook: called when ``packet`` finishes transmission."""
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
+        """Hook: called after the head of queue ``cid`` was popped for
+        service."""
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -51,7 +51,6 @@ import math
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..sim.packet import Packet
 from .base import Scheduler, validate_sdps
 
 __all__ = [
@@ -90,34 +89,45 @@ class BPRScheduler(Scheduler):
                 "BPRScheduler needs the link capacity; pass capacity= or "
                 "attach it to a Link"
             )
-        queue_list = self.queues.queues
+        queues = self.queues
+        heads = queues.head_arrivals
+        qlist = queues.queues
+        cols = queues.cols
+        cheads = queues.col_heads
         last = self._last_decision
         virtual = self._virtual
         rates = self._rates
+        inf = math.inf
         # Update virtual service for the elapsed inter-departure interval.
         best_class = -1
-        best_score = math.inf
+        best_score = inf
         for cid in range(self.num_classes - 1, -1, -1):
-            queue = queue_list[cid]
-            if not queue:
+            arrived = heads[cid]
+            if arrived == inf:
                 virtual[cid] = 0.0
                 continue
-            head = queue[0]
-            if last is None or head.arrived_at > last:
+            if last is None or arrived > last:
                 virtual[cid] = 0.0
             else:
                 virtual[cid] += rates[cid] * (now - last)
-            score = head.size - virtual[cid]
+            # Head size: the deque head, else the column head.
+            queue = qlist[cid]
+            if queue:
+                size = queue[0].size
+            else:
+                size = cols[cid][cheads[cid] + 1]
+            score = size - virtual[cid]
             if score < best_score:
                 best_score = score
                 best_class = cid
         return best_class
 
-    def on_select(self, packet: Packet, now: float) -> None:
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
         # Consume the served queue's virtual credit (Appendix 3 does not
         # specify this case; see module docstring).
-        cid = packet.class_id
-        self._virtual[cid] = max(0.0, self._virtual[cid] - packet.size)
+        self._virtual[cid] = max(0.0, self._virtual[cid] - size)
         self._recompute_rates()
         self._last_decision = now
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
-from ..sim.packet import Packet
 from .base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,33 +55,57 @@ class DRRScheduler(Scheduler):
 
     def choose_class(self, now: float) -> int:
         queues = self.queues
+        qlist = queues.queues
+        cols = queues.cols
+        cheads = queues.col_heads
+        deficits = self._deficits
         # Continue the active class while its deficit covers its head.
-        if self._active is not None:
-            head = queues.head(self._active)
-            if head is not None and head.size <= self._deficits[self._active]:
-                return self._active
-            if head is None:
+        active = self._active
+        if active is not None:
+            # Head size: the deque head, else the column head, else
+            # None for an emptied queue.
+            queue = qlist[active]
+            if queue:
+                size = queue[0].size
+            else:
+                col = cols[active]
+                h = cheads[active]
+                size = col[h + 1] if h < len(col) else None
+            if size is not None and size <= deficits[active]:
+                return active
+            if size is None:
                 # Served queue emptied: per DRR, its deficit resets.
-                self._deficits[self._active] = 0.0
+                deficits[active] = 0.0
             self._active = None
-        # Advance the round until some backlogged class can send.
-        for _ in range(2 * self.num_classes * 64):  # bounded by max size
+        # Advance the round until some backlogged class can send.  With
+        # a backlog (``select`` refuses an empty one) this terminates:
+        # each round adds a positive quantum to every backlogged class,
+        # so a head of any size is covered after ceil(size / quantum)
+        # rounds.
+        quanta = self.quanta
+        num_classes = self.num_classes
+        while True:
             cid = self._round_cursor
-            self._round_cursor = (self._round_cursor + 1) % self.num_classes
-            head = queues.head(cid)
-            if head is None:
-                self._deficits[cid] = 0.0
-                continue
-            self._deficits[cid] += self.quanta[cid]
-            if head.size <= self._deficits[cid]:
+            self._round_cursor = (cid + 1) % num_classes
+            queue = qlist[cid]
+            if queue:
+                size = queue[0].size
+            else:
+                col = cols[cid]
+                h = cheads[cid]
+                if h >= len(col):
+                    deficits[cid] = 0.0
+                    continue
+                size = col[h + 1]
+            deficits[cid] += quanta[cid]
+            if size <= deficits[cid]:
                 self._active = cid
                 return cid
-        raise ConfigurationError(
-            "DRR quantum too small for the offered packet sizes"
-        )
 
-    def on_select(self, packet: Packet, now: float) -> None:
-        self._deficits[packet.class_id] -= packet.size
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
+        self._deficits[cid] -= size
 
 
 # ----------------------------------------------------------------------

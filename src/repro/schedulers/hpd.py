@@ -16,10 +16,10 @@ the default here.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
-from ..sim.packet import Packet
 from .base import Scheduler, validate_sdps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,8 +46,8 @@ class HPDScheduler(Scheduler):
 
     def choose_class(self, now: float) -> int:
         best_class = -1
-        best_metric = float("-inf")
-        queues = self.queues.queues
+        best_metric = -inf
+        heads = self.queues.head_arrivals
         sdps = self.sdps
         sums = self._delay_sums
         counts = self._delay_counts
@@ -60,10 +60,10 @@ class HPDScheduler(Scheduler):
         max_wtp = self._wtp_scale
         max_pad = self._pad_scale
         for cid in range(self.num_classes - 1, -1, -1):
-            queue = queues[cid]
-            if not queue:
+            arrived = heads[cid]
+            if arrived == inf:
                 continue
-            head_wait = now - queue[0].arrived_at
+            head_wait = now - arrived
             wtp_term = sdps[cid] * head_wait
             pad_term = (sums[cid] + head_wait) / (counts[cid] + 1) * sdps[cid]
             if wtp_term > max_wtp:
@@ -78,9 +78,10 @@ class HPDScheduler(Scheduler):
         self._pad_scale = max_pad
         return best_class
 
-    def on_select(self, packet: Packet, now: float) -> None:
-        cid = packet.class_id
-        self._delay_sums[cid] += now - packet.arrived_at
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
+        self._delay_sums[cid] += now - arrived_at
         self._delay_counts[cid] += 1
 
 

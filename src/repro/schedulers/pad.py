@@ -19,9 +19,9 @@ the ablation benchmarks.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Sequence
 
-from ..sim.packet import Packet
 from .base import Scheduler, validate_sdps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,25 +43,26 @@ class PADScheduler(Scheduler):
 
     def choose_class(self, now: float) -> int:
         best_class = -1
-        best_metric = float("-inf")
-        queues = self.queues.queues
+        best_metric = -inf
+        heads = self.queues.head_arrivals
         sdps = self.sdps
         sums = self._delay_sums
         counts = self._delay_counts
         for cid in range(self.num_classes - 1, -1, -1):
-            queue = queues[cid]
-            if not queue:
+            arrived = heads[cid]
+            if arrived == inf:
                 continue
-            head_wait = now - queue[0].arrived_at
+            head_wait = now - arrived
             metric = (sums[cid] + head_wait) / (counts[cid] + 1) * sdps[cid]
             if metric > best_metric:
                 best_metric = metric
                 best_class = cid
         return best_class
 
-    def on_select(self, packet: Packet, now: float) -> None:
-        cid = packet.class_id
-        self._delay_sums[cid] += now - packet.arrived_at
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
+        self._delay_sums[cid] += now - arrived_at
         self._delay_counts[cid] += 1
 
     def normalized_average(self, class_id: int) -> float:

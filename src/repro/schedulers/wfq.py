@@ -23,10 +23,11 @@ documented.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
-from ..sim.packet import Packet
+from ..sim.queues import meta_packet_id
 from .base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,28 +59,43 @@ class SCFQScheduler(Scheduler):
         self._virtual_now = 0.0
 
     # ------------------------------------------------------------------
-    def on_enqueue(self, packet: Packet, now: float) -> None:
-        start = max(self._last_class_finish[packet.class_id], self._virtual_now)
-        finish = start + packet.size / self.weights[packet.class_id]
-        self._finish_tags[packet.packet_id] = finish
-        self._last_class_finish[packet.class_id] = finish
+    def on_enqueue(self, cid: int, size: float, meta, now: float) -> None:
+        start = max(self._last_class_finish[cid], self._virtual_now)
+        finish = start + size / self.weights[cid]
+        self._finish_tags[meta_packet_id(meta)] = finish
+        self._last_class_finish[cid] = finish
 
     def choose_class(self, now: float) -> int:
         best_class = -1
-        best_tag = float("inf")
+        best_tag = inf
         queues = self.queues
+        qlist = queues.queues
+        cols = queues.cols
+        cheads = queues.col_heads
         tags = self._finish_tags
         for cid in range(self.num_classes - 1, -1, -1):
-            head = queues.head(cid)
-            if head is not None and tags[head.packet_id] < best_tag:
-                best_tag = tags[head.packet_id]
+            # Head packet id: the deque head, else the column head.
+            queue = qlist[cid]
+            if queue:
+                pid = queue[0].packet_id
+            else:
+                col = cols[cid]
+                h = cheads[cid]
+                if h >= len(col):
+                    continue
+                pid = meta_packet_id(col[h + 2])
+            tag = tags[pid]
+            if tag < best_tag:
+                best_tag = tag
                 best_class = cid
         return best_class
 
-    def on_select(self, packet: Packet, now: float) -> None:
+    def on_select(
+        self, cid: int, arrived_at: float, size: float, meta, now: float
+    ) -> None:
         # Self-clocking: virtual time jumps to the tag of the packet
         # entering service.
-        self._virtual_now = self._finish_tags.pop(packet.packet_id)
+        self._virtual_now = self._finish_tags.pop(meta_packet_id(meta))
         if self.queues.is_empty():
             # System drained: reset virtual time so a new busy period
             # starts fresh (standard SCFQ housekeeping).

@@ -29,16 +29,17 @@ the evented path's whenever control is back in the run loop:
 ===========================  =============================  ==================
 link shape                   completion path                representation
 ===========================  =============================  ==================
-``drain=False``, or          ``_complete_service_evented``  objects
-invariant-checker hooks      (the reference: one
-attached                     calendar event per
-                             departure)
+``drain=False``, invariant-  ``_complete_service_evented``  objects
+checker hooks attached, or   (the reference: one
+a scheduler class that       calendar event per
+overrides ``select`` or      departure)
+``enqueue``
 
 member of a coupled chain    ``_drain_chain`` over the      columns on
-that fuses: coupled          whole chain                    unmonitored stock
-successors or fan-in, an                                    and generated-body
-inline arrival source, no                                   members; objects
-hooks in the walk                                           on the others
+that fuses: coupled          whole chain                    unmonitored
+successors or fan-in, an                                    members; objects
+inline arrival source, no                                   on monitored ones
+hooks in the walk
 
 unobserved fast path:        ``_drain_fused``               columns when every
 lossless, stock scheduler,                                  feeder implements
@@ -46,12 +47,17 @@ bare ``PacketSink`` target,                                 ``pull_col``
 fused feeders, no monitors
 
 any other link: monitored,   ``_drain_chain`` over a        as a chain member;
-another target, non-stock    *chain of one*                 objects when lossy
-scheduler, cursor-fed or
+another target, scheduler    *chain of one*                 objects when lossy
+with hooks, cursor-fed or
 without inline source,
 lossy, or a chain that
 cannot fuse this entry
 ===========================  =============================  ==================
+
+Every drain runs the scheduler's own methods: ``choose_class`` and the
+bound ``on_select``/``on_enqueue`` hooks around an inlined queue
+pop/push, one path for all schedulers (the column-native contract in
+:mod:`repro.schedulers.base`).
 
 Mirror protocol.  A fused feeder (a source registered through
 :meth:`Link.attach_feeder`) and an
@@ -99,9 +105,8 @@ is built (:func:`~repro.sim.queues.materialize_entry`) only at an
 observation boundary: a receiver other than a ``Link`` or a
 non-keeping ``PacketSink``, a monitor (monitored members pop objects),
 routing that inspects the packet, the invariant checker (attach
-demotes every column), a non-stock scheduler without a verified
-:mod:`repro.schedulers.draingen` body, and a park (the pending
-completion becomes a calendar payload).
+demotes every column), and a park (the pending completion becomes a
+calendar payload).
 ``tests/test_drain_equivalence.py``,
 ``tests/test_multihop_drain_equivalence.py`` and
 ``tests/differential.py`` pin every path bit-identical to the evented
@@ -110,6 +115,7 @@ reference.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 from typing import Optional, Protocol, Sequence, TYPE_CHECKING
@@ -151,18 +157,35 @@ class PacketSink:
             self.packets.append(packet)
 
 
+@lru_cache(maxsize=None)
+def _wrapper_overridden(cls: type) -> bool:
+    """True when scheduler class ``cls`` overrides the ``select`` or
+    ``enqueue`` wrapper, whose body the drain kernels inline."""
+    from ..schedulers.base import Scheduler  # deferred: import cycle
+
+    return (
+        cls.select is not Scheduler.select
+        or cls.enqueue is not Scheduler.enqueue
+    )
+
+
 def _hooked(link: "Link") -> bool:
-    """True while invariant-checker hooks replace ``link``'s methods."""
+    """True while invariant-checker hooks replace ``link``'s methods,
+    or when its scheduler's class overrides a wrapper: such a link runs
+    evented, so no drain ever bypasses the override."""
+    scheduler = link.scheduler
     return (
         "_complete_service" in link.__dict__
         or "receive" in link.__dict__
-        or "select" in link.scheduler.__dict__
+        or "select" in scheduler.__dict__
+        or _wrapper_overridden(type(scheduler))
     )
 
 
 def _stock_scheduler(scheduler: "Scheduler") -> bool:
     """True when ``scheduler`` uses the stock enqueue/select wrappers
-    with no hook overrides, so a drain may inline their bodies."""
+    with no hook overrides, so ``_drain_fused`` may inline their bodies
+    without any hook call."""
     from ..schedulers.base import Scheduler  # deferred: import cycle
 
     cls = type(scheduler)
@@ -171,7 +194,6 @@ def _stock_scheduler(scheduler: "Scheduler") -> bool:
         and cls.enqueue is Scheduler.enqueue
         and cls.on_enqueue is Scheduler.on_enqueue
         and cls.on_select is Scheduler.on_select
-        and cls.on_departure is Scheduler.on_departure
     )
 
 
@@ -200,15 +222,13 @@ class _ChainLink:
     :mod:`repro.sim.queues`), its reserved ``(time, seq)`` heap key,
     and whether that key is virtual (reserved inline) or mirrors a real
     calendar event that predates the drain entry.  They are reset on
-    every entry; ``colmode`` (columnar link + stock scheduler or
-    generated body + no monitors) is likewise recomputed per entry, so
-    a monitor attached between events flips the member to object mode
-    at the next one.
+    every entry; ``colmode`` (lossless columnar link, no monitors) is
+    likewise recomputed per entry, so a monitor attached between events
+    flips the member to object mode at the next one.
     """
 
     __slots__ = (
         "link",
-        "scheduler",
         "queues",
         "monitors",
         "capacity",
@@ -220,8 +240,10 @@ class _ChainLink:
         "cross_rcv",
         "flow_dcl",
         "cross_dcl",
-        "stock",
+        "lossless",
         "choose",
+        "on_select",
+        "on_enqueue",
         "qlist",
         "heads",
         "backlog",
@@ -229,8 +251,6 @@ class _ChainLink:
         "ccols",
         "cheads",
         "colmode",
-        "gsel",
-        "genq",
         "pend_meta",
         "pend_cid",
         "pend_arr",
@@ -245,7 +265,6 @@ class _ChainLink:
         scheduler = link.scheduler
         queues = scheduler.queues
         self.link = link
-        self.scheduler = scheduler
         self.queues = queues
         self.monitors = link.monitors
         self.capacity = link.capacity
@@ -261,14 +280,19 @@ class _ChainLink:
         self.cross_rcv: Optional[Receiver] = None
         self.flow_dcl: Optional["_ChainLink"] = None
         self.cross_dcl: Optional["_ChainLink"] = None
-        lossless = link.buffer_packets is None
-        #: True on a lossless link whose scheduler passes
-        #: :func:`_stock_scheduler`: the wrapper bodies (queue
-        #: push/pop, no-op hooks) are inlined verbatim.  A lossy member
-        #: is never stock, so its arrivals take the wrapper branch of
-        #: :func:`_chain_arrival`, which applies the drop policy.
-        self.stock = lossless and _stock_scheduler(scheduler)
+        #: False on a lossy link (only ever a chain of one): its
+        #: arrivals go through :func:`_chain_arrival`, which applies the
+        #: drop policy, and it never runs columnar.
+        self.lossless = link.buffer_packets is None
         self.choose = scheduler.choose_class
+        # The scheduler's bound hooks, None where its class keeps the
+        # base no-op.  Looked up through the module at bind time (see
+        # its docstring for why it keeps its name).
+        from ..schedulers import draingen  # deferred: import cycle
+
+        self.on_select, self.on_enqueue = draingen.generated_drain_pair(
+            scheduler
+        )
         self.qlist = queues.queues
         self.heads = queues.head_arrivals
         self.backlog = queues.bytes_backlog
@@ -276,30 +300,6 @@ class _ChainLink:
         self.ccols = queues.cols
         self.cheads = queues.col_heads
         self.colmode = False
-        #: Generated drain body (``repro.schedulers.draingen``): a
-        #: fused select -- choose_class + ClassQueueSet.pop + on_select
-        #: with identical float ops and mutation order -- for a
-        #: *non-stock* scheduler whose generated code has been verified
-        #: against the live wrappers and its registered invariant-
-        #: checker oracle.  ``None`` keeps the wrapper call.
-        self.gsel = None
-        #: Generated enqueue-hook body (``on_enqueue`` as a function of
-        #: columnar scalars) for schedulers that tag packets at arrival
-        #: (SCFQ); called after every columnar push into this member.
-        self.genq = None
-        if (
-            lossless
-            and not self.stock
-            and link.columnar
-            and not link.monitors
-        ):
-            # Bind the body only where colmode can engage: monitors are
-            # never detached, and a lossy member is never columnar.
-            from ..schedulers.draingen import generated_drain_pair
-
-            pair = generated_drain_pair(scheduler)
-            if pair is not None:
-                self.gsel, self.genq = pair
         #: In-service representation (None == idle): real Packet, int
         #: packet id, or (pid, flow_id, created_at, hop_history) tuple.
         self.pend_meta = None
@@ -395,70 +395,61 @@ def _chain_select(cl: _ChainLink, now: float, sim):
     item, reserving the completion's sequence number exactly where the
     evented path would have called ``sim.schedule``.
 
-    Stock members select inline off the hybrid deque+column FIFO
-    (identical float ops and mutation order to
-    ``ClassQueueSet.pop``); a columnar head stays unmaterialized in
-    ``pend_meta`` only in colmode -- an observed (monitored) stock
-    member materializes on pop, like the wrapper would.  NOTE: the body
-    is duplicated inline in ``_chain_complete`` (the per-departure hot
+    ``Scheduler.select`` inlined: the member's ``choose_class``, then
+    ``ClassQueueSet.pop`` over the hybrid deque+column FIFO (identical
+    float ops and mutation order), then the bound ``on_select`` hook.
+    A columnar head stays unmaterialized in ``pend_meta`` only in
+    colmode -- an observed (monitored) or object-mode member
+    materializes on pop, like ``pop`` would.  NOTE: the body is
+    duplicated inline in ``_chain_complete`` (the per-departure hot
     path); keep the two in sync.
     """
-    if cl.stock:
-        cid = cl.choose(now)
-        queue = cl.qlist[cid]
+    cid = cl.choose(now)
+    queue = cl.qlist[cid]
+    if queue:
+        nxt = queue.popleft()
+        size = nxt.size
         if queue:
-            nxt = queue.popleft()
-            size = nxt.size
-            if queue:
-                cl.backlog[cid] -= size
-                cl.heads[cid] = queue[0].arrived_at
-            else:
-                col = cl.ccols[cid]
-                h = cl.cheads[cid]
-                if h < len(col):
-                    cl.backlog[cid] -= size
-                    cl.heads[cid] = col[h]
-                else:
-                    cl.backlog[cid] = 0.0
-                    cl.heads[cid] = inf
-            cl.queues.total_packets -= 1
-            meta = nxt
-            arr = nxt.arrived_at
+            cl.backlog[cid] -= size
+            cl.heads[cid] = queue[0].arrived_at
         else:
             col = cl.ccols[cid]
             h = cl.cheads[cid]
-            arr = col[h]
-            size = col[h + 1]
-            meta = col[h + 2]
-            h += 3
-            queues = cl.queues
-            queues.col_count -= 1
-            if h == len(col):
-                col.clear()
-                cl.cheads[cid] = 0
-                cl.backlog[cid] = 0.0
-                cl.heads[cid] = inf
-            else:
-                if h >= _COL_COMPACT:
-                    del col[:h]
-                    h = 0
-                cl.cheads[cid] = h
+            if h < len(col):
                 cl.backlog[cid] -= size
                 cl.heads[cid] = col[h]
-            queues.total_packets -= 1
-            if not cl.colmode and type(meta) is not Packet:
-                meta = materialize_entry(cid, arr, size, meta)
-    elif cl.colmode:
-        # Generated drain body: oracle-verified fused
-        # choose_class/pop/on_select for a non-stock scheduler
-        # (colmode implies gsel is not None -- see _drain_chain).
-        meta, cid, arr, size = cl.gsel(now)
-    else:
-        nxt = cl.scheduler.select(now)
+            else:
+                cl.backlog[cid] = 0.0
+                cl.heads[cid] = inf
+        cl.queues.total_packets -= 1
         meta = nxt
-        size = nxt.size
         arr = nxt.arrived_at
-        cid = nxt.class_id
+    else:
+        col = cl.ccols[cid]
+        h = cl.cheads[cid]
+        arr = col[h]
+        size = col[h + 1]
+        meta = col[h + 2]
+        h += 3
+        queues = cl.queues
+        queues.col_count -= 1
+        if h == len(col):
+            col.clear()
+            cl.cheads[cid] = 0
+            cl.backlog[cid] = 0.0
+            cl.heads[cid] = inf
+        else:
+            if h >= _COL_COMPACT:
+                del col[:h]
+                h = 0
+            cl.cheads[cid] = h
+            cl.backlog[cid] -= size
+            cl.heads[cid] = col[h]
+        queues.total_packets -= 1
+        if not cl.colmode and type(meta) is not Packet:
+            meta = materialize_entry(cid, arr, size, meta)
+    if cl.on_select is not None:
+        cl.on_select(cid, arr, size, meta, now)
     s = sim._seq
     sim._seq = s + 1
     cl.pend_meta = meta
@@ -478,37 +469,38 @@ def _chain_arrival(cl: _ChainLink, packet: Packet, now: float, sim, fheap) -> No
 
     The completion's sequence number is reserved exactly where
     ``receive -> _start_service`` would have called ``sim.schedule``.
-    Stock scheduler wrappers are inlined verbatim (identical float ops
-    and mutation order; only the call layers disappear).  The enqueue
-    is hybrid-aware: when the class tail lives in a column the object
-    is appended there (as a pre-materialized meta) so FIFO order never
-    interleaves.  A lossy member (never stock) runs the link's buffer
-    management first, at the same point ``receive`` does.
+    ``Scheduler.enqueue`` is inlined: the push, then the bound
+    ``on_enqueue`` hook (identical float ops and mutation order; only
+    the call layers disappear).  The push is hybrid-aware: when the
+    class tail lives in a column the object is appended there (as a
+    pre-materialized meta) so FIFO order never interleaves.  A lossy
+    member runs the link's buffer management first, at the same point
+    ``receive`` does.
     """
     L = cl.link
     packet.arrived_at = now
     L.arrivals += 1
-    if cl.stock:
-        cid = packet.class_id
-        if not 0 <= cid < cl.nclasses:
-            raise SchedulingError(
-                f"packet class {cid} out of range [0, {cl.nclasses})"
-            )
-        col = cl.ccols[cid]
-        if len(col) != cl.cheads[cid]:
-            col.extend((now, packet.size, packet))
-            cl.queues.col_count += 1
-        else:
-            queue = cl.qlist[cid]
-            if not queue:
-                cl.heads[cid] = now
-            queue.append(packet)
-        cl.backlog[cid] += packet.size
-        cl.queues.total_packets += 1
+    if L.buffer_packets is not None and not L._admit(packet, now):
+        return  # the arriving packet itself was dropped
+    cid = packet.class_id
+    if not 0 <= cid < cl.nclasses:
+        raise SchedulingError(
+            f"packet class {cid} out of range [0, {cl.nclasses})"
+        )
+    size = packet.size
+    col = cl.ccols[cid]
+    if len(col) != cl.cheads[cid]:
+        col.extend((now, size, packet))
+        cl.queues.col_count += 1
     else:
-        if L.buffer_packets is not None and not L._admit(packet, now):
-            return  # the arriving packet itself was dropped
-        cl.scheduler.enqueue(packet, now)
+        queue = cl.qlist[cid]
+        if not queue:
+            cl.heads[cid] = now
+        queue.append(packet)
+    cl.backlog[cid] += size
+    cl.queues.total_packets += 1
+    if cl.on_enqueue is not None:
+        cl.on_enqueue(cid, size, packet, now)
     if not L.busy:
         L.busy = True
         L._busy_since = now
@@ -532,9 +524,8 @@ def _chain_arrival_col(
     queues.col_count += 1
     cl.backlog[cid] += size
     queues.total_packets += 1
-    if cl.genq is not None:
-        # on_enqueue equivalent for the generated body (SCFQ tags).
-        cl.genq(cid, size, meta, now)
+    if cl.on_enqueue is not None:
+        cl.on_enqueue(cid, size, meta, now)
     if not L.busy:
         L.busy = True
         L._busy_since = now
@@ -543,10 +534,10 @@ def _chain_arrival_col(
 
 def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
     """Departure at a coupled member, mirroring the evented path's
-    exact ordering: stamps/counters, scheduler hook, monitors,
-    hand-off, then the next service's sequence reservation.  The
-    departing packet is ``cl.pend_meta`` (+ scalars): a real Packet on
-    observed members, an unmaterialized meta in colmode.
+    exact ordering: stamps/counters, monitors, hand-off, then the next
+    service's sequence reservation.  The departing packet is
+    ``cl.pend_meta`` (+ scalars): a real Packet on observed members, an
+    unmaterialized meta in colmode.
 
     Returns the fused-heap item for the next completion (or ``None``
     when the busy period closes) instead of pushing it, so the drain
@@ -563,8 +554,6 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         packet.service_start = sstart
         packet.departed_at = now
         packet.hop_delays.append(sstart - cl.pend_arr)
-        if not cl.stock:
-            cl.scheduler.on_departure(packet, now)
         if cl.monitors:
             for monitor in cl.monitors:
                 monitor.on_departure(packet, now)
@@ -617,8 +606,8 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
             queues.col_count += 1
             dcl.backlog[cid] += size
             queues.total_packets += 1
-            if dcl.genq is not None:
-                dcl.genq(cid, size, meta, now)
+            if dcl.on_enqueue is not None:
+                dcl.on_enqueue(cid, size, meta, now)
             if not down.busy:
                 down.busy = True
                 down._busy_since = now
@@ -626,10 +615,10 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         else:
             if packet is None:
                 packet = _materialize_pending(cl, now)
-            if dcl.stock and down.busy:
-                # Busy downstream with a stock scheduler (the dominant
-                # case at high utilization): _chain_arrival's body
-                # minus the service start.
+            if down.busy:
+                # Busy downstream (the dominant case at high
+                # utilization; a hand-off target is always lossless):
+                # _chain_arrival's body minus the service start.
                 packet.arrived_at = now
                 down.arrivals += 1
                 cid = packet.class_id
@@ -639,15 +628,17 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
                     )
                 col = dcl.ccols[cid]
                 if len(col) != dcl.cheads[cid]:
-                    col.extend((now, packet.size, packet))
+                    col.extend((now, size, packet))
                     dcl.queues.col_count += 1
                 else:
                     queue = dcl.qlist[cid]
                     if not queue:
                         dcl.heads[cid] = now
                     queue.append(packet)
-                dcl.backlog[cid] += packet.size
+                dcl.backlog[cid] += size
                 dcl.queues.total_packets += 1
+                if dcl.on_enqueue is not None:
+                    dcl.on_enqueue(cid, size, packet, now)
             else:
                 _chain_arrival(dcl, packet, now, sim, fheap)
     elif packet is not None:
@@ -661,60 +652,52 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
     if cl.queues.total_packets:
         # Next service: inline copy of _chain_select (keep in sync),
         # returning the item for the caller's heapreplace.
-        if cl.stock:
-            cid = cl.choose(now)
-            queue = cl.qlist[cid]
+        cid = cl.choose(now)
+        queue = cl.qlist[cid]
+        if queue:
+            nxt = queue.popleft()
+            size = nxt.size
             if queue:
-                nxt = queue.popleft()
-                size = nxt.size
-                if queue:
-                    cl.backlog[cid] -= size
-                    cl.heads[cid] = queue[0].arrived_at
-                else:
-                    col = cl.ccols[cid]
-                    h = cl.cheads[cid]
-                    if h < len(col):
-                        cl.backlog[cid] -= size
-                        cl.heads[cid] = col[h]
-                    else:
-                        cl.backlog[cid] = 0.0
-                        cl.heads[cid] = inf
-                cl.queues.total_packets -= 1
-                meta = nxt
-                arr = nxt.arrived_at
+                cl.backlog[cid] -= size
+                cl.heads[cid] = queue[0].arrived_at
             else:
                 col = cl.ccols[cid]
                 h = cl.cheads[cid]
-                arr = col[h]
-                size = col[h + 1]
-                meta = col[h + 2]
-                h += 3
-                queues = cl.queues
-                queues.col_count -= 1
-                if h == len(col):
-                    col.clear()
-                    cl.cheads[cid] = 0
-                    cl.backlog[cid] = 0.0
-                    cl.heads[cid] = inf
-                else:
-                    if h >= _COL_COMPACT:
-                        del col[:h]
-                        h = 0
-                    cl.cheads[cid] = h
+                if h < len(col):
                     cl.backlog[cid] -= size
                     cl.heads[cid] = col[h]
-                queues.total_packets -= 1
-                if not cl.colmode and type(meta) is not Packet:
-                    meta = materialize_entry(cid, arr, size, meta)
-        elif cl.colmode:
-            # Generated drain body (colmode implies gsel is not None).
-            meta, cid, arr, size = cl.gsel(now)
-        else:
-            nxt = cl.scheduler.select(now)
+                else:
+                    cl.backlog[cid] = 0.0
+                    cl.heads[cid] = inf
+            cl.queues.total_packets -= 1
             meta = nxt
-            size = nxt.size
             arr = nxt.arrived_at
-            cid = nxt.class_id
+        else:
+            col = cl.ccols[cid]
+            h = cl.cheads[cid]
+            arr = col[h]
+            size = col[h + 1]
+            meta = col[h + 2]
+            h += 3
+            queues = cl.queues
+            queues.col_count -= 1
+            if h == len(col):
+                col.clear()
+                cl.cheads[cid] = 0
+                cl.backlog[cid] = 0.0
+                cl.heads[cid] = inf
+            else:
+                if h >= _COL_COMPACT:
+                    del col[:h]
+                    h = 0
+                cl.cheads[cid] = h
+                cl.backlog[cid] -= size
+                cl.heads[cid] = col[h]
+            queues.total_packets -= 1
+            if not cl.colmode and type(meta) is not Packet:
+                meta = materialize_entry(cid, arr, size, meta)
+        if cl.on_select is not None:
+            cl.on_select(cid, arr, size, meta, now)
         s = sim._seq
         sim._seq = s + 1
         cl.pend_meta = meta
@@ -803,8 +786,9 @@ class Link:
         # A link qualifies for _drain_fused when nothing can observe
         # intermediate per-packet state: a bare PacketSink target, no
         # buffer management, and a stock scheduler (so the wrapper
-        # calls can be inlined verbatim).  Feeders and monitors are
-        # checked at dispatch time since they may be attached later.
+        # bodies can be inlined verbatim, with no hook calls).  Feeders
+        # and monitors are checked at dispatch time since they may be
+        # attached later.
         self._fast_ok = (
             buffer_packets is None
             and type(self._target) is PacketSink
@@ -1387,7 +1371,6 @@ class Link:
         self.bytes_sent += packet.size
         self._in_service = None
         scheduler = self.scheduler
-        scheduler.on_departure(packet, now)
         for monitor in self.monitors:
             monitor.on_departure(packet, now)
         self.target.receive(packet)
@@ -1558,16 +1541,7 @@ class Link:
         seen_cursors: set = set()
         for cl in members:
             L = cl.link
-            cl.colmode = (
-                (cl.stock or cl.gsel is not None)
-                and L.columnar
-                and not L.monitors
-            )
-            if not cl.stock and not cl.colmode and cl.queues.col_count:
-                # A generated-body member that lost colmode (a monitor
-                # appeared) may hold columnar residue its wrapper
-                # select cannot read: observation boundary, demote.
-                cl.queues.demote()
+            cl.colmode = cl.lossless and L.columnar and not L.monitors
             for f in L._feeders:
                 feeders.append(f)
                 ft = f.next_time

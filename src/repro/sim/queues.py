@@ -71,6 +71,17 @@ def materialize_entry(
     return packet
 
 
+def meta_packet_id(meta) -> int:
+    """Packet id of a queued entry's ``meta`` -- a real
+    :class:`Packet`, an ``int`` id or a richer tuple (module docstring)
+    -- without materializing it."""
+    if type(meta) is int:
+        return meta
+    if type(meta) is Packet:
+        return meta.packet_id
+    return meta[0]
+
+
 class ClassQueueSet:
     """N per-class FIFO queues with byte and packet accounting.
 

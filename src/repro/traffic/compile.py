@@ -639,9 +639,8 @@ class ArrivalCursor:
                     queues.col_count += 1
                     dcl.backlog[cid] += size
                     queues.total_packets += 1
-                    if dcl.genq is not None:
-                        # Generated on_enqueue (SCFQ arrival tags).
-                        dcl.genq(cid, size, meta, now)
+                    if dcl.on_enqueue is not None:
+                        dcl.on_enqueue(cid, size, meta, now)
                 else:
                     _chain_arrival_col(
                         dcl, cid, size, meta, now, sim, fused_heap
@@ -663,8 +662,8 @@ class ArrivalCursor:
                 stream.bytes_emitted += packet.size
                 injected += 1
                 if dcl is not None:
-                    if dcl.stock and dcl.link.busy:
-                        # Arrival at a busy coupled member: just the
+                    if dcl.lossless and dcl.link.busy:
+                        # Arrival at a busy lossless member: just the
                         # inline enqueue; _chain_arrival's body minus
                         # the service start (col-aware so FIFO order
                         # never interleaves with columnar residue).
@@ -676,17 +675,20 @@ class ArrivalCursor:
                                 f"packet class {cid} out of range "
                                 f"[0, {dcl.nclasses})"
                             )
+                        size = packet.size
                         col = dcl.ccols[cid]
                         if len(col) != dcl.cheads[cid]:
-                            col.extend((now, packet.size, packet))
+                            col.extend((now, size, packet))
                             dcl.queues.col_count += 1
                         else:
                             queue = dcl.qlist[cid]
                             if not queue:
                                 dcl.heads[cid] = now
                             queue.append(packet)
-                        dcl.backlog[cid] += packet.size
+                        dcl.backlog[cid] += size
                         dcl.queues.total_packets += 1
+                        if dcl.on_enqueue is not None:
+                            dcl.on_enqueue(cid, size, packet, now)
                     else:
                         _chain_arrival(dcl, packet, now, sim, fused_heap)
                         m = sim_heap[0][0] if sim_heap else inf

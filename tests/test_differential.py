@@ -1,11 +1,10 @@
 """Pytest entry for the differential harness (``tests/differential.py``).
 
 Covers the full (scheduler x topology) grid -- every cell runs all four
-execution modes and must capture bit-identically -- plus the codegen
-contract (every generated drain body's class-level proof holds) and
-sensitivity tests showing the six newly-registered scheduler oracles
-(PAD, HPD, adaptive WTP, DRR, SCFQ, additive) reject impostors instead
-of vacuously passing.
+execution modes and must capture bit-identically -- plus sensitivity
+tests showing the six newly-registered scheduler oracles (PAD, HPD,
+adaptive WTP, DRR, SCFQ, additive) reject impostors instead of
+vacuously passing.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from repro.schedulers.hpd import HPDScheduler
 from repro.schedulers.pad import PADScheduler
 from repro.schedulers.registry import available_schedulers
 from repro.schedulers.wfq import SCFQScheduler
-from repro.schedulers.draingen import (
-    generated_drain_pair,
-    generation_report,
-    supported_classes,
-)
 
 from .differential import (
     SCHEDULERS,
@@ -75,49 +69,6 @@ def test_every_registry_name_has_an_oracle() -> None:
     registered = registered_scheduler_checks()
     for name in SCHEDULERS:
         assert make_scheduler(name, SDPS).name in registered
-
-
-# ----------------------------------------------------------------------
-# Codegen contract
-# ----------------------------------------------------------------------
-def test_generated_bodies_all_verified() -> None:
-    """Class-level verification must hold for every template -- a
-    codegen regression should fail here, not silently fall back."""
-    report = generation_report()
-    assert len(report) == len(supported_classes()) == 6
-    failures = {k: v for k, v in report.items() if v is not True}
-    assert not failures, f"codegen verification failures: {failures}"
-
-
-def test_generated_pair_bound_and_cached() -> None:
-    scheduler = DRRScheduler(SDPS)
-    pair = generated_drain_pair(scheduler)
-    assert pair is not None
-    gsel, genq = pair
-    assert callable(gsel) and genq is None  # DRR has no enqueue hook
-    assert generated_drain_pair(scheduler) is pair  # instance-cached
-
-
-def test_scfq_pair_includes_enqueue_hook() -> None:
-    gsel, genq = generated_drain_pair(SCFQScheduler(SDPS))
-    assert callable(gsel) and callable(genq)
-
-
-def test_unbound_bpr_capacity_blocks_generation() -> None:
-    """BPR without a bound capacity cannot run its generated on_select;
-    the gate must leave it on the wrapper path instead of crashing."""
-    from repro.schedulers.bpr import BPRScheduler
-
-    assert generated_drain_pair(BPRScheduler(SDPS)) is None
-    bound = BPRScheduler(SDPS, capacity=1.0)
-    assert generated_drain_pair(bound) is not None
-
-
-def test_stock_scheduler_has_no_template() -> None:
-    """Stock schedulers (inlined directly by the drain) need none."""
-    from repro.schedulers.wtp import WTPScheduler
-
-    assert generated_drain_pair(WTPScheduler(SDPS)) is None
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +131,7 @@ class FrozenAdaptiveWTP(AdaptiveWTPScheduler):
 class LeakyDRR(DRRScheduler):
     """Forgets to charge the served packet against its deficit."""
 
-    def on_select(self, packet, now: float) -> None:
+    def on_select(self, cid, arrived_at, size, meta, now: float) -> None:
         pass
 
 

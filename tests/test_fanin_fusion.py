@@ -20,6 +20,11 @@ are pinned here:
   simulator-wide ``_topo_version`` stamp closes this; these tests
   mutate the topology mid-run and require both a rebuild and exact
   fused-vs-evented equivalence across the edit.
+
+* **Hooked-scheduler subclasses stay columnar**: a subclass of a
+  scheduler with ``on_select``/``on_enqueue`` hooks runs the same
+  column-native code as its base class, so a whole fan-in merge
+  builds no per-packet objects for either.
 """
 
 from __future__ import annotations
@@ -32,11 +37,19 @@ from hypothesis import strategies as st
 from repro.network.flows import FlowRecorder, UserFlow
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import FlowDemux
-from repro.schedulers import make_scheduler
-from repro.sim import Link, PacketSink, Simulator
+from repro.schedulers import BPRScheduler, SCFQScheduler, make_scheduler
+from repro.sim import Link, Packet, PacketSink, Simulator
+from repro.sim.rng import RandomStreams
+from repro.traffic import (
+    ArrivalCursor,
+    CompiledMixedSource,
+    PacketIdAllocator,
+    ParetoInterarrivals,
+)
 from repro.traffic.trace import ArrivalTrace, TraceSource
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
+MIX = (0.4, 0.3, 0.2, 0.1)
 
 
 class OrderSink:
@@ -303,3 +316,76 @@ def test_route_added_mid_run_rediscovered() -> None:
     evented = run(False)
     assert fused == evented
     assert len(fused[0]) == 50 and len(fused[1]) == 25
+
+
+# ----------------------------------------------------------------------
+# Hooked-scheduler subclasses
+# ----------------------------------------------------------------------
+def _compiled_fanin(factory, horizon: float = 5e3) -> tuple:
+    """Two upstream links plus merge-point cross traffic feeding one
+    double-capacity server, every source compiled onto one
+    ``ArrivalCursor`` (the ``bench_engine.run_fanin_cell`` shape);
+    returns every link's counters and queue state."""
+    sim = Simulator()
+    streams = RandomStreams(5)
+    ids = PacketIdAllocator()
+    merge = Link(
+        sim, factory(), capacity=2.0, target=PacketSink(), name="merge"
+    )
+    links = [merge]
+    cursor = ArrivalCursor(sim)
+    for i in range(2):
+        upstream = Link(
+            sim, factory(), capacity=1.0, target=merge, name=f"up{i}"
+        )
+        links.append(upstream)
+        cursor.add(
+            CompiledMixedSource(
+                upstream,
+                ParetoInterarrivals(2.6, 1.9, streams.generator()),
+                MIX, 1.0, streams.generator(), ids=ids,
+            )
+        )
+    cursor.add(
+        CompiledMixedSource(
+            merge,
+            ParetoInterarrivals(2.6, 1.9, streams.generator()),
+            MIX, 1.0, streams.generator(), ids=ids,
+        )
+    )
+    cursor.start()
+    sim.run(until=horizon)
+    return sim.now, tuple(
+        (
+            link.arrivals,
+            link.departures,
+            link.bytes_sent,
+            link.busy_time,
+            tuple(link.scheduler.queues.head_arrivals),
+            tuple(link.scheduler.queues.bytes_backlog),
+        )
+        for link in links
+    )
+
+
+@pytest.mark.parametrize("base", [BPRScheduler, SCFQScheduler])
+def test_hooked_scheduler_subclass_runs_columnar(base, monkeypatch) -> None:
+    """A trivial subclass of a hooked scheduler drains exactly like its
+    base class, and neither builds ``Packet`` objects per packet: only
+    the few in-service packets materialized when the run parks."""
+    subclass = type(f"Trivial{base.__name__}", (base,), {})
+    built = [0]
+    original_init = Packet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Packet, "__init__", counting_init)
+    runs = {}
+    for cls in (base, subclass):
+        built[0] = 0
+        runs[cls] = _compiled_fanin(lambda: cls(SDPS))
+        assert built[0] <= 10, (cls.__name__, built[0])
+    assert runs[subclass] == runs[base]
+    assert sum(state[1] for state in runs[base][1]) > 5_000

@@ -41,6 +41,7 @@ from repro.schedulers.bpr import BPRScheduler
 from repro.schedulers.strict_priority import StrictPriorityScheduler
 from repro.schedulers.wtp import WTPScheduler
 from repro.sim import Link, PacketSink, Simulator
+from repro.traffic.trace import TraceSource
 
 from .conftest import make_packet
 
@@ -110,7 +111,9 @@ class UnregisteredTailWTP(WTPScheduler):
     def select(self, now: float):
         class_id = self.choose_class(now)
         packet = self.queues.pop_tail(class_id)
-        self.on_select(packet, now)
+        self.on_select(
+            class_id, packet.arrived_at, packet.size, packet, now
+        )
         return packet
 
 
@@ -244,6 +247,29 @@ def test_tail_popping_scheduler_triggers_class_fifo_violation() -> None:
             trace, scheduler, config, check_invariants=True
         )
     assert excinfo.value.invariant == "class-fifo"
+
+
+def _unchecked_replay(scheduler, drain: bool) -> tuple:
+    config = small_config("wtp")
+    sim = Simulator()
+    sink = PacketSink(keep_packets=True)
+    link = Link(sim, scheduler, config.capacity, target=sink, drain=drain)
+    TraceSource(sim, link, generate_trace(config)).start()
+    sim.run(until=config.horizon)
+    departures = [(p.packet_id, p.departed_at) for p in sink.packets]
+    return departures, sim.events_processed
+
+
+def test_select_override_runs_evented() -> None:
+    """A scheduler class overriding ``select`` opts out of the drain
+    kernels, which inline the base pop: its link runs evented even
+    with the drain on, so the override is never skipped."""
+    drained = _unchecked_replay(UnregisteredTailWTP(SDPS), drain=True)
+    evented = _unchecked_replay(UnregisteredTailWTP(SDPS), drain=False)
+    assert drained == evented
+    head_popping, _ = _unchecked_replay(WTPScheduler(SDPS), drain=True)
+    assert len(drained[0]) > 1000
+    assert drained[0] != head_popping
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ scheduler named in the Table 1 reproduction, including
 * an :class:`InvariantChecker` attached to a *middle* hop, which must
   disable chain fusion across the whole walk (the checker's hooks see
   every event) while the entry drains as a chain of one;
+* a monitor attached mid-run to a hop holding columnar backlog, which
+  turns that member to object mode for the rest of the run;
 * the routed-network topology (``RouteDemux`` resolution instead of
   ``FlowDemux``), under its own ``drain`` flag;
 * the ``truncated_experiments`` diagnostic surfaced by
@@ -32,7 +34,7 @@ from repro.network.multihop import MultiHopConfig, run_multihop
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import FlowDemux
 from repro.schedulers import make_scheduler
-from repro.sim import Link, PacketSink, Simulator
+from repro.sim import DelayMonitor, Link, PacketSink, Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
     ArrivalCursor,
@@ -99,6 +101,8 @@ def run_chain(
     flow_starts: tuple[float, ...] = (40.0, 40.0 + 1.0 / 3.0, 97.625),
     checker_hop: int | None = None,
     checker_at: float | None = None,
+    monitor_hop: int | None = None,
+    monitor_at: float = 0.0,
     horizon: float = 400.0,
     seed: int = 9,
     columnar: bool | None = None,
@@ -111,6 +115,9 @@ def run_chain(
     ``checker_at`` delays the checker attach to a scheduled calendar
     event mid-run (``checker.capture`` records the hop's columnar
     backlog around the attach); ``None`` attaches before the run.
+    ``monitor_hop`` gets a :class:`DelayMonitor` from a calendar event
+    at ``monitor_at``; the monitor records the hop's columnar backlog
+    at that instant in its ``cols_at_attach`` attribute.
     """
     sim = Simulator()
     streams = RandomStreams(seed)
@@ -161,6 +168,15 @@ def run_chain(
                 capture["cols_after"] = hop_link.scheduler.queues.col_count
 
             sim.schedule(checker_at, attach_mid_run)
+    if monitor_hop is not None:
+        monitored = links[monitor_hop]
+        monitor = DelayMonitor(len(SDPS))
+
+        def attach_monitor():
+            monitor.cols_at_attach = monitored.scheduler.queues.col_count
+            monitored.add_monitor(monitor)
+
+        sim.schedule(monitor_at, attach_monitor)
     sim.run(until=horizon)
     delays = {
         fid: tuple(recorder.flow_delays(fid)) for fid in range(nflows)
@@ -228,6 +244,32 @@ def test_chain_member_demoted_mid_run():
     report_e = checker_e.finalize()
     assert report_c.departures == report_e.departures > 0
     assert report_c.busy_periods == report_e.busy_periods
+
+
+@pytest.mark.parametrize("name", ["wtp", "bpr", "scfq", "drr"])
+def test_monitor_attached_mid_run_to_chain_member(name):
+    """A monitor attached by a calendar event to the middle hop while
+    it holds columnar backlog: the member drains in object mode from
+    its next drain entry on, popping (and materializing) the leftover
+    column entries itself, and the run stays bit-identical to an
+    evented run with the same attach."""
+    sim_c, links_c, delays_c, state_c, _ = run_chain(
+        name, drain=True, columnar=True, monitor_hop=1, monitor_at=200.0
+    )
+    sim_e, links_e, delays_e, state_e, _ = run_chain(
+        name, drain=False, monitor_hop=1, monitor_at=200.0
+    )
+    monitor_c = links_c[1].monitors[0]
+    monitor_e = links_e[1].monitors[0]
+    assert monitor_c.cols_at_attach > 0
+    assert monitor_e.cols_at_attach == 0
+    assert delays_c == delays_e
+    assert state_c == state_e
+    assert sim_c.now == sim_e.now
+    assert monitor_c.counts() == monitor_e.counts()
+    assert monitor_c.mean_delays() == monitor_e.mean_delays()
+    assert sum(monitor_c.counts()) > 0
+    assert links_c[0]._chain_fuse is True
 
 
 def test_flow_launch_at_exact_drain_instant():

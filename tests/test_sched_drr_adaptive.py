@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.invariants import InvariantChecker
 from repro.schedulers import AdaptiveWTPScheduler, DRRScheduler, WTPScheduler
 from repro.sim import Link, PacketSink, Simulator
 
@@ -60,6 +61,27 @@ class TestDRR:
         assert sink.received == 33
         low_served = [p.packet_id for p in sink.packets if p.class_id == 0]
         assert low_served == [0, 1, 2]
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_packet_needing_hundreds_of_rounds_is_served(self, checked):
+        """Under the ratio-4 SDPs class 0's quantum is 1500/64 B, so a
+        9000 B packet needs 384 rounds: legal input for DRR, served
+        with and without the round-order oracle watching."""
+        sim = Simulator()
+        sink = PacketSink(keep_packets=True)
+        scheduler = DRRScheduler((1.0, 4.0, 16.0, 64.0))
+        link = Link(sim, scheduler, capacity=1000.0, target=sink)
+        if checked:
+            InvariantChecker(link).attach()
+        sim.schedule(0.0, link.receive, make_packet(0, class_id=0, size=9000.0))
+        sim.schedule(0.0, link.receive, make_packet(1, class_id=3, size=1500.0))
+        sim.schedule(0.0, link.receive, make_packet(2, class_id=0, size=40.0))
+        if checked:
+            sim.run_checked()
+        else:
+            sim.run()
+        assert [p.packet_id for p in sink.packets] == [0, 1, 2]
+        assert sink.packets[-1].departed_at == pytest.approx(10.54)
 
     def test_delay_ratio_drifts_with_load_split(self):
         """Capacity differentiation: DRR's delay ratio moves with the
