@@ -92,15 +92,14 @@ class ProbeInjector:
     # ------------------------------------------------------------------
     # Link-monitor interface: collect the probes' own delays.
     # ------------------------------------------------------------------
-    def on_departure(self, packet: Packet, now: float) -> None:
-        flow = packet.flow_id
-        if flow is None or not (
-            PROBE_FLOW_BASE <= flow < PROBE_FLOW_BASE + self.num_classes
+    def on_departure(
+        self, packet_id, class_id, size, flow_id, delay, now
+    ) -> None:
+        if flow_id is None or not (
+            PROBE_FLOW_BASE <= flow_id < PROBE_FLOW_BASE + self.num_classes
         ):
             return
-        self.probe_delays[flow - PROBE_FLOW_BASE].append(
-            packet.service_start - packet.arrived_at
-        )
+        self.probe_delays[flow_id - PROBE_FLOW_BASE].append(delay)
 
     # ------------------------------------------------------------------
     def probes_sent(self) -> int:

@@ -9,7 +9,8 @@ optional packet-count buffer limit plus a drop policy turn it into a
 lossy multiplexer for the loss-differentiation extension.
 
 Departed packets are handed to ``target.receive(packet)`` (next hop or
-sink) and reported to the attached monitors.
+sink) and reported to the attached monitors, as scalars (the observer
+protocol in :mod:`repro.sim.monitor`).
 
 The runtime invariant checker (:mod:`repro.invariants`) attaches to a
 link by *replacing bound methods on the instance* (``receive`` and
@@ -36,22 +37,25 @@ overrides ``select`` or      departure)
 ``enqueue``
 
 member of a coupled chain    ``_drain_chain`` over the      columns on
-that fuses: coupled          whole chain                    unmonitored
+that fuses: coupled          whole chain                    ``columnar``
 successors or fan-in, an                                    members; objects
-inline arrival source, no                                   on monitored ones
-hooks in the walk
+inline arrival source, no                                   on
+hooks in the walk                                           ``columnar=False``
+                                                            ones
 
-unobserved fast path:        ``_drain_fused``               columns when every
-lossless, stock scheduler,                                  feeder implements
-bare ``PacketSink`` target,                                 ``pull_col``
+unobserved fast path:        ``_drain_fused``               columns
+lossless ``columnar`` link,
+stock scheduler, bare
+``PacketSink`` target,
 fused feeders, no monitors
 
 any other link: monitored,   ``_drain_chain`` over a        as a chain member;
 another target, scheduler    *chain of one*                 objects when lossy
 with hooks, cursor-fed or
 without inline source,
-lossy, or a chain that
-cannot fuse this entry
+lossy, ``columnar=False``,
+or a chain that cannot
+fuse this entry
 ===========================  =============================  ==================
 
 Every drain runs the scheduler's own methods: ``choose_class`` and the
@@ -96,17 +100,20 @@ through ``receive``, and its cursor and feeder arrivals are absorbed
 inline.  A lossy link is only ever a chain of one, and its arrivals
 apply the drop policy where ``receive`` does.
 
-Columns.  With ``columnar=True`` (the default) unobserved packets live
-in the scheduler's :class:`~repro.sim.queues.ClassQueueSet` as flat
-per-class column entries ``(arrived_at, size, meta)`` and are
-selected, transmitted, handed between chain members and counted as
-scalars.  A real ``Packet`` -- bit-identical to the evented path's --
-is built (:func:`~repro.sim.queues.materialize_entry`) only at an
-observation boundary: a receiver other than a ``Link`` or a
-non-keeping ``PacketSink``, a monitor (monitored members pop objects),
-routing that inspects the packet, the invariant checker (attach
-demotes every column), and a park (the pending completion becomes a
-calendar payload).
+Columns.  With ``columnar=True`` (the default) a lossless link's
+packets live in the scheduler's
+:class:`~repro.sim.queues.ClassQueueSet` as flat per-class column
+entries ``(arrived_at, size, meta)`` and are selected, transmitted,
+handed between chain members and counted as scalars.  The link alone
+decides its representation: monitors observe departures as scalars
+and feeders supply arrivals as scalars (``pull_col``), so neither
+forces objects.  A real ``Packet`` -- bit-identical to the evented
+path's -- is built (:func:`~repro.sim.queues.materialize_entry`) only
+at an observation boundary: a receiver other than a ``Link`` or a
+non-keeping ``PacketSink``, routing that inspects the packet, an
+arrival at a lossy or ``columnar=False`` member, the invariant
+checker (attach demotes every column), and a park (the pending
+completion becomes a calendar payload).
 ``tests/test_drain_equivalence.py``,
 ``tests/test_multihop_drain_equivalence.py`` and
 ``tests/differential.py`` pin every path bit-identical to the evented
@@ -117,13 +124,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
+from inspect import signature
 from math import inf
 from typing import Optional, Protocol, Sequence, TYPE_CHECKING
 
 from ..errors import ConfigurationError, SchedulingError
 from .engine import Simulator
 from .packet import Packet
-from .queues import materialize_entry
+from .queues import materialize_entry, meta_packet_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..dropping.base import DropPolicy
@@ -222,9 +230,9 @@ class _ChainLink:
     :mod:`repro.sim.queues`), its reserved ``(time, seq)`` heap key,
     and whether that key is virtual (reserved inline) or mirrors a real
     calendar event that predates the drain entry.  They are reset on
-    every entry; ``colmode`` (lossless columnar link, no monitors) is
-    likewise recomputed per entry, so a monitor attached between events
-    flips the member to object mode at the next one.
+    every entry.  ``colmode`` (a lossless ``columnar`` link) means the
+    member's arrivals are queued as column entries; otherwise they are
+    ``Packet`` objects (object mode).
     """
 
     __slots__ = (
@@ -299,7 +307,7 @@ class _ChainLink:
         self.nclasses = queues.num_classes
         self.ccols = queues.cols
         self.cheads = queues.col_heads
-        self.colmode = False
+        self.colmode = self.lossless and link.columnar
         #: In-service representation (None == idle): real Packet, int
         #: packet id, or (pid, flow_id, created_at, hop_history) tuple.
         self.pend_meta = None
@@ -398,9 +406,8 @@ def _chain_select(cl: _ChainLink, now: float, sim):
     ``Scheduler.select`` inlined: the member's ``choose_class``, then
     ``ClassQueueSet.pop`` over the hybrid deque+column FIFO (identical
     float ops and mutation order), then the bound ``on_select`` hook.
-    A columnar head stays unmaterialized in ``pend_meta`` only in
-    colmode -- an observed (monitored) or object-mode member
-    materializes on pop, like ``pop`` would.  NOTE: the body is
+    The head stays in the representation it was queued in: a columnar
+    head is held unmaterialized in ``pend_meta``.  NOTE: the body is
     duplicated inline in ``_chain_complete`` (the per-departure hot
     path); keep the two in sync.
     """
@@ -446,8 +453,6 @@ def _chain_select(cl: _ChainLink, now: float, sim):
             cl.backlog[cid] -= size
             cl.heads[cid] = col[h]
         queues.total_packets -= 1
-        if not cl.colmode and type(meta) is not Packet:
-            meta = materialize_entry(cid, arr, size, meta)
     if cl.on_select is not None:
         cl.on_select(cid, arr, size, meta, now)
     s = sim._seq
@@ -536,8 +541,9 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
     """Departure at a coupled member, mirroring the evented path's
     exact ordering: stamps/counters, monitors, hand-off, then the next
     service's sequence reservation.  The departing packet is
-    ``cl.pend_meta`` (+ scalars): a real Packet on observed members, an
-    unmaterialized meta in colmode.
+    ``cl.pend_meta`` (+ scalars): a real Packet when it was queued as
+    one, else an unmaterialized meta; monitors get the scalars either
+    way.
 
     Returns the fused-heap item for the next completion (or ``None``
     when the busy period closes) instead of pushing it, so the drain
@@ -554,13 +560,16 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         packet.service_start = sstart
         packet.departed_at = now
         packet.hop_delays.append(sstart - cl.pend_arr)
-        if cl.monitors:
-            for monitor in cl.monitors:
-                monitor.on_departure(packet, now)
         flow = packet.flow_id
     else:
         packet = None
         flow = None if type(meta) is int else meta[1]
+    if cl.monitors:
+        pid = meta_packet_id(meta)
+        cid = cl.pend_cid
+        delay = sstart - cl.pend_arr
+        for monitor in cl.monitors:
+            monitor.on_departure(pid, cid, size, flow, delay, now)
     dmx = cl.split
     if dmx is not None:
         # Pure flow-id demux (drain_flow_split): branch inline and keep
@@ -584,7 +593,6 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         else:
             dcl = cl.direct_dcl
     if dcl is not None:
-        down = dcl.link
         if packet is None and dcl.colmode:
             # Columnar hop hand-off: extend the meta's hop history with
             # this hop's queueing delay and push the scalars downstream.
@@ -593,6 +601,7 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
                 meta = (meta, None, cl.pend_arr, (delay,))
             else:
                 meta = (meta[0], meta[1], meta[2], meta[3] + (delay,))
+            down = dcl.link
             down.arrivals += 1
             cid = cl.pend_cid
             if not 0 <= cid < dcl.nclasses:
@@ -615,32 +624,7 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         else:
             if packet is None:
                 packet = _materialize_pending(cl, now)
-            if down.busy:
-                # Busy downstream (the dominant case at high
-                # utilization; a hand-off target is always lossless):
-                # _chain_arrival's body minus the service start.
-                packet.arrived_at = now
-                down.arrivals += 1
-                cid = packet.class_id
-                if not 0 <= cid < dcl.nclasses:
-                    raise SchedulingError(
-                        f"packet class {cid} out of range [0, {dcl.nclasses})"
-                    )
-                col = dcl.ccols[cid]
-                if len(col) != dcl.cheads[cid]:
-                    col.extend((now, size, packet))
-                    dcl.queues.col_count += 1
-                else:
-                    queue = dcl.qlist[cid]
-                    if not queue:
-                        dcl.heads[cid] = now
-                    queue.append(packet)
-                dcl.backlog[cid] += size
-                dcl.queues.total_packets += 1
-                if dcl.on_enqueue is not None:
-                    dcl.on_enqueue(cid, size, packet, now)
-            else:
-                _chain_arrival(dcl, packet, now, sim, fheap)
+            _chain_arrival(dcl, packet, now, sim, fheap)
     elif packet is not None:
         rcv.receive(packet)
     elif type(rcv) is PacketSink and not rcv.keep_packets:
@@ -694,8 +678,6 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
                 cl.backlog[cid] -= size
                 cl.heads[cid] = col[h]
             queues.total_packets -= 1
-            if not cl.colmode and type(meta) is not Packet:
-                meta = materialize_entry(cid, arr, size, meta)
         if cl.on_select is not None:
             cl.on_select(cid, arr, size, meta, now)
         s = sim._seq
@@ -786,9 +768,9 @@ class Link:
         # A link qualifies for _drain_fused when nothing can observe
         # intermediate per-packet state: a bare PacketSink target, no
         # buffer management, and a stock scheduler (so the wrapper
-        # bodies can be inlined verbatim, with no hook calls).  Feeders
-        # and monitors are checked at dispatch time since they may be
-        # attached later.
+        # bodies can be inlined verbatim, with no hook calls).  Feeders,
+        # monitors and ``columnar`` are checked at dispatch time since
+        # they may change later.
         self._fast_ok = (
             buffer_packets is None
             and type(self._target) is PacketSink
@@ -825,7 +807,20 @@ class Link:
 
     # ------------------------------------------------------------------
     def add_monitor(self, monitor) -> None:
-        """Attach an object with ``on_departure(packet, now)``."""
+        """Attach an observer: ``monitor.on_departure(packet_id,
+        class_id, size, flow_id, delay, now)`` runs after every
+        departure (the observer protocol in :mod:`repro.sim.monitor`).
+        Raises :class:`~repro.errors.ConfigurationError` here, not
+        mid-run, when ``on_departure`` cannot take those arguments."""
+        hook = getattr(monitor, "on_departure", None)
+        try:
+            signature(hook).bind(0, 0, 0.0, None, 0.0, 0.0)
+        except TypeError:
+            raise ConfigurationError(
+                f"{type(monitor).__name__} is not a link observer: it "
+                "needs on_departure(packet_id, class_id, size, flow_id, "
+                "delay, now)"
+            ) from None
         self.monitors.append(monitor)
 
     def attach_feeder(self, feeder) -> bool:
@@ -834,8 +829,10 @@ class Link:
         ``feeder`` must follow the feeder protocol: ``next_time`` /
         ``next_seq`` attributes mirroring its scheduled arrival event's
         heap key (``next_time is None`` when nothing is pending), a
-        ``_virtual`` flag owned by the drain, and ``pull()`` /
-        ``advance(now)`` / ``park(heap)`` methods
+        ``_virtual`` flag owned by the drain, the ``flow_id`` its
+        packets carry, ``pull_col(now)`` -- the pending arrival's
+        ``(packet_id, class_id, size)``, reserving the next arrival's
+        key -- and ``park(heap)``
         (:class:`~repro.traffic.trace.TraceSource` and
         :class:`~repro.traffic.source.TrafficSource` implement it).
 
@@ -1055,7 +1052,8 @@ class Link:
             )
         if self._chain_fuse and self._drain_chain(packet, chain):
             return
-        if self._fast_ok and self._feeders and not self.monitors:
+        fast = self._fast_ok and self.columnar and not self.monitors
+        if fast and self._feeders:
             self._drain_fused(packet)
             return
         solo = self._solo_chain
@@ -1066,13 +1064,14 @@ class Link:
     def _drain_fused(self, packet: Packet) -> None:
         """Drain loop of the unobserved fast path.
 
-        Only runs when ``_fast_ok`` holds, fused feeders are attached
-        and no monitors are: per-packet state is then unobservable
-        between events, so the plain scheduler's ``enqueue``/``select``
-        wrappers (whose hooks are the base no-ops) and the bare
-        :class:`PacketSink` dispatch are inlined verbatim -- float
-        expressions and mutation order are kept identical to the
-        evented path, only the Python call layers disappear.
+        Only runs on a ``columnar`` link where ``_fast_ok`` holds, fused
+        feeders are attached and no monitors are: per-packet state is
+        then unobservable between events, so the plain scheduler's
+        ``enqueue``/``select`` wrappers (whose hooks are the base
+        no-ops) and the bare :class:`PacketSink` dispatch are inlined
+        verbatim -- float expressions and mutation order are kept
+        identical to the evented path, only the Python call layers
+        disappear.
 
         The pending feeder arrivals are tracked in a local min-heap of
         ``(time, seq, feeder)`` keyed exactly like the calendar, so the
@@ -1080,17 +1079,16 @@ class Link:
         event.  Seq uniqueness means the feeder object itself is never
         compared.
 
-        With ``columnar`` on and *every* feeder implementing
-        ``pull_col`` (which implies a ``flow_id`` attribute), arrivals
-        enter the per-class columns as ``(arrived_at, size, meta)``
-        scalars and are selected, transmitted, and counted without ever
-        existing as objects; a real :class:`Packet` is materialized only
-        when the sink keeps packets (at departure, fully stamped) or at
-        a park (the pending completion becomes a calendar event
-        payload).  Link counters accumulate in locals and are published
-        in the ``finally`` block, which runs on every park/idle exit
-        (and on errors), so externally-visible state is consistent
-        whenever control is back in the run loop.
+        Arrivals enter the per-class columns as ``(arrived_at, size,
+        meta)`` scalars from each feeder's ``pull_col`` and are
+        selected, transmitted, and counted without ever existing as
+        objects; a real :class:`Packet` is materialized only when the
+        sink keeps packets (at departure, fully stamped) or at a park
+        (the pending completion becomes a calendar event payload).
+        Link counters accumulate in locals and are published in the
+        ``finally`` block, which runs on every park/idle exit (and on
+        errors), so externally-visible state is consistent whenever
+        control is back in the run loop.
         """
         sim = self.sim
         heap = sim._heap
@@ -1109,9 +1107,6 @@ class Link:
         keep = target.keep_packets
         kept = target.packets
         feeders = self._feeders
-        colmode = self.columnar and all(
-            hasattr(f, "pull_col") for f in feeders
-        )
         complete = self._complete_service
         now = sim.now
         fheap = [
@@ -1270,76 +1265,45 @@ class Link:
                     feeder = entry[2]
                     now = ft
                     idle = smeta is None
-                    if colmode:
-                        if idle:
-                            # Evented order: completion seq (inside
-                            # receive) precedes the next arrival's.
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        pid, acid, asize = feeder.pull_col(ft)
-                        arrivals += 1
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        if heads[acid] == inf:
-                            heads[acid] = ft
-                        ffid = feeder.flow_id
-                        cols[acid].extend(
-                            (
-                                ft,
-                                asize,
-                                pid if ffid is None else (pid, ffid, ft, ()),
-                            )
+                    if idle:
+                        # Evented order: completion seq (inside
+                        # receive) precedes the next arrival's.
+                        s_c = sim._seq
+                        sim._seq = s_c + 1
+                    pid, acid, asize = feeder.pull_col(ft)
+                    arrivals += 1
+                    if not 0 <= acid < num_classes:
+                        raise SchedulingError(
+                            f"packet class {acid} out of range "
+                            f"[0, {num_classes})"
                         )
-                        ccount += 1
-                        backlog_bytes[acid] += asize
-                        total += 1
-                        if idle:
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            queues.col_count = ccount
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            ccount = queues.col_count
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                    else:
-                        arriving = feeder.pull()
-                        arrivals += 1
-                        acid = arriving.class_id
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        queue = qlist[acid]
-                        if not queue:
-                            heads[acid] = ft
-                        queue.append(arriving)
-                        backlog_bytes[acid] += arriving.size
-                        total += 1
-                        if idle:
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        feeder.advance(ft)
+                    if heads[acid] == inf:
+                        heads[acid] = ft
+                    ffid = feeder.flow_id
+                    cols[acid].extend(
+                        (
+                            ft,
+                            asize,
+                            pid if ffid is None else (pid, ffid, ft, ()),
+                        )
+                    )
+                    ccount += 1
+                    backlog_bytes[acid] += asize
+                    total += 1
+                    if idle:
+                        self.busy = True
+                        self._busy_since = ft
+                        queues.total_packets = total
+                        queues.col_count = ccount
+                        nxt = scheduler.select(ft)
+                        total = queues.total_packets
+                        ccount = queues.col_count
+                        smeta = nxt
+                        scid = nxt.class_id
+                        sarr = nxt.arrived_at
+                        ssize = nxt.size
+                        sstart = ft
+                        t_c = ft + ssize / capacity
                     nt = feeder.next_time
                     if nt is None:
                         heappop(fheap)
@@ -1366,13 +1330,21 @@ class Link:
     def _complete_service_evented(self, packet: Packet) -> None:
         now = self.sim.now
         packet.departed_at = now
-        packet.hop_delays.append(packet.service_start - packet.arrived_at)
+        delay = packet.service_start - packet.arrived_at
+        packet.hop_delays.append(delay)
         self.departures += 1
         self.bytes_sent += packet.size
         self._in_service = None
         scheduler = self.scheduler
         for monitor in self.monitors:
-            monitor.on_departure(packet, now)
+            monitor.on_departure(
+                packet.packet_id,
+                packet.class_id,
+                packet.size,
+                packet.flow_id,
+                delay,
+                now,
+            )
         self.target.receive(packet)
         if scheduler.queues.total_packets:
             # Inlined _start_service (one departure-to-service handoff
@@ -1541,7 +1513,6 @@ class Link:
         seen_cursors: set = set()
         for cl in members:
             L = cl.link
-            cl.colmode = cl.lossless and L.columnar and not L.monitors
             for f in L._feeders:
                 feeders.append(f)
                 ft = f.next_time
@@ -1601,8 +1572,25 @@ class Link:
                     heappop(fheap)
             elif kind == 1:
                 f, cl = obj
-                _chain_arrival(cl, f.pull(), t, sim, fheap)
-                f.advance(t)
+                idle = not cl.link.busy
+                if idle:
+                    # Evented order: the completion's seq (inside
+                    # receive) precedes the next arrival's, which
+                    # pull_col reserves; _chain_select takes it below.
+                    seq = sim._seq
+                    sim._seq = seq + 1
+                pid, cid, size = f.pull_col(t)
+                if idle:
+                    seq, sim._seq = sim._seq, seq
+                fid = f.flow_id
+                meta = pid if fid is None else (pid, fid, t, ())
+                if cl.colmode:
+                    _chain_arrival_col(cl, cid, size, meta, t, sim, fheap)
+                else:
+                    packet = materialize_entry(cid, t, size, meta)
+                    _chain_arrival(cl, packet, t, sim, fheap)
+                if idle:
+                    sim._seq = seq
                 nt = f.next_time
                 if nt is not None:
                     heapreplace(fheap, (nt, f.next_seq, 1, obj))

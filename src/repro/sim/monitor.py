@@ -1,5 +1,13 @@
 """Measurement instruments attached to links.
 
+Observer protocol.  Every completion path of a link calls
+``on_departure(packet_id, class_id, size, flow_id, delay, now)`` with
+scalars on each object attached by
+:meth:`~repro.sim.link.Link.add_monitor`: ``delay`` is the queueing
+delay at this hop (``service_start - arrived_at``) and ``flow_id`` is
+``None`` for unflowed traffic.  No observer needs a ``Packet``, so
+none forces the drain kernels to build one.
+
 Three instruments cover everything the paper's evaluation needs:
 
 * :class:`DelayMonitor` -- long-term per-class queueing-delay averages
@@ -30,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .packet import Packet
 
 __all__ = [
     "DelayMonitor",
@@ -131,13 +138,14 @@ class DelayMonitor:
         self.stats = [ClassDelayStats() for _ in range(num_classes)]
         self._samples = [_SampleBuffer() for _ in range(num_classes)]
 
-    def on_departure(self, packet: Packet, now: float) -> None:
+    def on_departure(
+        self, packet_id, class_id, size, flow_id, delay, now
+    ) -> None:
         if now < self.warmup:
             return
-        delay = packet.service_start - packet.arrived_at
-        self.stats[packet.class_id].add(delay)
+        self.stats[class_id].add(delay)
         if self.keep_samples:
-            self._samples[packet.class_id].append(delay)
+            self._samples[class_id].append(delay)
 
     # ------------------------------------------------------------------
     @property
@@ -206,7 +214,9 @@ class IntervalDelayMonitor:
         self._interval_sums = _SampleBuffer(columns=num_classes)
         self._interval_counts = _SampleBuffer(columns=num_classes, dtype=np.int64)
 
-    def on_departure(self, packet: Packet, now: float) -> None:
+    def on_departure(
+        self, packet_id, class_id, size, flow_id, delay, now
+    ) -> None:
         if now < self.warmup:
             return
         index = int(now // self.tau)
@@ -215,9 +225,8 @@ class IntervalDelayMonitor:
         elif index != self._current_index:
             self._flush()
             self._current_index = index
-        delay = packet.service_start - packet.arrived_at
-        self._sums[packet.class_id] += delay
-        self._counts[packet.class_id] += 1
+        self._sums[class_id] += delay
+        self._counts[class_id] += 1
 
     def _flush(self) -> None:
         if self._current_index is not None and any(self._counts):
@@ -278,7 +287,9 @@ class ThroughputMonitor:
         self._indices = _SampleBuffer(dtype=np.int64)
         self._interval_bytes = _SampleBuffer(columns=num_classes)
 
-    def on_departure(self, packet: Packet, now: float) -> None:
+    def on_departure(
+        self, packet_id, class_id, size, flow_id, delay, now
+    ) -> None:
         if now < self.warmup:
             return
         index = int(now // self.tau)
@@ -287,7 +298,7 @@ class ThroughputMonitor:
         elif index != self._current_index:
             self._flush()
             self._current_index = index
-        self._bytes[packet.class_id] += packet.size
+        self._bytes[class_id] += size
 
     def _flush(self) -> None:
         if self._current_index is not None and any(self._bytes):
@@ -374,10 +385,11 @@ class PacketTap:
         self.end = end
         self._buffers = [_SampleBuffer(columns=2) for _ in range(num_classes)]
 
-    def on_departure(self, packet: Packet, now: float) -> None:
+    def on_departure(
+        self, packet_id, class_id, size, flow_id, delay, now
+    ) -> None:
         if self.start <= now < self.end:
-            delay = packet.service_start - packet.arrived_at
-            self._buffers[packet.class_id].append((now, delay))
+            self._buffers[class_id].append((now, delay))
 
     @property
     def samples(self) -> list[list[tuple[float, float]]]:

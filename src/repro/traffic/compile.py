@@ -662,43 +662,12 @@ class ArrivalCursor:
                 stream.bytes_emitted += packet.size
                 injected += 1
                 if dcl is not None:
-                    if dcl.lossless and dcl.link.busy:
-                        # Arrival at a busy lossless member: just the
-                        # inline enqueue; _chain_arrival's body minus
-                        # the service start (col-aware so FIFO order
-                        # never interleaves with columnar residue).
-                        packet.arrived_at = now
-                        dcl.link.arrivals += 1
-                        cid = packet.class_id
-                        if not 0 <= cid < dcl.nclasses:
-                            raise SchedulingError(
-                                f"packet class {cid} out of range "
-                                f"[0, {dcl.nclasses})"
-                            )
-                        size = packet.size
-                        col = dcl.ccols[cid]
-                        if len(col) != dcl.cheads[cid]:
-                            col.extend((now, size, packet))
-                            dcl.queues.col_count += 1
-                        else:
-                            queue = dcl.qlist[cid]
-                            if not queue:
-                                dcl.heads[cid] = now
-                            queue.append(packet)
-                        dcl.backlog[cid] += size
-                        dcl.queues.total_packets += 1
-                        if dcl.on_enqueue is not None:
-                            dcl.on_enqueue(cid, size, packet, now)
-                    else:
-                        _chain_arrival(dcl, packet, now, sim, fused_heap)
-                        m = sim_heap[0][0] if sim_heap else inf
-                        if fused_heap and fused_heap[0][0] < m:
-                            m = fused_heap[0][0]
+                    _chain_arrival(dcl, packet, now, sim, fused_heap)
                 else:
                     stream.target.receive(packet)
-                    m = sim_heap[0][0] if sim_heap else inf
-                    if fused_heap and fused_heap[0][0] < m:
-                        m = fused_heap[0][0]
+                m = sim_heap[0][0] if sim_heap else inf
+                if fused_heap and fused_heap[0][0] < m:
+                    m = fused_heap[0][0]
             # -- stream.peek_time() inlined (block reload on exhaustion)
             times = stream._times
             if stream._head < len(times):

@@ -55,12 +55,14 @@ class ECNMarker:
         #: Pending mark flags per flow_id (None key = unattributed).
         self._pending: dict[Optional[int], bool] = {}
 
-    def on_departure(self, packet: Packet, now: float) -> None:
+    def on_departure(
+        self, packet_id, class_id, size, flow_id, delay, now
+    ) -> None:
         self.seen += 1
         congested = self.link.backlog_packets >= self.threshold_packets
         if congested:
             self.marked += 1
-            self._pending[packet.flow_id] = True
+            self._pending[flow_id] = True
 
     def consume_mark(self, flow_id: Optional[int]) -> bool:
         """True once per congestion signal for this flow since last poll."""

@@ -160,50 +160,16 @@ class TrafficSource:
             self.next_time = None
 
     # -- feeder protocol (drain kernel) --------------------------------
-    def pull(self) -> Packet:
-        """Packet for the pending arrival (drain-inline counterpart of
-        the emission half of :meth:`_emit`)."""
-        packet = Packet(
-            packet_id=self.ids.next_id(),
-            class_id=self.class_id,
-            size=self._next_size(),
-            created_at=self.next_time,
-            flow_id=self.flow_id,
-        )
-        self.packets_emitted += 1
-        self.bytes_emitted += packet.size
-        return packet
-
-    def advance(self, now: float) -> None:
-        """Reserve the next arrival's heap key without scheduling it."""
-        # advance() only runs while fused, so the buffer is active;
-        # inline the _next_gap body (this is the drain's hot path).
-        i = self._gap_index
-        buffer = self._gap_buffer
-        if i == len(buffer):
-            buffer = self.interarrivals.draw_gaps(self._GAP_BLOCK).tolist()
-            self._gap_buffer = buffer
-            i = 0
-        self._gap_index = i + 1
-        next_time = now + buffer[i]
-        if self.stop_time is None or next_time < self.stop_time:
-            sim = self.sim
-            self.next_time = next_time
-            self.next_seq = sim._seq
-            sim._seq += 1
-        else:
-            self.next_time = None
-
     def pull_col(self, now: float) -> tuple:
-        """Columnar pull: ``pull() + advance(now)`` without the Packet.
+        """Drain-inline counterpart of :meth:`_emit`, without the Packet.
 
         Returns ``(packet_id, class_id, size)`` for the pending arrival
-        and advances to the next one in a single call; the columnar
-        drain loops store the scalars directly in a
+        and advances to the next one in a single call; the drain loops
+        store the scalars directly in a
         :class:`~repro.sim.queues.ClassQueueSet` column.  Draw order
         (size at emission, then the next gap) matches the evented path
-        exactly.  Because the fold reserves the *next arrival's*
-        sequence number here, a caller opening an idle busy period must
+        exactly.  Because the call reserves the *next arrival's*
+        sequence number, a caller opening an idle busy period must
         reserve the completion's sequence number *before* calling (the
         evented path schedules the completion inside ``receive``, ahead
         of the next arrival) -- the drain loops do.

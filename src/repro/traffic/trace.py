@@ -175,9 +175,9 @@ class TraceSource:
     :meth:`~repro.sim.link.Link.attach_feeder`): every scheduled
     arrival's heap key is mirrored in ``next_time`` / ``next_seq`` so a
     target link's busy-period drain kernel can absorb the event and
-    pull subsequent arrivals inline.  The mirror is passive -- when the
-    target is not a drain-enabled link the source behaves exactly as
-    before.
+    pull subsequent arrivals inline as scalars (:meth:`pull_col`).  The
+    mirror is passive -- when the target is not a drain-enabled link the
+    source behaves exactly as before.
     """
 
     def __init__(
@@ -238,36 +238,12 @@ class TraceSource:
             self.next_time = None
 
     # -- feeder protocol (drain kernel) --------------------------------
-    def pull(self) -> Packet:
-        """Packet for the pending arrival (drain-inline counterpart of
-        the emission half of :meth:`_emit`)."""
-        index = self._cursor
-        packet = Packet(
-            self.first_packet_id + index,
-            self._class_ids[index],
-            self._sizes[index],
-            self._times[index],
-        )
-        self._cursor = index + 1
-        return packet
-
-    def advance(self, now: float) -> None:
-        """Reserve the next arrival's heap key without scheduling it."""
-        index = self._cursor
-        if index < self._count:
-            sim = self.sim
-            self.next_time = self._times[index]
-            self.next_seq = sim._seq
-            sim._seq += 1
-        else:
-            self.next_time = None
-
     def pull_col(self, now: float) -> tuple:
-        """Columnar pull: ``pull() + advance(now)`` without the Packet.
+        """Drain-inline counterpart of :meth:`_emit`, without the Packet.
 
         Returns ``(packet_id, class_id, size)`` for the pending arrival
-        and reserves the next one's heap key, mirroring the scalar
-        methods' exact sequence-number consumption (see
+        and reserves the next one's heap key where :meth:`_emit` would
+        schedule it (see
         :meth:`~repro.traffic.source.TrafficSource.pull_col` for the
         idle-link ordering contract the drain loops uphold).
         """

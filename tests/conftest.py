@@ -51,6 +51,34 @@ def make_packet(
     return Packet(packet_id, class_id, size, created_at, flow_id)
 
 
+def departure_args(packet: Packet) -> tuple:
+    """The scalars a link passes its observers for ``packet``'s
+    departure, ``now`` excluded: ``(packet_id, class_id, size,
+    flow_id, delay)``, where ``delay`` is the queueing delay at the
+    hop (the observer protocol in :mod:`repro.sim.monitor`)."""
+    return (
+        packet.packet_id,
+        packet.class_id,
+        packet.size,
+        packet.flow_id,
+        packet.service_start - packet.arrived_at,
+    )
+
+
+def count_packets(monkeypatch) -> list[int]:
+    """Count :class:`Packet` constructions from now on; the count is
+    the returned list's only element."""
+    built = [0]
+    original = Packet.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Packet, "__init__", counting)
+    return built
+
+
 def run_poisson_link(
     scheduler,
     rates,

@@ -10,9 +10,11 @@ fixture layer that proves it exhaustively:
   alias, which must behave identically to ``scfq``);
 * :data:`SHAPES` -- topology builders: single hop, a 3-hop chain, a
   fan-in merge (two upstream links plus cross-traffic feeding one
-  server -- exercises the chain walk's upstream fixpoint), and a
-  routed diamond DAG through :class:`~repro.network.routed.RouteDemux`
-  (two flows sharing the tail edge);
+  server -- exercises the chain walk's upstream fixpoint), a routed
+  diamond DAG through :class:`~repro.network.routed.RouteDemux` (two
+  flows sharing the tail edge), and monitored variants of the chain
+  (middle hop) and the fan-in (merge server) whose observers log
+  every departure's scalars;
 * :func:`run_cell` -- one (scheduler, shape) simulation in a chosen
   execution mode, returning a :class:`RunCapture`;
 * :func:`differential_cell` -- runs all four execution modes
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.invariants import InvariantChecker
@@ -90,6 +92,9 @@ class RunCapture:
     #: Residual live calendar keys ``(time, seq)`` past the horizon --
     #: the drain contract says the heap must end bit-identical too.
     calendar: tuple
+    #: Per attached observer, in topology order: every departure's
+    #: ``on_departure`` arguments (:class:`DepartureLog`).
+    monitors: tuple
     #: :meth:`InvariantReport.to_dict` of a checked run (``None``
     #: otherwise); excluded from equality so checked and unchecked
     #: captures of the same run still compare equal.
@@ -110,6 +115,16 @@ def link_state(link: Link) -> tuple:
     )
 
 
+class DepartureLog:
+    """Observer recording the arguments of every departure it sees."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple] = []
+
+    def on_departure(self, packet_id, class_id, size, flow_id, delay, now):
+        self.rows.append((packet_id, class_id, size, flow_id, delay, now))
+
+
 def _capture(sim: Simulator, links, recorder: FlowRecorder, nflows: int) -> RunCapture:
     return RunCapture(
         delays=tuple(
@@ -123,6 +138,9 @@ def _capture(sim: Simulator, links, recorder: FlowRecorder, nflows: int) -> RunC
                 for entry in sim._heap
                 if not (entry[2] is _CANCELLABLE and entry[3].callback is None)
             )
+        ),
+        monitors=tuple(
+            tuple(monitor.rows) for link in links for monitor in link.monitors
         ),
     )
 
@@ -281,11 +299,33 @@ def build_routed(sim, name, drain, columnar, streams, ids):
     return links, entries, recorder
 
 
+def build_chain_mon(sim, name, drain, columnar, streams, ids):
+    """The 3-hop chain with an observer on its middle hop, whose
+    departures hand off (columnar, when the hops are) downstream."""
+    links, entries, recorder = build_chain(
+        sim, name, drain, columnar, streams, ids
+    )
+    links[1].add_monitor(DepartureLog())
+    return links, entries, recorder
+
+
+def build_fanin_mon(sim, name, drain, columnar, streams, ids):
+    """The fan-in merge with an observer on the merge server: the city
+    hub's shape."""
+    links, entries, recorder = build_fanin(
+        sim, name, drain, columnar, streams, ids
+    )
+    links[-1].add_monitor(DepartureLog())
+    return links, entries, recorder
+
+
 SHAPES: dict[str, Callable] = {
     "single": build_single,
     "chain": build_chain,
     "fanin": build_fanin,
     "routed": build_routed,
+    "chain_mon": build_chain_mon,
+    "fanin_mon": build_fanin_mon,
 }
 
 
@@ -334,13 +374,7 @@ def run_cell(
         )
     capture = _capture(sim, links, recorder, nflows)
     if report is not None:
-        capture = RunCapture(
-            delays=capture.delays,
-            links=capture.links,
-            now=capture.now,
-            calendar=capture.calendar,
-            invariants=report.to_dict(),
-        )
+        capture = replace(capture, invariants=report.to_dict())
     return capture, links
 
 
@@ -366,6 +400,8 @@ def differential_cell(scheduler: str, shape: str, seed: int = 9) -> RunCapture:
             f"{scheduler}/{shape}: mode {mode} diverged from the "
             f"evented/object reference"
         )
+    # An observer that saw nothing would make its equality vacuous.
+    assert all(reference.monitors), f"{scheduler}/{shape}: empty observer log"
     # Fusion sanity: on multi-link shapes the entry must really have
     # fused a chain of more than one member -- a silent fallback to the
     # wrapper path would make the equality above vacuous.  (A single

@@ -34,7 +34,7 @@ from .test_invariants import SDPS, small_config
 
 
 # ----------------------------------------------------------------------
-# The grid: 12 schedulers x 4 shapes x 4 execution modes
+# The grid: 12 schedulers x 6 shapes x 4 execution modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", tuple(SHAPES))
 @pytest.mark.parametrize("scheduler", SCHEDULERS)

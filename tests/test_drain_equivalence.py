@@ -21,9 +21,12 @@ from repro.schedulers import available_schedulers, make_scheduler
 from repro.sim import (
     BacklogSampler,
     DelayMonitor,
+    IntervalDelayMonitor,
     Link,
     PacketSink,
+    PacketTap,
     Simulator,
+    ThroughputMonitor,
 )
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
@@ -38,6 +41,7 @@ from repro.traffic import (
 from repro.traffic.trace import ArrivalTrace, TraceSource
 from repro.units import PAPER_LINK_CAPACITY
 
+from .conftest import count_packets
 from .differential import HORIZON, _capture, build_single
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
@@ -157,6 +161,53 @@ def test_boundary_arrival_at_departure_timestamp(name):
     assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
 
 
+@pytest.mark.parametrize("variant", ["monitored", "object", "lossy"])
+@pytest.mark.parametrize("name", sorted(available_schedulers()))
+def test_tie_at_idle_member_reopened_by_drain(name, variant):
+    """The link idles at 1.0 inside a drain and class 3 reopens it at
+    2.0; class 3's next arrival lands exactly on that packet's
+    completion at 3.0 while a class-0 packet waits.  The evented run
+    schedules the completion (inside ``receive``) before the source
+    schedules its next arrival, so the completion wins the tie and
+    selects before the class-3 packet joins.  A drain pulling the
+    arrival inline must reserve the two sequence numbers in that order
+    (the monitored and lossy links drain as a chain of one, the object
+    link too)."""
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler(name, SDPS),
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+            columnar=variant != "object",
+            buffer_packets=8 if variant == "lossy" else None,
+        )
+        if variant == "monitored":
+            link.add_monitor(DelayMonitor(4))
+        for class_id, times in ((3, [0.0, 2.0, 3.0]), (0, [2.5])):
+            trace = ArrivalTrace(
+                times=np.asarray(times),
+                class_ids=np.full(len(times), class_id),
+                sizes=np.ones(len(times)),
+            )
+            source = TraceSource(
+                sim, link, trace, first_packet_id=100 * class_id
+            )
+            source.start()
+        sim.run()
+        return sim, link
+
+    sim_d, link_d = run(True)
+    sim_e, link_e = run(False)
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
+    assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+
+
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_columnar_vs_object_bit_identical_all_schedulers(name):
     """The columnar hot path (lazy Packet materialization) against the
@@ -225,8 +276,9 @@ def test_bounded_run_splits_busy_period_identically():
 def test_multi_source_fused_identical():
     """Several fused TrafficSources (the multi-feeder drain loop) match
     the evented run packet for packet, in both packet representations
-    (the columnar loop pulls scalars via ``pull_col``; the object loop
-    builds Packets via ``pull``)."""
+    (both pull scalars via ``pull_col``: the columnar link queues them
+    in columns on the fused fast path, the ``columnar=False`` link
+    drains as a chain of one and builds a Packet per arrival)."""
 
     def run(drain: bool, columnar: bool | None = None):
         sim = Simulator()
@@ -330,8 +382,8 @@ def test_monitor_attached_mid_drain_bit_identical():
     """A DelayMonitor attached by a calendar event landing inside a
     busy period: the columnar fast loop must park on the foreign key,
     and every later drain entry (``monitors`` now non-empty) drains as
-    an object-mode chain of one, which materializes queued column
-    entries on pop.
+    a chain of one that keeps the queued column entries columnar and
+    hands the monitor scalars.
     Post-attach monitor series and the full departure fingerprint must
     match the object-mode and evented runs exactly."""
     trace = random_trace(seed=41)
@@ -378,6 +430,57 @@ def test_monitor_attached_mid_drain_bit_identical():
         assert np.array_equal(series_c, series_e)
     assert [s.count for s in mon_c.stats] == [s.count for s in mon_e.stats]
     assert [s.mean for s in mon_c.stats] == [s.mean for s in mon_e.stats]
+
+
+@pytest.mark.parametrize("name", ["wtp", "bpr", "drr", "scfq"])
+def test_monitored_link_builds_no_packet_per_arrival(name, monkeypatch):
+    """Observers take scalars, so a monitored drained link keeps its
+    packets columnar: a 20,000-arrival trace through all four
+    departure monitors builds a handful of Packets, not one per
+    arrival, and every monitor series and link counter matches the
+    evented run."""
+    rng = np.random.default_rng(43)
+    n = 20_000
+    trace = ArrivalTrace(
+        times=np.cumsum(rng.exponential(1.3, size=n)),
+        class_ids=rng.integers(0, 4, size=n),
+        sizes=rng.choice([0.5, 1.0, 2.0], size=n),
+    )
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler(name, SDPS),
+            capacity=1.0,
+            target=PacketSink(),
+            drain=drain,
+        )
+        delay = DelayMonitor(4, keep_samples=True)
+        interval = IntervalDelayMonitor(4, tau=100.0)
+        throughput = ThroughputMonitor(4, tau=100.0)
+        tap = PacketTap(4, start=1_000.0, end=5_000.0)
+        for monitor in (delay, interval, throughput, tap):
+            link.add_monitor(monitor)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        interval.finalize()
+        throughput.finalize()
+        series = (
+            [s.tolist() for s in delay.samples],
+            [(s.count, s.total, s.min, s.max) for s in delay.stats],
+            interval.intervals,
+            throughput.intervals,
+            tap.samples,
+        )
+        return link_state(sim, link), series
+
+    evented = run(False)
+    built = count_packets(monkeypatch)
+    drained = run(True)
+    assert built[0] <= 10, built[0]
+    assert drained == evented
+    assert sum(len(s) for s in drained[1][0]) == n
 
 
 def _tail_drop_trace(sim, scheduler, drain):

@@ -38,7 +38,7 @@ from repro.network.flows import FlowRecorder, UserFlow
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import FlowDemux
 from repro.schedulers import BPRScheduler, SCFQScheduler, make_scheduler
-from repro.sim import Link, Packet, PacketSink, Simulator
+from repro.sim import Link, PacketSink, Simulator
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
     ArrivalCursor,
@@ -47,6 +47,8 @@ from repro.traffic import (
     ParetoInterarrivals,
 )
 from repro.traffic.trace import ArrivalTrace, TraceSource
+
+from .conftest import count_packets
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 MIX = (0.4, 0.3, 0.2, 0.1)
@@ -374,14 +376,7 @@ def test_hooked_scheduler_subclass_runs_columnar(base, monkeypatch) -> None:
     base class, and neither builds ``Packet`` objects per packet: only
     the few in-service packets materialized when the run parks."""
     subclass = type(f"Trivial{base.__name__}", (base,), {})
-    built = [0]
-    original_init = Packet.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Packet, "__init__", counting_init)
+    built = count_packets(monkeypatch)
     runs = {}
     for cls in (base, subclass):
         built[0] = 0

@@ -145,8 +145,10 @@ class TestMonitors:
         events = []
 
         class Probe:
-            def on_departure(self, packet, now):
-                events.append((packet.packet_id, now))
+            def on_departure(
+                self, packet_id, class_id, size, flow_id, delay, now
+            ):
+                events.append((packet_id, now))
 
         link = Link(sim, FCFSScheduler(1), capacity=1.0)
         link.add_monitor(Probe())
@@ -154,6 +156,20 @@ class TestMonitors:
         send(sim, link, make_packet(1, size=2.0), 0.0)
         sim.run()
         assert events == [(0, 2.0), (1, 4.0)]
+
+    def test_add_monitor_rejects_non_observers(self, sim):
+        """An object without the six-scalar ``on_departure`` is refused
+        when attached, not at its first departure mid-drain."""
+
+        class PacketProtocol:
+            def on_departure(self, packet, now):
+                pass
+
+        link = Link(sim, FCFSScheduler(1), capacity=1.0)
+        for monitor in (PacketProtocol(), object()):
+            with pytest.raises(ConfigurationError, match="packet_id"):
+                link.add_monitor(monitor)
+        assert link.monitors == []
 
     def test_bpr_capacity_bound_by_link(self, sim):
         from repro.schedulers import BPRScheduler

@@ -15,7 +15,7 @@ from repro.sim import (
     ThroughputMonitor,
 )
 
-from .conftest import make_packet
+from .conftest import departure_args, make_packet
 
 
 class TestThroughputMonitor:
@@ -24,22 +24,22 @@ class TestThroughputMonitor:
         first = make_packet(0, class_id=0, size=100.0)
         second = make_packet(1, class_id=1, size=50.0)
         third = make_packet(2, class_id=0, size=25.0)
-        monitor.on_departure(first, 3.0)
-        monitor.on_departure(second, 7.0)
-        monitor.on_departure(third, 15.0)
+        monitor.on_departure(*departure_args(first), 3.0)
+        monitor.on_departure(*departure_args(second), 7.0)
+        monitor.on_departure(*departure_args(third), 15.0)
         monitor.finalize()
         assert monitor.intervals[0] == (0, [100.0, 50.0])
         assert monitor.intervals[1] == (1, [25.0, 0.0])
 
     def test_rates(self):
         monitor = ThroughputMonitor(1, tau=5.0)
-        monitor.on_departure(make_packet(0, size=50.0), 1.0)
+        monitor.on_departure(*departure_args(make_packet(0, size=50.0)), 1.0)
         monitor.finalize()
         assert monitor.rates().tolist() == [[10.0]]
 
     def test_warmup(self):
         monitor = ThroughputMonitor(1, tau=1.0, warmup=100.0)
-        monitor.on_departure(make_packet(0, size=10.0), 5.0)
+        monitor.on_departure(*departure_args(make_packet(0, size=10.0)), 5.0)
         monitor.finalize()
         assert monitor.intervals == []
 

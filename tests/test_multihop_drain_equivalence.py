@@ -249,10 +249,10 @@ def test_chain_member_demoted_mid_run():
 @pytest.mark.parametrize("name", ["wtp", "bpr", "scfq", "drr"])
 def test_monitor_attached_mid_run_to_chain_member(name):
     """A monitor attached by a calendar event to the middle hop while
-    it holds columnar backlog: the member drains in object mode from
-    its next drain entry on, popping (and materializing) the leftover
-    column entries itself, and the run stays bit-identical to an
-    evented run with the same attach."""
+    it holds columnar backlog: the member keeps draining columnar, its
+    leftover column entries included, hands the monitor each
+    departure's scalars, and the run stays bit-identical to an evented
+    run with the same attach."""
     sim_c, links_c, delays_c, state_c, _ = run_chain(
         name, drain=True, columnar=True, monitor_hop=1, monitor_at=200.0
     )

@@ -11,7 +11,7 @@ from repro.network import MultiHopConfig, run_multihop
 from repro.schedulers import QuantizedWTPScheduler, WTPScheduler, make_scheduler
 from repro.sim.monitor import DelayMonitor, PacketTap
 
-from .conftest import make_packet, run_poisson_link
+from .conftest import departure_args, make_packet, run_poisson_link
 
 
 class TestQuantizedWTP:
@@ -114,7 +114,7 @@ class TestJitterMetrics:
             packet = make_packet(class_id=0, created_at=0.0)
             packet.arrived_at = 0.0
             packet.service_start = delay
-            monitor.on_departure(packet, delay)
+            monitor.on_departure(*departure_args(packet), delay)
         expected_std = math.sqrt(8.0 / 3.0)
         assert monitor.jitter(0) == pytest.approx(expected_std)
 
@@ -127,7 +127,7 @@ class TestJitterMetrics:
             packet = make_packet(class_id=0, created_at=0.0)
             packet.arrived_at = 0.0
             packet.service_start = delay
-            tap.on_departure(packet, t)
+            tap.on_departure(*departure_args(packet), t)
         assert tap.ipdv(0) == pytest.approx((3.0 + 1.0) / 2.0)
 
     def test_ipdv_needs_two_samples(self):

@@ -40,7 +40,13 @@ from repro.scenarios import (
     run_city,
     trace_group_key,
 )
-from repro.scenarios.generators import city_size_mean, total_byte_rate
+from repro.scenarios.generators import (
+    TOPOLOGIES,
+    city_size_mean,
+    total_byte_rate,
+)
+
+from .conftest import count_packets
 
 #: Small enough for CI, big enough to exercise every branch and class.
 TINY = CityScenarioConfig(
@@ -191,6 +197,18 @@ class TestCitySummary:
         config = dataclasses.replace(TINY, hops_per_branch=2)
         summary = city_summary(CityTask(config=config))
         assert summary["hub_departures"] > 0
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_monitored_hub_builds_no_packet_per_arrival(
+        self, topology, monkeypatch
+    ):
+        """The hub's delay monitor takes scalars, so the trace-fed city
+        cell keeps its packets columnar end to end."""
+        config = dataclasses.replace(TINY, topology=topology)
+        built = count_packets(monkeypatch)
+        summary = city_summary(CityTask(config=config))
+        assert built[0] <= 20, built[0]
+        assert summary["hub_departures"] > 200
 
 
 class TestCityGrid:
