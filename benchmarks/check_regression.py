@@ -105,11 +105,11 @@ HARD_FAIL_METRICS = (
 #: Relative slowdown on a HARD_FAIL_METRICS entry that fails the job.
 DEFAULT_HARD_THRESHOLD = 0.35
 
-#: Packet allocations per forwarded packet on the unobserved fused WTP
-#: cell.  The columnar hot path allocates only at busy-period opens and
-#: drain parks (~0.05 in practice); a per-packet object regression sits
-#: at >= 1.0, so the gate has a wide noise margin while still hard-
-#: failing the moment the fused path starts building Packets again.
+#: Packet allocations per forwarded packet on the single-link WTP cell
+#: (unobserved, drained by the single-link loop).  The columnar hot
+#: path allocates only at drain parks; a per-packet object regression
+#: sits at >= 1.0, so the gate has a wide noise margin while still
+#: hard-failing the moment the loop starts building Packets again.
 DEFAULT_ALLOCATION_GATE = 0.25
 
 #: Max coordinator peak RSS (MB) while streaming 10^3 tiny cells
@@ -140,7 +140,8 @@ DEFAULT_FIDELITY_GATE = bench_hybrid.BENCH_EPSILON
 
 
 def measure_packet_allocations() -> dict[str, float]:
-    """Packet allocations per forwarded packet on the fused WTP cell.
+    """Packet allocations per forwarded packet on the single-link WTP
+    cell.
 
     Primary counter: every ``Packet.__init__`` call during an
     unobserved ``forward_packets('wtp')`` run (counted via a temporary
@@ -315,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_ALLOCATION_GATE,
         help=(
             "max Packet allocations per forwarded packet on the "
-            "unobserved fused WTP cell before the job fails "
+            "single-link WTP cell before the job fails "
             f"(default {DEFAULT_ALLOCATION_GATE}; per-packet object "
             "churn measures >= 1.0)"
         ),
@@ -418,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"fresh metrics written to {args.out}")
 
     # The allocation gate is absolute (no baseline needed): the
-    # unobserved fused path must stay object-free.
+    # single-link loop must stay object-free.
     failed = 0
     alloc_rate = allocations["packets_allocated_per_forwarded_packet"]
     peak = allocations["tracemalloc_peak_bytes_per_forwarded_packet"]
@@ -427,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"::error::allocation gate: {alloc_rate:.3f} Packet "
             f"allocations per forwarded packet (gate "
-            f"{args.allocation_gate}) -- the unobserved fused path is "
+            f"{args.allocation_gate}) -- the single-link loop is "
             "building per-packet objects again"
         )
     else:

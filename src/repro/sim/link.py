@@ -22,10 +22,11 @@ takes effect.
 Completion paths
 ----------------
 Every completion event enters :meth:`Link._complete_service`, which
-routes it by the link's shape to one of three paths.  The two drain
-paths run a whole stretch of completions and arrivals in one loop,
-without the event calendar, and leave the calendar bit-identical to
-the evented path's whenever control is back in the run loop:
+routes it by the link's shape at that moment to one of three paths.
+The two drain paths run a whole stretch of completions and arrivals in
+one loop, without the event calendar, and leave the calendar
+bit-identical to the evented path's whenever control is back in the
+run loop:
 
 ===========================  =============================  ==================
 link shape                   completion path                representation
@@ -43,19 +44,17 @@ inline arrival source, no                                   on
 hooks in the walk                                           ``columnar=False``
                                                             ones
 
-unobserved fast path:        ``_drain_fused``               columns
-lossless ``columnar`` link,
-stock scheduler, bare
-``PacketSink`` target,
-fused feeders, no monitors
+any other lossless           ``_drain_single``, the         columns
+``columnar`` link without    single-link loop
+an arrival cursor: any
+scheduler, observers and
+target, fused feeders or
+none
 
-any other link: monitored,   ``_drain_chain`` over a        as a chain member;
-another target, scheduler    *chain of one*                 objects when lossy
-with hooks, cursor-fed or
-without inline source,
-lossy, ``columnar=False``,
-or a chain that cannot
-fuse this entry
+any other link: cursor-fed,  ``_drain_chain`` over a        as a chain member;
+lossy, or                    *chain of one*                 objects when lossy
+``columnar=False``                                          or
+                                                            ``columnar=False``
 ===========================  =============================  ==================
 
 Every drain runs the scheduler's own methods: ``choose_class`` and the
@@ -94,11 +93,11 @@ arrivals and cursor keys; a departure whose receiver is a member is
 enqueued there inline, any other receiver gets a plain ``receive``
 call whose scheduled events the loop parks on.  An invariant checker
 on any link the walk reaches *blocks* fusion, so hooked links only
-ever see plain ``receive`` calls.  A chain of one is the same member
-state without the walk: its departures reach every other receiver
-through ``receive``, and its cursor and feeder arrivals are absorbed
-inline.  A lossy link is only ever a chain of one, and its arrivals
-apply the drop policy where ``receive`` does.
+ever see plain ``receive`` calls.  A link that drains on its own
+reaches every other link through ``receive``: the single-link loop
+keeps its state in locals, and a chain of one is a chain's member
+state without the walk.  A lossy link is only ever a chain of one, and
+its arrivals apply the drop policy where ``receive`` does.
 
 Columns.  With ``columnar=True`` (the default) a lossless link's
 packets live in the scheduler's
@@ -187,21 +186,6 @@ def _hooked(link: "Link") -> bool:
         or "receive" in link.__dict__
         or "select" in scheduler.__dict__
         or _wrapper_overridden(type(scheduler))
-    )
-
-
-def _stock_scheduler(scheduler: "Scheduler") -> bool:
-    """True when ``scheduler`` uses the stock enqueue/select wrappers
-    with no hook overrides, so ``_drain_fused`` may inline their bodies
-    without any hook call."""
-    from ..schedulers.base import Scheduler  # deferred: import cycle
-
-    cls = type(scheduler)
-    return (
-        cls.select is Scheduler.select
-        and cls.enqueue is Scheduler.enqueue
-        and cls.on_enqueue is Scheduler.on_enqueue
-        and cls.on_select is Scheduler.on_select
     )
 
 
@@ -347,14 +331,14 @@ class _Chain:
         self.coupled = coupled
         #: True when an invariant checker is attached somewhere in the
         #: couplable graph: chain fusion is disabled (the entry link
-        #: drains as a chain of one, whose departures reach every other
-        #: link through plain ``receive`` and so never bypass hooks).
+        #: drains on its own, and its departures reach every other link
+        #: through plain ``receive`` and so never bypass hooks).
         self.blocked = blocked
         #: True when some member had fused feeders or an arrival cursor
         #: at build time.  Without inline arrival sources every arrival
         #: is a foreign calendar event, so a chain drain would park
         #: once per arrival and its setup would dominate; the entry
-        #: then drains as a chain of one.  (A source attached later
+        #: then drains on its own.  (A source attached later
         #: clears the link's chain cache, refreshing this.)
         self.sources = sources
         self.guards = guards
@@ -765,17 +749,6 @@ class Link:
         #: cache is cleared (forcing recomputation) whenever a feeder
         #: or cursor attaches, a checker detaches, or routes change.
         self._chain_fuse = False
-        # A link qualifies for _drain_fused when nothing can observe
-        # intermediate per-packet state: a bare PacketSink target, no
-        # buffer management, and a stock scheduler (so the wrapper
-        # bodies can be inlined verbatim, with no hook calls).  Feeders,
-        # monitors and ``columnar`` are checked at dispatch time since
-        # they may change later.
-        self._fast_ok = (
-            buffer_packets is None
-            and type(self._target) is PacketSink
-            and _stock_scheduler(scheduler)
-        )
 
         self.busy = False
         self._in_service: Optional[Packet] = None
@@ -1013,7 +986,8 @@ class Link:
 
     def _complete_service(self, packet: Packet) -> None:
         """Service completion: route to one of the three completion
-        paths (module docstring).
+        paths (module docstring) by the link's shape at this moment, so
+        a link reshaped after construction routes by its new shape.
 
         Entry point for every completion event.  Routes to the evented
         path when the drain kernel is off or per-instance hooks (the
@@ -1052,50 +1026,59 @@ class Link:
             )
         if self._chain_fuse and self._drain_chain(packet, chain):
             return
-        fast = self._fast_ok and self.columnar and not self.monitors
-        if fast and self._feeders:
-            self._drain_fused(packet)
+        if (
+            self.buffer_packets is None
+            and self.columnar
+            and not self._cursors
+        ):
+            self._drain_single(packet)
             return
         solo = self._solo_chain
         if solo is None or not solo.valid():
             solo = self._solo_chain = self._build_chain(walk=False)
         self._drain_chain(packet, solo)
 
-    def _drain_fused(self, packet: Packet) -> None:
-        """Drain loop of the unobserved fast path.
+    def _drain_single(self, packet: Packet) -> None:
+        """Drain loop of one lossless ``columnar`` link that no chain
+        fuses and no cursor feeds (module docstring), whatever its
+        scheduler, observers and target.
 
-        Only runs on a ``columnar`` link where ``_fast_ok`` holds, fused
-        feeders are attached and no monitors are: per-packet state is
-        then unobservable between events, so the plain scheduler's
-        ``enqueue``/``select`` wrappers (whose hooks are the base
-        no-ops) and the bare :class:`PacketSink` dispatch are inlined
-        verbatim -- float expressions and mutation order are kept
-        identical to the evented path, only the Python call layers
-        disappear.
+        ``packet`` departs at ``sim.now``.  The link's pending
+        completion ``(t_c, s_c)`` and the packet in service live in
+        locals, and the fused feeders' pending arrivals in a local
+        ``(time, seq, feeder)`` heap keyed exactly like the calendar
+        (seq uniqueness means the feeder itself is never compared).
+        Each step takes the earlier of the two: an arrival is pulled
+        with ``pull_col`` and pushed onto its class column, then
+        ``on_enqueue``; a departure stamps a queued ``Packet``, hands
+        observers the scalars and the target its packet (a bare
+        :class:`PacketSink` only counts, so no object is built), and
+        reserves the next completion's sequence number.  One select
+        block serves both a departure with backlog and an arrival that
+        reopens the idle link: the scheduler's ``choose_class``, the
+        inlined queue pop, then its bound ``on_select`` -- the
+        evented path's float expressions and mutation order, without
+        its call layers or its ``Packet``.
 
-        The pending feeder arrivals are tracked in a local min-heap of
-        ``(time, seq, feeder)`` keyed exactly like the calendar, so the
-        next fused arrival is a peek instead of an O(feeders) scan per
-        event.  Seq uniqueness means the feeder object itself is never
-        compared.
-
-        Arrivals enter the per-class columns as ``(arrived_at, size,
-        meta)`` scalars from each feeder's ``pull_col`` and are
-        selected, transmitted, and counted without ever existing as
-        objects; a real :class:`Packet` is materialized only when the
-        sink keeps packets (at departure, fully stamped) or at a park
-        (the pending completion becomes a calendar event payload).
-        Link counters accumulate in locals and are published in the
-        ``finally`` block, which runs on every park/idle exit (and on
-        errors), so externally-visible state is consistent whenever
-        control is back in the run loop.
+        Link and queue counters accumulate in locals.  They are
+        published, with ``sim.now``, before the observers and the
+        target run and on every exit (the ``finally`` block, errors
+        included); ``queues.total_packets`` is also published before
+        every scheduler call.  A target's ``receive`` may reach this
+        link again, so the queue counters and ``arrivals`` are re-read
+        after it.  ``_in_service`` is ``None`` throughout, as the
+        evented path leaves it while observers and targets run.
         """
+        from ..schedulers import draingen  # deferred: import cycle
+
         sim = self.sim
         heap = sim._heap
         until = sim._run_until
         capacity = self.capacity
         scheduler = self.scheduler
         choose = scheduler.choose_class
+        # Looked up through the module: see its docstring.
+        on_select, on_enqueue = draingen.generated_drain_pair(scheduler)
         queues = scheduler.queues
         qlist = queues.queues
         cols = queues.cols
@@ -1103,57 +1086,55 @@ class Link:
         heads = queues.head_arrivals
         backlog_bytes = queues.bytes_backlog
         num_classes = queues.num_classes
+        monitors = self.monitors
         target = self.target
-        keep = target.keep_packets
-        kept = target.packets
+        sink = (
+            target
+            if type(target) is PacketSink and not target.keep_packets
+            else None
+        )
+        # Whether a departure runs foreign code.  Only observers and a
+        # target's receive could attach an observer mid-drain, so an
+        # unobserved entry stays unobserved.
+        observed = bool(monitors) or sink is None
         feeders = self._feeders
         complete = self._complete_service
-        now = sim.now
         fheap = [
             (f.next_time, f.next_seq, f)
             for f in feeders
             if f.next_time is not None
         ]
         heapify(fheap)
+        now = sim.now
         total = queues.total_packets
         ccount = queues.col_count
-        dmeta = packet
-        dcid = packet.class_id
-        darr = packet.arrived_at
-        dsize = packet.size
-        dstart = packet.service_start
-        smeta = None
-        scid = 0
-        sarr = 0.0
-        ssize = 0.0
-        sstart = 0.0
-        arrivals = 0
-        departures = 0
-        nbytes = 0.0
-        received = 0
+        arrivals = self.arrivals
+        departures = self.departures
+        nbytes = self.bytes_sent
+        received = 0 if sink is None else sink.received
+        self._in_service = None
+        self._pending_key = None
+        # The packet in service.  The entry completion was popped off
+        # the calendar ahead of every fused arrival, so seq -1 orders
+        # it first.
+        smeta = packet
+        scid = packet.class_id
+        sarr = packet.arrived_at
+        ssize = packet.size
+        sstart = packet.service_start
+        t_c = now
+        s_c = -1
         try:
             while True:
-                # -- departure of the in-service packet at `now`
-                departures += 1
-                nbytes += dsize
-                received += 1
-                if keep:
-                    if type(dmeta) is Packet:
-                        p = dmeta
-                    else:
-                        p = materialize_entry(dcid, darr, dsize, dmeta)
-                    p.service_start = dstart
-                    p.departed_at = now
-                    p.hop_delays.append(dstart - darr)
-                    kept.append(p)
-                smeta = None
-                if total:
+                if smeta is None and total:
+                    # -- next service, at a departure or an idle reopen
                     queues.total_packets = total
                     cid = choose(now)
                     queue = qlist[cid]
                     if queue:
-                        nxt = queue.popleft()
-                        ssize = nxt.size
+                        smeta = queue.popleft()
+                        sarr = smeta.arrived_at
+                        ssize = smeta.size
                         if queue:
                             backlog_bytes[cid] -= ssize
                             heads[cid] = queue[0].arrived_at
@@ -1166,8 +1147,6 @@ class Link:
                             else:
                                 backlog_bytes[cid] = 0.0
                                 heads[cid] = inf
-                        smeta = nxt
-                        sarr = nxt.arrived_at
                     else:
                         col = cols[cid]
                         h = cheads[cid]
@@ -1188,144 +1167,144 @@ class Link:
                             cheads[cid] = h
                             backlog_bytes[cid] -= ssize
                             heads[cid] = col[h]
-                    scid = cid
                     total -= 1
+                    scid = cid
+                    if on_select is not None:
+                        queues.total_packets = total
+                        on_select(cid, sarr, ssize, smeta, now)
                     sstart = now
                     t_c = now + ssize / capacity
+                if fheap:
+                    entry = fheap[0]
+                    ft = entry[0]
+                    fs = entry[1]
+                    if smeta is None or ft < t_c or (ft == t_c and fs < s_c):
+                        # -- fused arrival at ft
+                        if ft > until:
+                            break
+                        if heap:
+                            head = heap[0]
+                            ht = head[0]
+                            if ht < ft or (ht == ft and head[1] < fs):
+                                break
+                            if ht == ft and head[1] == fs:
+                                heappop(heap)
+                                entry[2]._virtual = True
+                        feeder = entry[2]
+                        now = ft
+                        if smeta is None:
+                            # Evented order: the completion's seq
+                            # (inside receive) precedes the next
+                            # arrival's, which pull_col reserves.
+                            s_c = sim._seq
+                            sim._seq = s_c + 1
+                            self.busy = True
+                            self._busy_since = ft
+                        pid, cid, size = feeder.pull_col(ft)
+                        arrivals += 1
+                        if not 0 <= cid < num_classes:
+                            raise SchedulingError(
+                                f"packet class {cid} out of range "
+                                f"[0, {num_classes})"
+                            )
+                        if heads[cid] == inf:
+                            heads[cid] = ft
+                        fid = feeder.flow_id
+                        meta = pid if fid is None else (pid, fid, ft, ())
+                        cols[cid].extend((ft, size, meta))
+                        ccount += 1
+                        backlog_bytes[cid] += size
+                        total += 1
+                        if on_enqueue is not None:
+                            queues.total_packets = total
+                            on_enqueue(cid, size, meta, ft)
+                        nt = feeder.next_time
+                        if nt is None:
+                            heappop(fheap)
+                        else:
+                            heapreplace(fheap, (nt, feeder.next_seq, feeder))
+                        continue
+                elif smeta is None:
+                    return  # idle, every feeder exhausted
+                # -- departure at t_c
+                if t_c > until or (
+                    heap
+                    and (
+                        heap[0][0] < t_c
+                        or (heap[0][0] == t_c and heap[0][1] < s_c)
+                    )
+                ):
+                    break
+                now = t_c
+                departures += 1
+                nbytes += ssize
+                if sink is None and type(smeta) is not Packet:
+                    smeta = materialize_entry(scid, sarr, ssize, smeta)
+                if type(smeta) is Packet:
+                    smeta.service_start = sstart
+                    smeta.departed_at = now
+                    smeta.hop_delays.append(sstart - sarr)
+                if observed:
+                    self.arrivals = arrivals
+                    self.departures = departures
+                    self.bytes_sent = nbytes
+                    queues.total_packets = total
+                    queues.col_count = ccount
+                    if sink is not None:
+                        sink.received = received
+                    sim.now = now
+                    if monitors:
+                        kind = type(smeta)
+                        if kind is int:
+                            pid = smeta
+                            fid = None
+                        elif kind is Packet:
+                            pid = smeta.packet_id
+                            fid = smeta.flow_id
+                        else:
+                            pid = smeta[0]
+                            fid = smeta[1]
+                        delay = sstart - sarr
+                        for monitor in monitors:
+                            monitor.on_departure(
+                                pid, scid, ssize, fid, delay, now
+                            )
+                    if sink is None:
+                        target.receive(smeta)
+                        arrivals = self.arrivals
+                        total = queues.total_packets
+                        ccount = queues.col_count
+                    else:
+                        received += 1
+                else:
+                    received += 1
+                smeta = None
+                if total:
                     s_c = sim._seq
                     sim._seq = s_c + 1
                 else:
                     self.busy = False
                     self.busy_time += now - self._busy_since
-                # -- consume fused arrivals preceding the completion
-                while True:
-                    if fheap:
-                        entry = fheap[0]
-                        ft = entry[0]
-                        fs = entry[1]
-                    else:
-                        ft = None
-                    if ft is None or (
-                        smeta is not None
-                        and (t_c < ft or (t_c == ft and s_c < fs))
-                    ):
-                        if smeta is None:
-                            return  # idle, all feeders exhausted
-                        if t_c > until or (
-                            heap
-                            and (
-                                heap[0][0] < t_c
-                                or (heap[0][0] == t_c and heap[0][1] < s_c)
-                            )
-                        ):
-                            for f in feeders:
-                                f.park(heap)
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
-                            return
-                        now = t_c
-                        dmeta = smeta
-                        dcid = scid
-                        darr = sarr
-                        dsize = ssize
-                        dstart = sstart
-                        break
-                    if ft > until:
-                        for f in feeders:
-                            f.park(heap)
-                        if smeta is not None:
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
-                        return
-                    if heap:
-                        head = heap[0]
-                        ht = head[0]
-                        if ht < ft or (ht == ft and head[1] < fs):
-                            for f in feeders:
-                                f.park(heap)
-                            if smeta is not None:
-                                if type(smeta) is not Packet:
-                                    smeta = materialize_entry(
-                                        scid, sarr, ssize, smeta
-                                    )
-                                smeta.service_start = sstart
-                                heappush(heap, (t_c, s_c, complete, smeta))
-                            return
-                        if ht == ft and head[1] == fs:
-                            heappop(heap)
-                            entry[2]._virtual = True
-                    feeder = entry[2]
-                    now = ft
-                    idle = smeta is None
-                    if idle:
-                        # Evented order: completion seq (inside
-                        # receive) precedes the next arrival's.
-                        s_c = sim._seq
-                        sim._seq = s_c + 1
-                    pid, acid, asize = feeder.pull_col(ft)
-                    arrivals += 1
-                    if not 0 <= acid < num_classes:
-                        raise SchedulingError(
-                            f"packet class {acid} out of range "
-                            f"[0, {num_classes})"
-                        )
-                    if heads[acid] == inf:
-                        heads[acid] = ft
-                    ffid = feeder.flow_id
-                    cols[acid].extend(
-                        (
-                            ft,
-                            asize,
-                            pid if ffid is None else (pid, ffid, ft, ()),
-                        )
-                    )
-                    ccount += 1
-                    backlog_bytes[acid] += asize
-                    total += 1
-                    if idle:
-                        self.busy = True
-                        self._busy_since = ft
-                        queues.total_packets = total
-                        queues.col_count = ccount
-                        nxt = scheduler.select(ft)
-                        total = queues.total_packets
-                        ccount = queues.col_count
-                        smeta = nxt
-                        scid = nxt.class_id
-                        sarr = nxt.arrived_at
-                        ssize = nxt.size
-                        sstart = ft
-                        t_c = ft + ssize / capacity
-                    nt = feeder.next_time
-                    if nt is None:
-                        heappop(fheap)
-                    else:
-                        heapreplace(fheap, (nt, feeder.next_seq, feeder))
-        finally:
-            queues.total_packets = total
-            queues.col_count = ccount
-            sim.now = now
-            if smeta is None:
-                self._in_service = None
-                self._pending_key = None
-            else:
+            # Park: the feeders' and the pending completion's reserved
+            # events go back onto the calendar with their keys.
+            for f in feeders:
+                f.park(heap)
+            if smeta is not None:
                 if type(smeta) is not Packet:
                     smeta = materialize_entry(scid, sarr, ssize, smeta)
                 smeta.service_start = sstart
+                heappush(heap, (t_c, s_c, complete, smeta))
                 self._in_service = smeta
                 self._pending_key = (t_c, s_c)
-            self.arrivals += arrivals
-            self.departures += departures
-            self.bytes_sent += nbytes
-            target.received += received
+        finally:
+            self.arrivals = arrivals
+            self.departures = departures
+            self.bytes_sent = nbytes
+            queues.total_packets = total
+            queues.col_count = ccount
+            if sink is not None:
+                sink.received = received
+            sim.now = now
 
     def _complete_service_evented(self, packet: Packet) -> None:
         now = self.sim.now
@@ -1478,7 +1457,7 @@ class Link:
         Returns ``False`` -- with no state touched -- when a member is
         busy mid-period with an unknown completion key (its event was
         scheduled while the chain shape was different); the entry then
-        drains on its own (fused loop or chain of one) until that
+        drains on its own (single-link loop or chain of one) until that
         member parks with a mirrored key again.  A chain of one always
         returns ``True``.
         """

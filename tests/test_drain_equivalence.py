@@ -28,6 +28,7 @@ from repro.sim import (
     Simulator,
     ThroughputMonitor,
 )
+from repro.sim.packet import Packet
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
     PAPER_DEFAULT_LOADS,
@@ -47,10 +48,12 @@ from .differential import HORIZON, _capture, build_single
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
 
-def random_trace(n: int = 600, seed: int = 11) -> ArrivalTrace:
+def random_trace(
+    n: int = 600, seed: int = 11, gap: float = 1.05
+) -> ArrivalTrace:
     rng = np.random.default_rng(seed)
     return ArrivalTrace(
-        times=np.cumsum(rng.exponential(1.05, size=n)),
+        times=np.cumsum(rng.exponential(gap, size=n)),
         class_ids=rng.integers(0, 4, size=n),
         sizes=rng.choice([0.5, 1.0, 2.0], size=n),
     )
@@ -171,8 +174,8 @@ def test_tie_at_idle_member_reopened_by_drain(name, variant):
     schedules its next arrival, so the completion wins the tie and
     selects before the class-3 packet joins.  A drain pulling the
     arrival inline must reserve the two sequence numbers in that order
-    (the monitored and lossy links drain as a chain of one, the object
-    link too)."""
+    (the monitored link drains in the single-link loop, the lossy and
+    object links as a chain of one)."""
 
     def run(drain: bool):
         sim = Simulator()
@@ -277,7 +280,7 @@ def test_multi_source_fused_identical():
     """Several fused TrafficSources (the multi-feeder drain loop) match
     the evented run packet for packet, in both packet representations
     (both pull scalars via ``pull_col``: the columnar link queues them
-    in columns on the fused fast path, the ``columnar=False`` link
+    in columns in the single-link loop, the ``columnar=False`` link
     drains as a chain of one and builds a Packet per arrival)."""
 
     def run(drain: bool, columnar: bool | None = None):
@@ -380,10 +383,9 @@ def test_invariant_checker_suspends_drain():
 
 def test_monitor_attached_mid_drain_bit_identical():
     """A DelayMonitor attached by a calendar event landing inside a
-    busy period: the columnar fast loop must park on the foreign key,
-    and every later drain entry (``monitors`` now non-empty) drains as
-    a chain of one that keeps the queued column entries columnar and
-    hands the monitor scalars.
+    busy period: the single-link loop must park on the foreign key, and
+    every later drain entry (``monitors`` now non-empty) keeps the
+    queued column entries columnar and hands the monitor scalars.
     Post-attach monitor series and the full departure fingerprint must
     match the object-mode and evented runs exactly."""
     trace = random_trace(seed=41)
@@ -617,6 +619,257 @@ def test_checker_attached_mid_run_demotes_columns():
     report_e = checker_e.finalize()
     assert report_c.departures == report_e.departures > 0
     assert report_c.busy_periods == report_e.busy_periods
+
+
+class _Recorder:
+    """A plain receiver: neither a ``PacketSink`` nor a ``Link``."""
+
+    def __init__(self) -> None:
+        self.packets: list[Packet] = []
+
+    @property
+    def received(self) -> int:
+        return len(self.packets)
+
+    def receive(self, packet: Packet) -> None:
+        self.packets.append(packet)
+
+
+def _reshaped_replay(trace, drain: bool, reshape, capacity: float = 1.0):
+    """A wtp link built with a ``PacketSink`` target and a
+    ``TraceSource``, then reshaped by ``reshape(link)`` before the
+    run."""
+    sim = Simulator()
+    link = Link(
+        sim,
+        make_scheduler("wtp", SDPS),
+        capacity=capacity,
+        target=PacketSink(keep_packets=True),
+        drain=drain,
+    )
+    TraceSource(sim, link, trace).start()
+    reshape(link)
+    sim.run()
+    return sim, link
+
+
+def test_target_rebound_after_construction():
+    """Routing reads the link's shape at each completion, not at
+    construction: a link built with a sink and rebound to a plain
+    receiver hands that receiver every departure as a stamped Packet,
+    exactly as the evented run does."""
+    trace = random_trace(seed=43)
+
+    def rebind(link):
+        link.target = _Recorder()
+
+    sim_d, link_d = _reshaped_replay(trace, True, rebind)
+    sim_e, link_e = _reshaped_replay(trace, False, rebind)
+    assert link_d.target.received == len(trace)
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
+    assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+
+
+@pytest.mark.parametrize("name", ["bpr", "drr", "pad", "scfq"])
+def test_scheduler_replaced_after_construction(name):
+    """A wtp link whose scheduler is replaced by one with hooks before
+    the run drains with the new scheduler's hooks: on a 20,000-arrival
+    trace every departure matches the evented run.  Sizes are in
+    bytes, on the scale of DRR's quanta, so its deficit hook matters."""
+    base = random_trace(n=20_000, seed=43, gap=1.3)
+    trace = ArrivalTrace(
+        times=base.times, class_ids=base.class_ids, sizes=base.sizes * 500.0
+    )
+
+    def replace(link):
+        scheduler = make_scheduler(name, SDPS)
+        bind = getattr(scheduler, "bind_capacity", None)
+        if bind is not None:
+            bind(link.capacity)
+        link.scheduler = scheduler
+
+    sim_d, link_d = _reshaped_replay(trace, True, replace, 500.0)
+    sim_e, link_e = _reshaped_replay(trace, False, replace, 500.0)
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
+    assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+
+
+def test_packets_received_mid_run_are_stamped():
+    """Packets that enter a drained link through ``receive`` (here
+    three, injected by calendar events into a trace-fed link with a
+    non-keeping sink) leave with the evented run's ``service_start``,
+    ``departed_at`` and ``hop_delays``, though the sink keeps none."""
+    trace = random_trace(seed=47, gap=1.3)
+    times = [float(trace.times[k]) + 0.25 for k in (50, 300, 550)]
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler("wtp", SDPS),
+            capacity=1.0,
+            target=PacketSink(),
+            drain=drain,
+        )
+        injected = [
+            Packet(10_000 + k, k % 4, 1.0, t) for k, t in enumerate(times)
+        ]
+        for packet, t in zip(injected, times):
+            sim.schedule(t, link.receive, packet)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        stamps = [
+            (p.service_start, p.departed_at, tuple(p.hop_delays))
+            for p in injected
+        ]
+        return link_state(sim, link), stamps
+
+    drained = run(True)
+    evented = run(False)
+    assert all(departed >= 0.0 for _, departed, _ in drained[1])
+    assert drained == evented
+
+
+class _StateObserver:
+    """Records the link state an observer can read at each departure."""
+
+    def __init__(self, sim: Simulator, link: Link) -> None:
+        self.sim = sim
+        self.link = link
+        self.rows: list[tuple] = []
+
+    def on_departure(self, packet_id, class_id, size, flow_id, delay, now):
+        link = self.link
+        self.rows.append(
+            (
+                packet_id,
+                link.departures,
+                link.arrivals,
+                link.bytes_sent,
+                link.backlog_packets,
+                link.busy,
+                link.busy_time,
+                link.in_service is None,
+                link.target.received,
+                self.sim.now,
+                now,
+            )
+        )
+
+
+@pytest.mark.parametrize("name", sorted(available_schedulers()))
+def test_observers_see_evented_link_state(name):
+    """At every ``on_departure`` an observer reads the link's counters,
+    backlog, busy state, in-service slot, its sink's count and the
+    clock exactly as the evented run publishes them -- also at the
+    first departure after each park a ``BacklogSampler`` forces."""
+    trace = random_trace(n=5_000, seed=53, gap=1.3)
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler(name, SDPS),
+            capacity=1.0,
+            target=PacketSink(),
+            drain=drain,
+        )
+        observer = _StateObserver(sim, link)
+        link.add_monitor(observer)
+        BacklogSampler(
+            period=97.0, horizon=float(trace.times[-1])
+        ).attach(sim, link)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        return observer.rows, link_state(sim, link)
+
+    drained = run(True)
+    evented = run(False)
+    assert len(drained[0]) == len(trace)
+    assert drained == evented
+
+
+def _count_calls(monkeypatch, method: str) -> list[int]:
+    """Count calls of ``Link.<method>`` from now on; the count is the
+    returned list's only element."""
+    calls = [0]
+    original = getattr(Link, method)
+
+    def counting(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(Link, method, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(available_schedulers()))
+def test_paper_link_shape_takes_single_link_loop(name, monkeypatch):
+    """The paper's single-link study shape -- a trace-fed link under
+    delay, interval and per-packet monitors -- drains in the
+    single-link loop, never the chain kernel, under every scheduler,
+    with the evented run's monitor series and link state."""
+    trace = random_trace(n=3_000, seed=59, gap=1.3)
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler(name, SDPS),
+            capacity=1.0,
+            target=PacketSink(),
+            drain=drain,
+        )
+        delay = DelayMonitor(4, keep_samples=True)
+        interval = IntervalDelayMonitor(4, tau=100.0)
+        tap = PacketTap(4, start=500.0, end=1_500.0)
+        for monitor in (delay, interval, tap):
+            link.add_monitor(monitor)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        interval.finalize()
+        series = (
+            [s.tolist() for s in delay.samples],
+            interval.intervals,
+            tap.samples,
+        )
+        return link_state(sim, link), series
+
+    evented = run(False)
+    chain = _count_calls(monkeypatch, "_drain_chain")
+    single = _count_calls(monkeypatch, "_drain_single")
+    drained = run(True)
+    assert chain[0] == 0
+    assert single[0] > 0
+    assert drained == evented
+
+
+@pytest.mark.parametrize("shape", ["cursor", "lossy", "object"])
+def test_chain_of_one_serves_cursor_lossy_and_object_links(
+    shape, monkeypatch
+):
+    """A cursor-fed, a lossy and a ``columnar=False`` single link still
+    drain as a chain of one: cursor batches, drop policies and the
+    object-mode reference need the chain kernel."""
+    chain = _count_calls(monkeypatch, "_drain_chain")
+    single = _count_calls(monkeypatch, "_drain_single")
+    sim = Simulator()
+    if shape == "cursor":
+        build_single(
+            sim, "wtp", True, True, RandomStreams(9), PacketIdAllocator()
+        )
+        sim.run(until=HORIZON)
+    elif shape == "lossy":
+        _tail_drop_trace(sim, "wtp", True)
+        sim.run()
+    else:
+        replay(random_trace(), "wtp", drain=True, columnar=False)
+    assert chain[0] > 0
+    assert single[0] == 0
 
 
 def test_utilization_horizon_clamps_in_progress_service():
