@@ -38,19 +38,12 @@ def test_kernel_event_throughput(benchmark):
     assert processed == 20_001
 
 
-def forward_packets(
-    scheduler_name: str,
-    horizon: float = 5e3,
-    columnar: bool | None = None,
-) -> int:
-    """Single-link forwarding; ``columnar`` overrides the link's packet
-    representation (None = the default, columnar)."""
+def forward_packets(scheduler_name: str, horizon: float = 5e3) -> int:
+    """Single-link forwarding into a bare sink."""
     sim = Simulator()
     streams = RandomStreams(0)
     scheduler = make_scheduler(scheduler_name, (1.0, 2.0, 4.0, 8.0))
-    link = Link(
-        sim, scheduler, capacity=1.0, target=PacketSink(), columnar=columnar
-    )
+    link = Link(sim, scheduler, capacity=1.0, target=PacketSink())
     ids = PacketIdAllocator()
     for class_id in range(4):
         TrafficSource(

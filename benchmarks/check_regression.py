@@ -166,7 +166,7 @@ def measure_packet_allocations() -> dict[str, float]:
     Packet.__init__ = counting_init
     tracemalloc.start()
     try:
-        forwarded = forward_packets("wtp", columnar=True)
+        forwarded = forward_packets("wtp")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,7 +236,7 @@ def collect(repeats: int) -> dict[str, float]:
             forward_packets, "wtp", forward_packets("wtp"), repeats
         ),
         "columnar_forwarded_packets_per_sec": best_rate(
-            _forward_columnar, "wtp", _forward_columnar("wtp"), repeats
+            forward_packets, "wtp", forward_packets("wtp"), repeats
         ),
         "multihop_packets_per_sec": best_rate(
             run_multihop_cell, "wtp", run_multihop_cell("wtp"), repeats
@@ -262,10 +262,6 @@ def measure_sweep_rss(cells: int = 1_000) -> float:
     """Coordinator peak RSS (MB) streaming ``cells`` tiny shard cells."""
     _, rss_mb = bench_sweep.run_tiny_sweep(cells)
     return rss_mb
-
-
-def _forward_columnar(name: str) -> int:
-    return forward_packets(name, columnar=True)
 
 
 def latest_baseline() -> Path | None:

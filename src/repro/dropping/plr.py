@@ -26,7 +26,6 @@ from collections import deque
 from typing import Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..sim.packet import Packet
 from ..sim.queues import ClassQueueSet
 from .base import DropPolicy
 
@@ -108,7 +107,7 @@ class PLRDropper(DropPolicy):
         return drops / arrivals if arrivals else 0.0
 
     def choose_victim(
-        self, queues: ClassQueueSet, arriving: Packet, now: float
+        self, queues: ClassQueueSet, class_id: int, now: float
     ) -> Optional[int]:
         best_class: Optional[int] = None
         best_metric = float("inf")

@@ -113,7 +113,7 @@ class REDDropper(DropPolicy):
         return False
 
     def choose_victim(
-        self, queues: ClassQueueSet, arriving: Packet, now: float
+        self, queues: ClassQueueSet, class_id: int, now: float
     ) -> Optional[int]:
         # Hard-limit overflow: RED always sacrifices the arrival.
         self.forced_drops += 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim.packet import Packet
 from ..sim.queues import ClassQueueSet
 from .base import DropPolicy
 
@@ -20,6 +19,6 @@ class TailDropPolicy(DropPolicy):
     """Drop every packet that arrives to a full buffer."""
 
     def choose_victim(
-        self, queues: ClassQueueSet, arriving: Packet, now: float
+        self, queues: ClassQueueSet, class_id: int, now: float
     ) -> Optional[int]:
         return None

@@ -28,34 +28,29 @@ one loop, without the event calendar, and leave the calendar
 bit-identical to the evented path's whenever control is back in the
 run loop:
 
-===========================  =============================  ==================
+===========================  =============================  ==============
 link shape                   completion path                representation
-===========================  =============================  ==================
+===========================  =============================  ==============
 ``drain=False``, invariant-  ``_complete_service_evented``  objects
-checker hooks attached, or   (the reference: one
-a scheduler class that       calendar event per
+checker hooks attached, a    (the reference: one
+scheduler class that         calendar event per
 overrides ``select`` or      departure)
-``enqueue``
+``enqueue``, or a cursor-fed
+link its chain cannot take
 
-member of a coupled chain    ``_drain_chain`` over the      columns on
-that fuses: coupled          whole chain                    ``columnar``
-successors or fan-in, an                                    members; objects
-inline arrival source, no                                   on
-hooks in the walk                                           ``columnar=False``
-                                                            ones
+a lossless link whose        ``_drain_chain`` over the      columns
+walked chain fuses: an       whole chain
+arrival cursor, or coupled
+members with an inline
+arrival source; no hooks
+in the walk
 
-any other lossless           ``_drain_single``, the         columns
-``columnar`` link without    single-link loop
-an arrival cursor: any
+any other cursor-free link,  ``_drain_single``, the         columns
+lossless or lossy: any       single-link loop
 scheduler, observers and
 target, fused feeders or
 none
-
-any other link: cursor-fed,  ``_drain_chain`` over a        as a chain member;
-lossy, or                    *chain of one*                 objects when lossy
-``columnar=False``                                          or
-                                                            ``columnar=False``
-===========================  =============================  ==================
+===========================  =============================  ==============
 
 Every drain runs the scheduler's own methods: ``choose_class`` and the
 bound ``on_select``/``on_enqueue`` hooks around an inlined queue
@@ -93,26 +88,32 @@ arrivals and cursor keys; a departure whose receiver is a member is
 enqueued there inline, any other receiver gets a plain ``receive``
 call whose scheduled events the loop parks on.  An invariant checker
 on any link the walk reaches *blocks* fusion, so hooked links only
-ever see plain ``receive`` calls.  A link that drains on its own
-reaches every other link through ``receive``: the single-link loop
-keeps its state in locals, and a chain of one is a chain's member
-state without the walk.  A lossy link is only ever a chain of one, and
-its arrivals apply the drop policy where ``receive`` does.
+ever see plain ``receive`` calls.  A lone cursor-fed link fuses as a
+walked chain of one member: cursor batches
+(:meth:`~repro.traffic.compile.ArrivalCursor.drain_batch`) run only in
+the chain kernel.  A link that drains on its own, lossy or not, keeps
+its state in locals in the single-link loop and reaches every other
+link through ``receive``; a lossy link's arrivals apply its drop
+policy (:meth:`Link._admit`, which takes a class id) where ``receive``
+does.
 
-Columns.  With ``columnar=True`` (the default) a lossless link's
+Columns.  Both drain kernels queue only columns: a drained link's
 packets live in the scheduler's
 :class:`~repro.sim.queues.ClassQueueSet` as flat per-class column
 entries ``(arrived_at, size, meta)`` and are selected, transmitted,
-handed between chain members and counted as scalars.  The link alone
-decides its representation: monitors observe departures as scalars
-and feeders supply arrivals as scalars (``pull_col``), so neither
+handed between chain members and counted as scalars.  A ``Packet``
+that reaches a chain member already built -- a user-flow packet, or
+one materialized for routing -- is its own column meta.  Monitors
+observe departures as scalars, feeders supply arrivals as scalars
+(``pull_col``) and drop policies decide on class ids, so none of them
 forces objects.  A real ``Packet`` -- bit-identical to the evented
 path's -- is built (:func:`~repro.sim.queues.materialize_entry`) only
 at an observation boundary: a receiver other than a ``Link`` or a
-non-keeping ``PacketSink``, routing that inspects the packet, an
-arrival at a lossy or ``columnar=False`` member, the invariant
-checker (attach demotes every column), and a park (the pending
-completion becomes a calendar payload).
+non-keeping ``PacketSink``, routing that inspects the packet, a
+push-out victim (``pop_tail`` returns it), the invariant checker
+(attach demotes every column), and a park (the pending completion
+becomes a calendar payload).  Evented arrivals (``receive``), demoted
+queues and seeded backlogs still queue ``Packet`` objects.
 ``tests/test_drain_equivalence.py``,
 ``tests/test_multihop_drain_equivalence.py`` and
 ``tests/differential.py`` pin every path bit-identical to the evented
@@ -130,17 +131,13 @@ from typing import Optional, Protocol, Sequence, TYPE_CHECKING
 from ..errors import ConfigurationError, SchedulingError
 from .engine import Simulator
 from .packet import Packet
-from .queues import materialize_entry, meta_packet_id
+from .queues import _COL_COMPACT, materialize_entry, meta_packet_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..dropping.base import DropPolicy
     from ..schedulers.base import Scheduler
 
 __all__ = ["Link", "PacketSink", "Receiver"]
-
-#: Consumed-prefix length (elements) at which a drain loop compacts a
-#: column in place; mirrors ``repro.sim.queues._COL_COMPACT``.
-_COL_COMPACT = 3 * 1024
 
 
 class Receiver(Protocol):
@@ -214,9 +211,8 @@ class _ChainLink:
     :mod:`repro.sim.queues`), its reserved ``(time, seq)`` heap key,
     and whether that key is virtual (reserved inline) or mirrors a real
     calendar event that predates the drain entry.  They are reset on
-    every entry.  ``colmode`` (a lossless ``columnar`` link) means the
-    member's arrivals are queued as column entries; otherwise they are
-    ``Packet`` objects (object mode).
+    every entry.  Members are lossless, and their arrivals are queued
+    as column entries.
     """
 
     __slots__ = (
@@ -232,7 +228,6 @@ class _ChainLink:
         "cross_rcv",
         "flow_dcl",
         "cross_dcl",
-        "lossless",
         "choose",
         "on_select",
         "on_enqueue",
@@ -242,7 +237,6 @@ class _ChainLink:
         "nclasses",
         "ccols",
         "cheads",
-        "colmode",
         "pend_meta",
         "pend_cid",
         "pend_arr",
@@ -272,10 +266,6 @@ class _ChainLink:
         self.cross_rcv: Optional[Receiver] = None
         self.flow_dcl: Optional["_ChainLink"] = None
         self.cross_dcl: Optional["_ChainLink"] = None
-        #: False on a lossy link (only ever a chain of one): its
-        #: arrivals go through :func:`_chain_arrival`, which applies the
-        #: drop policy, and it never runs columnar.
-        self.lossless = link.buffer_packets is None
         self.choose = scheduler.choose_class
         # The scheduler's bound hooks, None where its class keeps the
         # base no-op.  Looked up through the module at bind time (see
@@ -291,7 +281,6 @@ class _ChainLink:
         self.nclasses = queues.num_classes
         self.ccols = queues.cols
         self.cheads = queues.col_heads
-        self.colmode = self.lossless and link.columnar
         #: In-service representation (None == idle): real Packet, int
         #: packet id, or (pid, flow_id, created_at, hop_history) tuple.
         self.pend_meta = None
@@ -311,8 +300,9 @@ class _Chain:
     revalidation cheap (a handful of identity/attribute checks per
     drain entry) while still catching every event that can change the
     chain shape: target rewiring, scheduler replacement, invariant
-    checker attach/detach, drain-flag flips, demux rebinding, and new
-    routes in a :class:`~repro.network.routed.RoutedNetwork`.
+    checker attach/detach, drain-flag flips, a member given a bounded
+    buffer, demux rebinding, and new routes in a
+    :class:`~repro.network.routed.RoutedNetwork`.
     """
 
     __slots__ = ("members", "coupled", "blocked", "sources", "guards")
@@ -325,14 +315,15 @@ class _Chain:
         sources: bool,
         guards: list,
     ) -> None:
-        #: The entry link's member first.  One member is a chain of one.
+        #: The entry link's member first.
         self.members = members
         #: id(link) -> _ChainLink for every member.
         self.coupled = coupled
         #: True when an invariant checker is attached somewhere in the
         #: couplable graph: chain fusion is disabled (the entry link
-        #: drains on its own, and its departures reach every other link
-        #: through plain ``receive`` and so never bypass hooks).
+        #: drains on its own, or evented when cursor-fed, and its
+        #: departures reach every other link through plain ``receive``
+        #: and so never bypass hooks).
         self.blocked = blocked
         #: True when some member had fused feeders or an arrival cursor
         #: at build time.  Without inline arrival sources every arrival
@@ -349,11 +340,12 @@ class _Chain:
                 L = g[1]
                 if g[0] == 0:
                     # Member guard: same target/scheduler, still
-                    # drain-enabled and hook-free.
+                    # drain-enabled, lossless and hook-free.
                     if (
                         L.target is not g[2]
                         or L.scheduler is not g[3]
                         or not L.drain
+                        or L.buffer_packets is not None
                         or _hooked(L)
                     ):
                         return False
@@ -453,53 +445,18 @@ def _chain_select(cl: _ChainLink, now: float, sim):
     return (t_c, s, 0, cl)
 
 
-def _chain_arrival(cl: _ChainLink, packet: Packet, now: float, sim, fheap) -> None:
-    """Object arrival at a chain member: ``Link.receive``.
-
-    The completion's sequence number is reserved exactly where
-    ``receive -> _start_service`` would have called ``sim.schedule``.
-    ``Scheduler.enqueue`` is inlined: the push, then the bound
-    ``on_enqueue`` hook (identical float ops and mutation order; only
-    the call layers disappear).  The push is hybrid-aware: when the
-    class tail lives in a column the object is appended there (as a
-    pre-materialized meta) so FIFO order never interleaves.  A lossy
-    member runs the link's buffer management first, at the same point
-    ``receive`` does.
-    """
-    L = cl.link
-    packet.arrived_at = now
-    L.arrivals += 1
-    if L.buffer_packets is not None and not L._admit(packet, now):
-        return  # the arriving packet itself was dropped
-    cid = packet.class_id
-    if not 0 <= cid < cl.nclasses:
-        raise SchedulingError(
-            f"packet class {cid} out of range [0, {cl.nclasses})"
-        )
-    size = packet.size
-    col = cl.ccols[cid]
-    if len(col) != cl.cheads[cid]:
-        col.extend((now, size, packet))
-        cl.queues.col_count += 1
-    else:
-        queue = cl.qlist[cid]
-        if not queue:
-            cl.heads[cid] = now
-        queue.append(packet)
-    cl.backlog[cid] += size
-    cl.queues.total_packets += 1
-    if cl.on_enqueue is not None:
-        cl.on_enqueue(cid, size, packet, now)
-    if not L.busy:
-        L.busy = True
-        L._busy_since = now
-        heappush(fheap, _chain_select(cl, now, sim))
-
-
-def _chain_arrival_col(
+def _chain_arrival(
     cl: _ChainLink, cid: int, size: float, meta, now: float, sim, fheap
 ) -> None:
-    """Columnar arrival at a colmode member: no Packet is built."""
+    """Arrival at a chain member, queued as a column entry:
+    ``Link.receive`` without a Packet.
+
+    ``Scheduler.enqueue`` is inlined: the push, then the bound
+    ``on_enqueue`` hook (identical float ops and mutation order; only
+    the call layers disappear).  An idle member starts service, and the
+    completion's sequence number is reserved exactly where ``receive ->
+    _start_service`` would have called ``sim.schedule``.
+    """
     L = cl.link
     L.arrivals += 1
     if not 0 <= cid < cl.nclasses:
@@ -577,38 +534,40 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         else:
             dcl = cl.direct_dcl
     if dcl is not None:
-        if packet is None and dcl.colmode:
-            # Columnar hop hand-off: extend the meta's hop history with
-            # this hop's queueing delay and push the scalars downstream.
+        # Hop hand-off, pushed downstream as column scalars (an inline
+        # copy of _chain_arrival): a column meta gains this hop's
+        # queueing delay in its hop history; a stamped Packet (a
+        # user-flow packet, or one materialized for resolve) is its own
+        # meta.
+        if packet is None:
             delay = sstart - cl.pend_arr
             if type(meta) is int:
                 meta = (meta, None, cl.pend_arr, (delay,))
             else:
                 meta = (meta[0], meta[1], meta[2], meta[3] + (delay,))
-            down = dcl.link
-            down.arrivals += 1
-            cid = cl.pend_cid
-            if not 0 <= cid < dcl.nclasses:
-                raise SchedulingError(
-                    f"packet class {cid} out of range [0, {dcl.nclasses})"
-                )
-            if dcl.heads[cid] == inf:
-                dcl.heads[cid] = now
-            dcl.ccols[cid].extend((now, size, meta))
-            queues = dcl.queues
-            queues.col_count += 1
-            dcl.backlog[cid] += size
-            queues.total_packets += 1
-            if dcl.on_enqueue is not None:
-                dcl.on_enqueue(cid, size, meta, now)
-            if not down.busy:
-                down.busy = True
-                down._busy_since = now
-                heappush(fheap, _chain_select(dcl, now, sim))
         else:
-            if packet is None:
-                packet = _materialize_pending(cl, now)
-            _chain_arrival(dcl, packet, now, sim, fheap)
+            packet.arrived_at = now
+            meta = packet
+        down = dcl.link
+        down.arrivals += 1
+        cid = cl.pend_cid
+        if not 0 <= cid < dcl.nclasses:
+            raise SchedulingError(
+                f"packet class {cid} out of range [0, {dcl.nclasses})"
+            )
+        if dcl.heads[cid] == inf:
+            dcl.heads[cid] = now
+        dcl.ccols[cid].extend((now, size, meta))
+        queues = dcl.queues
+        queues.col_count += 1
+        dcl.backlog[cid] += size
+        queues.total_packets += 1
+        if dcl.on_enqueue is not None:
+            dcl.on_enqueue(cid, size, meta, now)
+        if not down.busy:
+            down.busy = True
+            down._busy_since = now
+            heappush(fheap, _chain_select(dcl, now, sim))
     elif packet is not None:
         rcv.receive(packet)
     elif type(rcv) is PacketSink and not rcv.keep_packets:
@@ -696,7 +655,6 @@ class Link:
         buffer_packets: Optional[int] = None,
         drop_policy: Optional["DropPolicy"] = None,
         drain: bool = True,
-        columnar: Optional[bool] = None,
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"link capacity must be positive: {capacity}")
@@ -720,10 +678,6 @@ class Link:
         #: ``False`` runs every completion evented: the reference the
         #: drain paths are tested against (module docstring).
         self.drain = drain
-        #: ``False`` keeps every packet an object: the reference the
-        #: columnar representation is tested against.  ``None`` means
-        #: the default, columnar.
-        self.columnar = True if columnar is None else columnar
         self._feeders: list = []
         self._cursors: list = []
         #: ``(time, seq)`` heap key of the scheduled completion event
@@ -734,9 +688,6 @@ class Link:
         #: keeps the link uncoupled until it parks again.
         self._pending_key: Optional[tuple] = None
         self._chain_cache: Optional[_Chain] = None
-        #: This link's chain of one, built on the first completion that
-        #: drains through it and rebuilt when its guards fail.
-        self._solo_chain: Optional[_Chain] = None
         #: Simulator topology revision the cached chain was built at.
         #: A moved version forces a rebuild even when ``_chain_fuse``
         #: is False -- upstream-side edits (a new fan-in link, a feeder
@@ -744,10 +695,11 @@ class Link:
         #: non-fusing entry's own guards.
         self._chain_topo = -1
         #: Cached routing decision: True only when the cached chain can
-        #: fuse (coupled members, arrival sources, not blocked).  When
-        #: False, completions skip chain validation entirely -- the
-        #: cache is cleared (forcing recomputation) whenever a feeder
-        #: or cursor attaches, a checker detaches, or routes change.
+        #: fuse (not blocked, and this link is cursor-fed or the chain
+        #: has coupled members and arrival sources).  When False,
+        #: completions skip chain validation entirely -- the cache is
+        #: cleared (forcing recomputation) whenever a feeder or cursor
+        #: attaches, a checker detaches, or routes change.
         self._chain_fuse = False
 
         self.busy = False
@@ -878,7 +830,9 @@ class Link:
         now = self.sim.now
         packet.arrived_at = now
         self.arrivals += 1
-        if self.buffer_packets is not None and not self._admit(packet, now):
+        if self.buffer_packets is not None and not self._admit(
+            packet.class_id, now
+        ):
             return  # arriving packet itself was dropped
         self.scheduler.enqueue(packet, now)
         if not self.busy:
@@ -939,29 +893,30 @@ class Link:
             backlogs[packet.class_id] += min(max(remaining, 0.0), packet.size)
         return backlogs
 
-    def _admit(self, packet: Packet, now: float) -> bool:
-        """Buffer management for an arrival at a lossy link.
+    def _admit(self, class_id: int, now: float) -> bool:
+        """Buffer management for an arrival of class ``class_id`` at a
+        lossy link, before it is queued.
 
         Reports the arrival to the drop policy, then makes room when
-        the buffer is full; returns False if ``packet`` itself was
+        the buffer is full; returns False if the arrival itself was
         dropped.
         """
         policy = self.drop_policy
         if policy is not None:
-            policy.on_arrival(packet.class_id, now)
+            policy.on_arrival(class_id, now)
         queues = self.scheduler.queues
         if queues.total_packets < self.buffer_packets:
             return True
         if policy is None:
             # Plain tail drop of the arriving packet.
             self.drops += 1
-            self.drops_per_class[packet.class_id] += 1
+            self.drops_per_class[class_id] += 1
             return False
-        victim_class = policy.choose_victim(queues, packet, now)
+        victim_class = policy.choose_victim(queues, class_id, now)
         if victim_class is None:
             self.drops += 1
-            self.drops_per_class[packet.class_id] += 1
-            policy.on_drop(packet.class_id, now)
+            self.drops_per_class[class_id] += 1
+            policy.on_drop(class_id, now)
             return False
         queues.pop_tail(victim_class)
         self.drops += 1
@@ -1007,40 +962,37 @@ class Link:
                 queues.demote()
             self._complete_service_evented(packet)
             return
-        sim = self.sim
-        chain = self._chain_cache
-        # Guards are only checked on fusing entries -- once per chain
-        # entry, not per completion; the topology stamp catches the
-        # upstream edits a non-fusing entry's guards could not see.
-        if (
-            chain is None
-            or self._chain_topo != sim._topo_version
-            or (self._chain_fuse and not chain.valid())
-        ):
-            chain = self._chain_cache = self._build_chain()
-            self._chain_topo = sim._topo_version
-            self._chain_fuse = (
-                len(chain.members) > 1
-                and not chain.blocked
-                and chain.sources
-            )
-        if self._chain_fuse and self._drain_chain(packet, chain):
-            return
-        if (
-            self.buffer_packets is None
-            and self.columnar
-            and not self._cursors
-        ):
+        if self.buffer_packets is None:
+            sim = self.sim
+            chain = self._chain_cache
+            # Guards are only checked on fusing entries -- once per
+            # chain entry, not per completion; the topology stamp
+            # catches the upstream edits a non-fusing entry's guards
+            # could not see.
+            if (
+                chain is None
+                or self._chain_topo != sim._topo_version
+                or (self._chain_fuse and not chain.valid())
+            ):
+                chain = self._chain_cache = self._build_chain()
+                self._chain_topo = sim._topo_version
+                self._chain_fuse = not chain.blocked and (
+                    bool(self._cursors)
+                    or (len(chain.members) > 1 and chain.sources)
+                )
+            if self._chain_fuse and self._drain_chain(packet, chain):
+                return
+        if self._cursors:
+            # Cursor batches run only in the chain kernel.  The
+            # cursor's pending event is always a real calendar event,
+            # so nothing needs detaching to run evented.
+            self._complete_service_evented(packet)
+        else:
             self._drain_single(packet)
-            return
-        solo = self._solo_chain
-        if solo is None or not solo.valid():
-            solo = self._solo_chain = self._build_chain(walk=False)
-        self._drain_chain(packet, solo)
 
     def _drain_single(self, packet: Packet) -> None:
-        """Drain loop of one lossless ``columnar`` link that no chain
-        fuses and no cursor feeds (module docstring), whatever its
+        """Drain loop of one link that no chain fuses and no cursor
+        feeds (module docstring), lossless or lossy, whatever its
         scheduler, observers and target.
 
         ``packet`` departs at ``sim.now``.  The link's pending
@@ -1049,11 +1001,12 @@ class Link:
         ``(time, seq, feeder)`` heap keyed exactly like the calendar
         (seq uniqueness means the feeder itself is never compared).
         Each step takes the earlier of the two: an arrival is pulled
-        with ``pull_col`` and pushed onto its class column, then
-        ``on_enqueue``; a departure stamps a queued ``Packet``, hands
-        observers the scalars and the target its packet (a bare
-        :class:`PacketSink` only counts, so no object is built), and
-        reserves the next completion's sequence number.  One select
+        with ``pull_col``, passes a lossy link's :meth:`_admit` (which
+        may drop it or push out a queued tail), and is pushed onto its
+        class column, then ``on_enqueue``; a departure stamps a queued
+        ``Packet``, hands observers the scalars and the target its
+        packet (a bare :class:`PacketSink` only counts, so no object is
+        built), and reserves the next completion's sequence number.  One select
         block serves both a departure with backlog and an arrival that
         reopens the idle link: the scheduler's ``choose_class``, the
         inlined queue pop, then its bound ``on_select`` -- the
@@ -1064,9 +1017,11 @@ class Link:
         published, with ``sim.now``, before the observers and the
         target run and on every exit (the ``finally`` block, errors
         included); ``queues.total_packets`` is also published before
-        every scheduler call.  A target's ``receive`` may reach this
-        link again, so the queue counters and ``arrivals`` are re-read
-        after it.  ``_in_service`` is ``None`` throughout, as the
+        every scheduler call, and the link counters, queue counters and
+        clock before every drop-policy call.  A target's ``receive`` may
+        reach this link again, and a push-out removes a queued entry, so
+        the queue counters (and ``arrivals``, after ``receive``) are
+        re-read after either.  ``_in_service`` is ``None`` throughout, as the
         evented path leaves it while observers and targets run.
         """
         from ..schedulers import draingen  # deferred: import cycle
@@ -1086,6 +1041,7 @@ class Link:
         heads = queues.head_arrivals
         backlog_bytes = queues.bytes_backlog
         num_classes = queues.num_classes
+        buffer = self.buffer_packets
         monitors = self.monitors
         target = self.target
         sink = (
@@ -1201,12 +1157,33 @@ class Link:
                             self.busy = True
                             self._busy_since = ft
                         pid, cid, size = feeder.pull_col(ft)
+                        nt = feeder.next_time
+                        if nt is None:
+                            heappop(fheap)
+                        else:
+                            heapreplace(fheap, (nt, feeder.next_seq, feeder))
                         arrivals += 1
                         if not 0 <= cid < num_classes:
                             raise SchedulingError(
                                 f"packet class {cid} out of range "
                                 f"[0, {num_classes})"
                             )
+                        if buffer is not None:
+                            # A lossy link's drop policy, run where
+                            # receive runs it, reads published counters.
+                            # An idle reopen never drops: its queue is
+                            # empty and buffer_packets >= 1.
+                            self.arrivals = arrivals
+                            self.departures = departures
+                            self.bytes_sent = nbytes
+                            queues.total_packets = total
+                            queues.col_count = ccount
+                            sim.now = ft
+                            admitted = self._admit(cid, ft)
+                            total = queues.total_packets
+                            ccount = queues.col_count
+                            if not admitted:
+                                continue
                         if heads[cid] == inf:
                             heads[cid] = ft
                         fid = feeder.flow_id
@@ -1218,11 +1195,6 @@ class Link:
                         if on_enqueue is not None:
                             queues.total_packets = total
                             on_enqueue(cid, size, meta, ft)
-                        nt = feeder.next_time
-                        if nt is None:
-                            heappop(fheap)
-                        else:
-                            heapreplace(fheap, (nt, feeder.next_seq, feeder))
                         continue
                 elif smeta is None:
                     return  # idle, every feeder exhausted
@@ -1343,7 +1315,7 @@ class Link:
             self.busy_time += now - self._busy_since
 
     # ------------------------------------------------------------------
-    def _build_chain(self, walk: bool = True) -> _Chain:
+    def _build_chain(self) -> _Chain:
         """Walk the target graph and snapshot the couplable chain.
 
         Breadth-first from this link through direct ``Link`` targets
@@ -1365,18 +1337,15 @@ class Link:
         simply left out (it keeps draining on its own; its departures
         reach the member as foreign calendar events the drain parks
         on), and upstream edits that no guard can see are caught by
-        the simulator's ``_topo_version`` stamp instead.
-
-        Without ``walk`` -- and always for a lossy link -- the result
-        is this link's chain of one: the same member state and guards,
-        no successor walk and no fan-in fixpoint.
+        the simulator's ``_topo_version`` stamp instead.  The entry
+        link itself must be lossless; :meth:`_complete_service` never
+        builds a chain for a lossy one.
         """
         guards: list = []
         members: list[_ChainLink] = []
         by_id: dict[int, _ChainLink] = {}
         blocked = False
         sim = self.sim
-        walk = walk and self.buffer_packets is None
         pending: list[Link] = [self]
         seen = {id(self)}
         while True:
@@ -1403,8 +1372,6 @@ class Link:
                             cl.flow_rcv, cl.cross_rcv = split()
                         guards.append(tgt.drain_guard())
                         succs = tuple(tgt.drain_successors())
-                if not walk:
-                    continue
                 for r in succs:
                     if not isinstance(r, Link) or id(r) in seen:
                         continue
@@ -1414,8 +1381,6 @@ class Link:
                         guards.append((1, r))
                     elif _couplable(r, sim):
                         pending.append(r)
-            if not walk:
-                break
             # Fan-in fixpoint: adopt couplable registered links that
             # feed a current member.  Repeats (via the outer loop) until
             # no new upstream link qualifies, so grandparent feeders of
@@ -1457,9 +1422,9 @@ class Link:
         Returns ``False`` -- with no state touched -- when a member is
         busy mid-period with an unknown completion key (its event was
         scheduled while the chain shape was different); the entry then
-        drains on its own (single-link loop or chain of one) until that
-        member parks with a mirrored key again.  A chain of one always
-        returns ``True``.
+        drains on its own, or runs evented when cursor-fed, until that
+        member parks with a mirrored key again.  A chain of one member
+        always returns ``True``.
         """
         members = chain.members
         sim = self.sim
@@ -1563,11 +1528,7 @@ class Link:
                     seq, sim._seq = sim._seq, seq
                 fid = f.flow_id
                 meta = pid if fid is None else (pid, fid, t, ())
-                if cl.colmode:
-                    _chain_arrival_col(cl, cid, size, meta, t, sim, fheap)
-                else:
-                    packet = materialize_entry(cid, t, size, meta)
-                    _chain_arrival(cl, packet, t, sim, fheap)
+                _chain_arrival(cl, cid, size, meta, t, sim, fheap)
                 if idle:
                     sim._seq = seq
                 nt = f.next_time

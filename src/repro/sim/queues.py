@@ -14,8 +14,10 @@ consumed through an element cursor ``col_heads[cid]`` (always a
 multiple of 3).  ``meta`` is the lazily-materializable identity of the
 packet:
 
-* a real :class:`~repro.sim.packet.Packet` (already materialized --
-  e.g. pushed by an evented arrival while columns were live),
+* a real :class:`~repro.sim.packet.Packet` (already built -- pushed
+  by an evented arrival while columns were live, or handed to a chain
+  member as an object: a user-flow packet, or one materialized for
+  routing),
 * a bare ``int`` packet id (``flow_id is None``, ``created_at ==
   arrived_at``, no prior hops -- the common case for fresh arrivals),
 * a tuple ``(packet_id, flow_id, created_at, hop_delay_history)`` for
@@ -23,8 +25,9 @@ packet:
   hops in a fused chain).
 
 A class FIFO is therefore a *hybrid*: the deque holds the oldest
-packets (all real objects), the column holds the newest.  Push lands in
-the column only when the column already has live entries, so order is
+packets (all real objects), the column holds the newest.  The drain
+kernels always append to the column; :meth:`ClassQueueSet.push` lands
+there only when the column already has live entries, so order is
 never interleaved; pops take the deque first.  :func:`materialize_entry`
 rebuilds the real ``Packet`` -- bit-identical to the one the evented
 path would have carried -- whenever an entry crosses an observation
@@ -44,10 +47,11 @@ from .packet import Packet
 
 __all__ = ["ClassQueueSet"]
 
-#: Consumed-prefix length (in elements) at which a column is compacted.
-#: Columns are append-only between compactions, so the consumed prefix
-#: is dropped in one ``del col[:h]`` slice well before it can dominate
-#: the list's footprint.
+#: Consumed-prefix length (in elements) at which a column is compacted,
+#: here and in the drain loops of :mod:`repro.sim.link`.  Columns are
+#: append-only between compactions, so the consumed prefix is dropped in
+#: one ``del col[:h]`` slice well before it can dominate the list's
+#: footprint.
 _COL_COMPACT = 3 * 1024
 
 
@@ -152,19 +156,6 @@ class ClassQueueSet:
             self.head_arrivals[cid] = packet.arrived_at
         queue.append(packet)
         self.bytes_backlog[cid] += packet.size
-        self.total_packets += 1
-
-    def push_col(self, class_id: int, arrived_at: float, size: float, meta) -> None:
-        """Append one columnar entry (see module docstring) to a class."""
-        if not 0 <= class_id < self.num_classes:
-            raise SchedulingError(
-                f"packet class {class_id} out of range [0, {self.num_classes})"
-            )
-        if self.head_arrivals[class_id] == inf:
-            self.head_arrivals[class_id] = arrived_at
-        self.cols[class_id].extend((arrived_at, size, meta))
-        self.col_count += 1
-        self.bytes_backlog[class_id] += size
         self.total_packets += 1
 
     def pop(self, class_id: int) -> Packet:

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, SchedulingError
 from ..sim.engine import Simulator
-from ..sim.link import Receiver, _chain_arrival, _chain_arrival_col
+from ..sim.link import Receiver, _chain_arrival
 from ..sim.packet import Packet
 from .base import InterarrivalProcess, PacketSizeSampler
 from .source import PacketIdAllocator
@@ -577,9 +577,11 @@ class ArrivalCursor:
         so the batch boundary test (and hence every ``sim._seq``
         consumption) is bit-identical to :meth:`_fire`.  Emissions
         whose target is a coupled chain member (``coupled``, the
-        drain's id -> member map) are handed straight to
-        :func:`~repro.sim.link._chain_arrival` (inline enqueue +
-        service start); all others go through plain ``receive``.
+        drain's id -> member map) enter its class column as scalars,
+        with no Packet built (inline enqueue, or
+        :func:`~repro.sim.link._chain_arrival` when the member must
+        start service); all others get a Packet through plain
+        ``receive``.
         Returns True when a next arrival was reserved (mirror updated,
         virtual); False when the cursor is exhausted.
         """
@@ -608,7 +610,7 @@ class ArrivalCursor:
             stream = entry[2]
             head = stream._head
             dcl = stream._chain_dcl
-            if dcl is not None and dcl.colmode:
+            if dcl is not None:
                 # -- columnar emit: the arrival enters the member's
                 # per-class column as scalars; no Packet is built.  The
                 # heap key equals _times[head], so created == arrived
@@ -642,9 +644,7 @@ class ArrivalCursor:
                     if dcl.on_enqueue is not None:
                         dcl.on_enqueue(cid, size, meta, now)
                 else:
-                    _chain_arrival_col(
-                        dcl, cid, size, meta, now, sim, fused_heap
-                    )
+                    _chain_arrival(dcl, cid, size, meta, now, sim, fused_heap)
                     m = sim_heap[0][0] if sim_heap else inf
                     if fused_heap and fused_heap[0][0] < m:
                         m = fused_heap[0][0]
@@ -661,10 +661,7 @@ class ArrivalCursor:
                 stream.packets_emitted += 1
                 stream.bytes_emitted += packet.size
                 injected += 1
-                if dcl is not None:
-                    _chain_arrival(dcl, packet, now, sim, fused_heap)
-                else:
-                    stream.target.receive(packet)
+                stream.target.receive(packet)
                 m = sim_heap[0][0] if sim_heap else inf
                 if fused_heap and fused_heap[0][0] < m:
                     m = fused_heap[0][0]

@@ -17,18 +17,17 @@ fixture layer that proves it exhaustively:
   every departure's scalars;
 * :func:`run_cell` -- one (scheduler, shape) simulation in a chosen
   execution mode, returning a :class:`RunCapture`;
-* :func:`differential_cell` -- runs all four execution modes
-  (fused/evented x columnar/object) and asserts exact equality
-  against the evented-object reference.
+* :func:`differential_cell` -- runs both execution modes and asserts
+  exact equality against the evented reference.
 
 Execution modes
 ---------------
-``fused``    drain kernels on (single-link + chain-fused) -- the
+``fused``    drain kernels on (single-link + chain-fused), packets
+             queued as columns until an observation boundary -- the
              production default;
 ``evented``  one calendar event per arrival/departure, wrapper calls
-             everywhere -- the semantics oracle.
-``columnar`` packets live as columns until an observation boundary;
-``object``   every packet is a real :class:`Packet` throughout.
+             everywhere, every packet a real :class:`Packet` -- the
+             semantics oracle.
 
 The module doubles as a CLI for the CI matrix job::
 
@@ -72,12 +71,7 @@ FLOW_STARTS = (40.0, 40.0 + 1.0 / 3.0, 97.625)
 #: strict, bpr, pad, hpd, adaptive-wtp, scfq, wfq, drr, additive).
 SCHEDULERS: tuple[str, ...] = available_schedulers()
 
-MODES = (
-    ("fused", "columnar"),
-    ("fused", "object"),
-    ("evented", "columnar"),
-    ("evented", "object"),
-)
+MODES = ("fused", "evented")
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ def _launch_flows(sim, entries) -> int:
     return nflows
 
 
-def build_single(sim, name, drain, columnar, streams, ids):
+def build_single(sim, name, drain, streams, ids):
     recorder = FlowRecorder()
     link = Link(
         sim,
@@ -190,7 +184,6 @@ def build_single(sim, name, drain, columnar, streams, ids):
         target=FlowDemux(recorder, PacketSink()),
         name="hop0",
         drain=drain,
-        columnar=columnar,
     )
     cursor = ArrivalCursor(sim)
     for _ in range(2):
@@ -199,7 +192,7 @@ def build_single(sim, name, drain, columnar, streams, ids):
     return [link], [link], recorder
 
 
-def build_chain(sim, name, drain, columnar, streams, ids, hops: int = 3):
+def build_chain(sim, name, drain, streams, ids, hops: int = 3):
     recorder = FlowRecorder()
     links: list[Link] = []
     downstream = recorder
@@ -211,7 +204,6 @@ def build_chain(sim, name, drain, columnar, streams, ids, hops: int = 3):
             target=FlowDemux(downstream, PacketSink()),
             name=f"hop{hop}",
             drain=drain,
-            columnar=columnar,
         )
         links.append(link)
         downstream = link
@@ -223,7 +215,7 @@ def build_chain(sim, name, drain, columnar, streams, ids, hops: int = 3):
     return links, [links[0]], recorder
 
 
-def build_fanin(sim, name, drain, columnar, streams, ids):
+def build_fanin(sim, name, drain, streams, ids):
     """Two upstream links and cross-traffic merging into one server.
 
     The merge server is *behind* both upstreams, so the chain walk from
@@ -238,7 +230,6 @@ def build_fanin(sim, name, drain, columnar, streams, ids):
         target=FlowDemux(recorder, PacketSink()),
         name="merge",
         drain=drain,
-        columnar=columnar,
     )
     upstreams = [
         Link(
@@ -248,7 +239,6 @@ def build_fanin(sim, name, drain, columnar, streams, ids):
             target=merge,
             name=f"up{i}",
             drain=drain,
-            columnar=columnar,
         )
         for i in range(2)
     ]
@@ -261,7 +251,7 @@ def build_fanin(sim, name, drain, columnar, streams, ids):
     return [*upstreams, merge], upstreams, recorder
 
 
-def build_routed(sim, name, drain, columnar, streams, ids):
+def build_routed(sim, name, drain, streams, ids):
     """Diamond DAG: A->B->D and A->C->D, both continuing over D->E.
 
     Routes share the tail edge, so :class:`RouteDemux` resolution (not
@@ -274,10 +264,7 @@ def build_routed(sim, name, drain, columnar, streams, ids):
         net.add_node(node)
     edges = [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"), ("D", "E")]
     for src, dst in edges:
-        link = net.add_link(
-            src, dst, make_scheduler(name, SDPS), capacity=2.0
-        )
-        link.columnar = columnar if columnar is not None else link.columnar
+        net.add_link(src, dst, make_scheduler(name, SDPS), capacity=2.0)
     # One route per flow _launch_flows will create, alternating sides
     # of the diamond in the same (start, entry, class) launch order:
     # flow ids 0,1 enter A->B, 2,3 enter A->C, 4,5 A->B, ...
@@ -299,22 +286,18 @@ def build_routed(sim, name, drain, columnar, streams, ids):
     return links, entries, recorder
 
 
-def build_chain_mon(sim, name, drain, columnar, streams, ids):
+def build_chain_mon(sim, name, drain, streams, ids):
     """The 3-hop chain with an observer on its middle hop, whose
-    departures hand off (columnar, when the hops are) downstream."""
-    links, entries, recorder = build_chain(
-        sim, name, drain, columnar, streams, ids
-    )
+    departures hand off (as columns, when drained) downstream."""
+    links, entries, recorder = build_chain(sim, name, drain, streams, ids)
     links[1].add_monitor(DepartureLog())
     return links, entries, recorder
 
 
-def build_fanin_mon(sim, name, drain, columnar, streams, ids):
+def build_fanin_mon(sim, name, drain, streams, ids):
     """The fan-in merge with an observer on the merge server: the city
     hub's shape."""
-    links, entries, recorder = build_fanin(
-        sim, name, drain, columnar, streams, ids
-    )
+    links, entries, recorder = build_fanin(sim, name, drain, streams, ids)
     links[-1].add_monitor(DepartureLog())
     return links, entries, recorder
 
@@ -336,15 +319,13 @@ def run_cell(
     scheduler: str,
     shape: str,
     kernel: str = "fused",
-    storage: str = "columnar",
     seed: int = 9,
     check_invariants: bool = False,
     horizon: float = HORIZON,
 ):
     """One simulation; returns ``(capture, links)``.
 
-    ``kernel`` is ``fused``/``evented``; ``storage`` is
-    ``columnar``/``object``.  With ``check_invariants`` an
+    ``kernel`` is ``fused``/``evented``.  With ``check_invariants`` an
     :class:`InvariantChecker` attaches to the last link (the merge
     server for fan-in shapes) and the run finishes with its
     ``finalize`` -- any oracle violation raises.
@@ -353,9 +334,8 @@ def run_cell(
     streams = RandomStreams(seed)
     ids = PacketIdAllocator()
     drain = kernel == "fused"
-    columnar = storage == "columnar"
     links, entries, recorder = SHAPES[shape](
-        sim, scheduler, drain, columnar, streams, ids
+        sim, scheduler, drain, streams, ids
     )
     nflows = _launch_flows(sim, entries)
     report = None
@@ -369,7 +349,7 @@ def run_cell(
         sim.run(until=horizon)
     for fid in range(nflows):
         assert recorder.packet_count(fid) == 5, (
-            f"{scheduler}/{shape}/{kernel}/{storage}: flow {fid} "
+            f"{scheduler}/{shape}/{kernel}: flow {fid} "
             f"delivered {recorder.packet_count(fid)}/5 packets"
         )
     capture = _capture(sim, links, recorder, nflows)
@@ -379,39 +359,28 @@ def run_cell(
 
 
 def differential_cell(scheduler: str, shape: str, seed: int = 9) -> RunCapture:
-    """All four execution modes of one cell must capture identically.
+    """Both execution modes of one cell must capture identically.
 
-    Returns the reference capture (evented/object) for further
-    inspection.  Also asserts the fused run really fused on fusable
-    shapes -- a silent fallback to the wrapper path would make the
-    equality vacuous.
+    Returns the reference capture (evented) for further inspection.
+    Also asserts the fused run really fused -- a silent fallback to the
+    wrapper path would make the equality vacuous.
     """
-    captures = {}
-    fused_links = None
-    for kernel, storage in MODES:
-        captures[(kernel, storage)], links = run_cell(
-            scheduler, shape, kernel, storage, seed
-        )
-        if (kernel, storage) == ("fused", "columnar"):
-            fused_links = links
-    reference = captures[("evented", "object")]
-    for mode, capture in captures.items():
-        assert capture == reference, (
-            f"{scheduler}/{shape}: mode {mode} diverged from the "
-            f"evented/object reference"
-        )
+    fused, fused_links = run_cell(scheduler, shape, "fused", seed)
+    reference, _ = run_cell(scheduler, shape, "evented", seed)
+    assert fused == reference, (
+        f"{scheduler}/{shape}: the fused run diverged from the evented "
+        "reference"
+    )
     # An observer that saw nothing would make its equality vacuous.
     assert all(reference.monitors), f"{scheduler}/{shape}: empty observer log"
-    # Fusion sanity: on multi-link shapes the entry must really have
-    # fused a chain of more than one member -- a silent fallback to the
-    # wrapper path would make the equality above vacuous.  (A single
-    # hop's walk finds no coupled successor and leaves fusion off; it
-    # drains as a chain of one instead.)
+    # Fusion sanity: the entry must really have fused its chain -- on
+    # multi-link shapes one of more than one member, on the single hop
+    # a cursor-fed chain of one.
     entry = fused_links[0]
+    assert entry._chain_fuse is True, (
+        f"{scheduler}/{shape}: fused run fell back to the evented path"
+    )
     if shape != "single":
-        assert entry._chain_fuse is True, (
-            f"{scheduler}/{shape}: fused run fell back to the evented path"
-        )
         assert len(entry._chain_cache.members) > 1, (
             f"{scheduler}/{shape}: chain walk found no coupled members"
         )
@@ -522,7 +491,6 @@ def _run_matrix(check_invariants: bool) -> tuple[list[tuple], bool]:
                         scheduler,
                         shape,
                         kernel="evented",
-                        storage="object",
                         check_invariants=True,
                     )
                 cells[shape] = "pass"
@@ -554,7 +522,7 @@ def _format_table(rows, check_invariants: bool) -> str:
     lines = [
         "# Differential harness results",
         "",
-        f"Modes per cell: {' '.join('/'.join(m) for m in MODES)}"
+        f"Modes per cell: {' '.join(MODES)}"
         + (" + oracle-checked evented replay" if check_invariants else ""),
         "",
         "| scheduler | " + " | ".join(shapes) + " |",

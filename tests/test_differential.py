@@ -1,6 +1,6 @@
 """Pytest entry for the differential harness (``tests/differential.py``).
 
-Covers the full (scheduler x topology) grid -- every cell runs all four
+Covers the full (scheduler x topology) grid -- every cell runs both
 execution modes and must capture bit-identically -- plus sensitivity
 tests showing the six newly-registered scheduler oracles (PAD, HPD,
 adaptive WTP, DRR, SCFQ, additive) reject impostors instead of
@@ -34,7 +34,7 @@ from .test_invariants import SDPS, small_config
 
 
 # ----------------------------------------------------------------------
-# The grid: 12 schedulers x 6 shapes x 4 execution modes
+# The grid: 12 schedulers x 6 shapes x 2 execution modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", tuple(SHAPES))
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -78,8 +78,7 @@ def test_every_registry_name_has_an_oracle() -> None:
     "scheduler", ("pad", "hpd", "adaptive-wtp", "drr", "scfq", "additive")
 )
 def test_oracle_checked_replay(scheduler: str) -> None:
-    run_cell(scheduler, "fanin", kernel="evented", storage="object",
-             check_invariants=True)
+    run_cell(scheduler, "fanin", kernel="evented", check_invariants=True)
 
 
 # ----------------------------------------------------------------------

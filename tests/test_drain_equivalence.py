@@ -32,6 +32,7 @@ from repro.sim.packet import Packet
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
     PAPER_DEFAULT_LOADS,
+    ArrivalCursor,
     FixedPacketSize,
     PacketIdAllocator,
     ParetoInterarrivals,
@@ -43,7 +44,7 @@ from repro.traffic.trace import ArrivalTrace, TraceSource
 from repro.units import PAPER_LINK_CAPACITY
 
 from .conftest import count_packets
-from .differential import HORIZON, _capture, build_single
+from .differential import HORIZON, _capture, _cross_traffic, build_single
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
@@ -95,7 +96,6 @@ def replay(
     monitor: bool = False,
     sampler_period: float | None = None,
     until: float | None = None,
-    columnar: bool | None = None,
 ):
     sim = Simulator()
     scheduler = make_scheduler(scheduler_name, SDPS)
@@ -105,7 +105,6 @@ def replay(
         capacity=1.0,
         target=PacketSink(keep_packets=keep),
         drain=drain,
-        columnar=columnar,
     )
     delay_monitor = None
     if monitor:
@@ -164,7 +163,7 @@ def test_boundary_arrival_at_departure_timestamp(name):
     assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
 
 
-@pytest.mark.parametrize("variant", ["monitored", "object", "lossy"])
+@pytest.mark.parametrize("variant", ["monitored", "lossy"])
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_tie_at_idle_member_reopened_by_drain(name, variant):
     """The link idles at 1.0 inside a drain and class 3 reopens it at
@@ -174,8 +173,8 @@ def test_tie_at_idle_member_reopened_by_drain(name, variant):
     schedules its next arrival, so the completion wins the tie and
     selects before the class-3 packet joins.  A drain pulling the
     arrival inline must reserve the two sequence numbers in that order
-    (the monitored link drains in the single-link loop, the lossy and
-    object links as a chain of one)."""
+    (both the monitored and the lossy link drain in the single-link
+    loop)."""
 
     def run(drain: bool):
         sim = Simulator()
@@ -185,7 +184,6 @@ def test_tie_at_idle_member_reopened_by_drain(name, variant):
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=variant != "object",
             buffer_packets=8 if variant == "lossy" else None,
         )
         if variant == "monitored":
@@ -212,27 +210,11 @@ def test_tie_at_idle_member_reopened_by_drain(name, variant):
 
 
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
-def test_columnar_vs_object_bit_identical_all_schedulers(name):
-    """The columnar hot path (lazy Packet materialization) against the
-    same drain kernel carrying real Packet objects: stock schedulers
-    select off column heads, hook-overriding ones transparently fall
-    back -- either way the departures (ids, timestamps, hop delays)
-    must be bit-identical."""
-    trace = random_trace(seed=17)
-    sim_c, link_c, _, _ = replay(trace, name, drain=True, columnar=True)
-    sim_o, link_o, _, _ = replay(trace, name, drain=True, columnar=False)
-    assert packet_fingerprint(link_c.target) == packet_fingerprint(
-        link_o.target
-    )
-    assert link_state(sim_c, link_c) == link_state(sim_o, link_o)
-
-
-@pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_columnar_vs_evented_bit_identical_all_schedulers(name):
-    """Columnar forced ON against the classic one-event-per-departure
-    path."""
+    """The columnar drain (lazy Packet materialization) against the
+    classic one-event-per-departure path."""
     trace = random_trace(seed=29)
-    sim_c, link_c, _, _ = replay(trace, name, drain=True, columnar=True)
+    sim_c, link_c, _, _ = replay(trace, name, drain=True)
     sim_e, link_e, _, _ = replay(trace, name, drain=False)
     assert packet_fingerprint(link_c.target) == packet_fingerprint(
         link_e.target
@@ -277,13 +259,11 @@ def test_bounded_run_splits_busy_period_identically():
 
 
 def test_multi_source_fused_identical():
-    """Several fused TrafficSources (the multi-feeder drain loop) match
-    the evented run packet for packet, in both packet representations
-    (both pull scalars via ``pull_col``: the columnar link queues them
-    in columns in the single-link loop, the ``columnar=False`` link
-    drains as a chain of one and builds a Packet per arrival)."""
+    """Several fused TrafficSources (the multi-feeder drain loop, each
+    pulled as scalars via ``pull_col``) match the evented run packet
+    for packet."""
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         streams = RandomStreams(3)
         link = Link(
@@ -292,7 +272,6 @@ def test_multi_source_fused_identical():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         ids = PacketIdAllocator()
         for class_id in range(4):
@@ -307,13 +286,11 @@ def test_multi_source_fused_identical():
         sim.run(until=800.0)
         return sim, link
 
-    sim_d, link_d = run(True, columnar=True)
-    sim_o, link_o = run(True, columnar=False)
+    sim_d, link_d = run(True)
     sim_e, link_e = run(False)
-    fingerprint = packet_fingerprint(link_d.target)
-    assert fingerprint == packet_fingerprint(link_o.target)
-    assert fingerprint == packet_fingerprint(link_e.target)
-    assert link_state(sim_d, link_d) == link_state(sim_o, link_o)
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
     assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
 
 
@@ -329,28 +306,30 @@ def test_drain_actually_engages():
 
 def test_cursor_fed_single_link_absorbs_cursor_inline():
     """A drained single link fed only by an ArrivalCursor (the
-    differential harness's single-hop shape) drains as a chain of one
-    that absorbs the cursor's calendar event: the whole run costs a
-    couple of real dispatches instead of one per arrival and
+    differential harness's single-hop shape) fuses as a walked chain of
+    one member that absorbs the cursor's calendar event: the whole run
+    costs a couple of real dispatches instead of one per arrival and
     completion, with the evented run's exact outputs."""
 
     def run(drain: bool):
         sim = Simulator()
         links, _, recorder = build_single(
-            sim, "wtp", drain, True, RandomStreams(9), PacketIdAllocator()
+            sim, "wtp", drain, RandomStreams(9), PacketIdAllocator()
         )
         sim.run(until=HORIZON)
         link = links[0]
         demux = link.target
-        return sim, (
+        return sim, link, (
             _capture(sim, links, recorder, 0),
             demux.cross_packets,
             demux.cross_sink.received,
         )
 
-    sim_d, outputs_d = run(True)
-    sim_e, outputs_e = run(False)
+    sim_d, link_d, outputs_d = run(True)
+    sim_e, _, outputs_e = run(False)
     assert outputs_d == outputs_e
+    assert link_d._chain_fuse is True
+    assert len(link_d._chain_cache.members) == 1
     assert outputs_d[1] > 100
     assert sim_e.events_processed > 400
     assert sim_d.events_processed <= 10
@@ -387,11 +366,11 @@ def test_monitor_attached_mid_drain_bit_identical():
     every later drain entry (``monitors`` now non-empty) keeps the
     queued column entries columnar and hands the monitor scalars.
     Post-attach monitor series and the full departure fingerprint must
-    match the object-mode and evented runs exactly."""
+    match the evented run exactly."""
     trace = random_trace(seed=41)
     attach_at = float(trace.times[len(trace) // 2]) + 0.25
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         link = Link(
             sim,
@@ -399,7 +378,6 @@ def test_monitor_attached_mid_drain_bit_identical():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         monitor = DelayMonitor(4, keep_samples=True)
         seen = {}
@@ -414,21 +392,17 @@ def test_monitor_attached_mid_drain_bit_identical():
         sim.run()
         return link, monitor, seen
 
-    link_c, mon_c, seen_c = run(True, columnar=True)
-    link_o, mon_o, seen_o = run(True, columnar=False)
+    link_c, mon_c, seen_c = run(True)
     link_e, mon_e, seen_e = run(False)
     # The boundary was genuinely exercised: the link was mid-busy-period
     # with object-free columnar backlog when the monitor appeared.
     assert seen_c["busy"] and seen_e["busy"]
     assert seen_c["cols"] > 0
-    assert seen_o["cols"] == seen_e["cols"] == 0
-    fingerprint = packet_fingerprint(link_c.target)
-    assert fingerprint == packet_fingerprint(link_o.target)
-    assert fingerprint == packet_fingerprint(link_e.target)
-    for series_c, series_o, series_e in zip(
-        mon_c.samples, mon_o.samples, mon_e.samples
-    ):
-        assert np.array_equal(series_c, series_o)
+    assert seen_e["cols"] == 0
+    assert packet_fingerprint(link_c.target) == packet_fingerprint(
+        link_e.target
+    )
+    for series_c, series_e in zip(mon_c.samples, mon_e.samples):
         assert np.array_equal(series_c, series_e)
     assert [s.count for s in mon_c.stats] == [s.count for s in mon_e.stats]
     assert [s.mean for s in mon_c.stats] == [s.mean for s in mon_e.stats]
@@ -493,7 +467,6 @@ def _tail_drop_trace(sim, scheduler, drain):
         capacity=1.0,
         target=PacketSink(keep_packets=True),
         drain=drain,
-        columnar=True,
         buffer_packets=6,
         drop_policy=TailDropPolicy(),
     )
@@ -501,7 +474,7 @@ def _tail_drop_trace(sim, scheduler, drain):
     return link, None, None
 
 
-def _lossy_sweep_point(sim, scheduler, drain):
+def _lossy_sweep_point(sim, scheduler, drain, keep=True):
     """The ``experiments/lossy.py`` shape past saturation: a PLR
     push-out dropper on a bounded buffer, a delay monitor, and one
     Pareto source per class with the paper's size mix."""
@@ -511,9 +484,8 @@ def _lossy_sweep_point(sim, scheduler, drain):
         sim,
         make_scheduler(scheduler, SDPS),
         capacity=PAPER_LINK_CAPACITY,
-        target=PacketSink(keep_packets=True),
+        target=PacketSink(keep_packets=keep),
         drain=drain,
-        columnar=True,
         buffer_packets=20,
         drop_policy=dropper,
     )
@@ -536,19 +508,20 @@ def _lossy_sweep_point(sim, scheduler, drain):
 
 @pytest.mark.parametrize(
     "build, scheduler",
-    [
-        (_tail_drop_trace, "wtp"),
-        (_lossy_sweep_point, "wtp"),
-        (_lossy_sweep_point, "bpr"),
-    ],
-    ids=["tail-drop-trace-wtp", "lossy-plr-wtp", "lossy-plr-bpr"],
+    [(_tail_drop_trace, "wtp")]
+    + [(_lossy_sweep_point, name) for name in sorted(available_schedulers())],
+    ids=["tail-drop-trace-wtp"]
+    + [f"lossy-plr-{name}" for name in sorted(available_schedulers())],
 )
-def test_drop_policy_forces_object_fallback(build, scheduler):
-    """A drop policy (bounded buffer) is an observation boundary at
-    arrival time: columns never form even with columnar requested, and
-    the drain -- a chain of one applying the policy where ``receive``
-    does, push-out victims included -- matches the evented run drop for
-    drop."""
+def test_drop_policy_applies_in_single_link_loop(
+    build, scheduler, monkeypatch
+):
+    """A lossy link drains in the single-link loop, never the chain
+    kernel, under every scheduler: its drop policy decides on the
+    arrival's class id where ``receive`` does, push-out victims
+    included, and the drain matches the evented run drop for drop --
+    drops per class, dropper counters, monitor series and link
+    state."""
 
     def run(drain: bool):
         sim = Simulator()
@@ -556,9 +529,12 @@ def test_drop_policy_forces_object_fallback(build, scheduler):
         sim.run(until=until)
         return sim, link, monitor
 
-    sim_d, link_d, mon_d = run(True)
     sim_e, link_e, mon_e = run(False)
-    assert link_d.scheduler.queues.col_count == 0
+    chain = _count_calls(monkeypatch, "_drain_chain")
+    single = _count_calls(monkeypatch, "_drain_single")
+    sim_d, link_d, mon_d = run(True)
+    assert chain[0] == 0
+    assert single[0] > 0
     assert link_d.drops == link_e.drops > 0
     assert link_d.drops_per_class == link_e.drops_per_class
     assert packet_fingerprint(link_d.target) == packet_fingerprint(
@@ -575,6 +551,62 @@ def test_drop_policy_forces_object_fallback(build, scheduler):
             assert np.array_equal(series_d, series_e)
 
 
+@pytest.mark.parametrize("name", ["wtp", "bpr"])
+def test_lossy_link_builds_no_packet_per_arrival(name, monkeypatch):
+    """Drop policies take class ids, so a drained lossy link queues its
+    arrivals as columns: behind a bare sink, the PLR push-out cell
+    builds a Packet only for each push-out victim (``pop_tail`` returns
+    one) and at a handful of parks, not one per arrival."""
+    built = count_packets(monkeypatch)
+    sim = Simulator()
+    link, _, until = _lossy_sweep_point(sim, name, True, keep=False)
+    sim.run(until=until)
+    assert link.drops > 0
+    assert link.arrivals > 5 * link.drops
+    assert built[0] <= link.drops + 10, (built[0], link.drops)
+
+
+def test_cursor_fed_lossy_link_completes_evented(monkeypatch):
+    """Cursor batches run only in the chain kernel, and a lossy link
+    is never a chain member, so a cursor-fed lossy link completes
+    evented -- nothing to detach, as the cursor's event is a real
+    calendar event -- and matches the evented run drop for drop."""
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler("wtp", SDPS),
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+            buffer_packets=4,
+            drop_policy=PLRDropper((8.0, 4.0, 2.0, 1.0)),
+        )
+        streams = RandomStreams(9)
+        ids = PacketIdAllocator()
+        cursor = ArrivalCursor(sim)
+        for _ in range(3):
+            _cross_traffic(cursor, link, streams, ids)
+        cursor.start()
+        sim.run(until=HORIZON)
+        return sim, link
+
+    sim_e, link_e = run(False)
+    chain = _count_calls(monkeypatch, "_drain_chain")
+    single = _count_calls(monkeypatch, "_drain_single")
+    evented = _count_calls(monkeypatch, "_complete_service_evented")
+    sim_d, link_d = run(True)
+    assert chain[0] == single[0] == 0
+    assert evented[0] == link_d.departures > 0
+    assert link_d.drops == link_e.drops > 0
+    assert link_d.drops_per_class == link_e.drops_per_class
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
+    assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+
+
 def test_checker_attached_mid_run_demotes_columns():
     """An InvariantChecker attached mid-run (between events, columnar
     backlog queued) must demote every column to real Packets before its
@@ -583,7 +615,7 @@ def test_checker_attached_mid_run_demotes_columns():
     trace = random_trace(seed=37)
     attach_at = float(trace.times[len(trace) // 2]) + 0.25
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         link = Link(
             sim,
@@ -591,7 +623,6 @@ def test_checker_attached_mid_run_demotes_columns():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         checker = InvariantChecker(link)
         seen = {}
@@ -606,7 +637,7 @@ def test_checker_attached_mid_run_demotes_columns():
         sim.run()
         return link, checker, seen
 
-    link_c, checker_c, seen_c = run(True, columnar=True)
+    link_c, checker_c, seen_c = run(True)
     link_e, checker_e, seen_e = run(False)
     # The attach really crossed the boundary: columnar backlog existed
     # and was demoted in place (checker scans see real Packets).
@@ -846,30 +877,6 @@ def test_paper_link_shape_takes_single_link_loop(name, monkeypatch):
     assert chain[0] == 0
     assert single[0] > 0
     assert drained == evented
-
-
-@pytest.mark.parametrize("shape", ["cursor", "lossy", "object"])
-def test_chain_of_one_serves_cursor_lossy_and_object_links(
-    shape, monkeypatch
-):
-    """A cursor-fed, a lossy and a ``columnar=False`` single link still
-    drain as a chain of one: cursor batches, drop policies and the
-    object-mode reference need the chain kernel."""
-    chain = _count_calls(monkeypatch, "_drain_chain")
-    single = _count_calls(monkeypatch, "_drain_single")
-    sim = Simulator()
-    if shape == "cursor":
-        build_single(
-            sim, "wtp", True, True, RandomStreams(9), PacketIdAllocator()
-        )
-        sim.run(until=HORIZON)
-    elif shape == "lossy":
-        _tail_drop_trace(sim, "wtp", True)
-        sim.run()
-    else:
-        replay(random_trace(), "wtp", drain=True, columnar=False)
-    assert chain[0] > 0
-    assert single[0] == 0
 
 
 def test_utilization_horizon_clamps_in_progress_service():

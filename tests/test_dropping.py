@@ -41,7 +41,7 @@ class TestTailDrop:
         policy = TailDropPolicy()
         queues = ClassQueueSet(2)
         queues.push(make_packet(0, class_id=0))
-        assert policy.choose_victim(queues, make_packet(1, class_id=1), 0.0) is None
+        assert policy.choose_victim(queues, 1, 0.0) is None
 
 
 class TestPLRUnit:
@@ -57,7 +57,7 @@ class TestPLRUnit:
         for _ in range(8):
             dropper.on_drop(0, 0.0)
         # class 1 fraction 0.8 / 4 = 0.2; class 2 fraction 0 -> victim 2.
-        assert dropper.choose_victim(queues, make_packet(9, 0), 0.0) == 1
+        assert dropper.choose_victim(queues, 0, 0.0) == 1
 
     def test_victim_must_be_backlogged(self):
         dropper = PLRDropper((4.0, 1.0))
@@ -65,7 +65,7 @@ class TestPLRUnit:
         queues.push(make_packet(0, class_id=0))
         dropper.on_arrival(0, 0.0)
         dropper.on_arrival(1, 0.0)
-        assert dropper.choose_victim(queues, make_packet(1, 1), 0.0) == 0
+        assert dropper.choose_victim(queues, 1, 0.0) == 0
 
     def test_loss_fraction_infinite_window(self):
         dropper = PLRDropper((2.0, 1.0))

@@ -19,7 +19,9 @@ are pinned here:
   walk (and a stale ``_chain_fuse`` decision) in place forever.  The
   simulator-wide ``_topo_version`` stamp closes this; these tests
   mutate the topology mid-run and require both a rebuild and exact
-  fused-vs-evented equivalence across the edit.
+  fused-vs-evented equivalence across the edit.  A member made lossy
+  mid-run is caught by the member guard itself, so its arrivals never
+  bypass the drop policy.
 
 * **Hooked-scheduler subclasses stay columnar**: a subclass of a
   scheduler with ``on_select``/``on_enqueue`` hooks runs the same
@@ -34,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dropping import PLRDropper
 from repro.network.flows import FlowRecorder, UserFlow
 from repro.network.routed import RoutedNetwork
 from repro.network.topology import FlowDemux
@@ -318,6 +321,67 @@ def test_route_added_mid_run_rediscovered() -> None:
     evented = run(False)
     assert fused == evented
     assert len(fused[0]) == 50 and len(fused[1]) == 25
+
+
+def test_member_made_lossy_mid_run_leaves_chain() -> None:
+    """A chain member given a bounded buffer and a drop policy mid-run
+    is no longer couplable: the upstream's cached walk fails its member
+    guard and rebuilds without it, so every arrival there passes the
+    drop policy -- identically fused vs evented.  No-op calendar events
+    force parks, so the upstream caches its two-member walk before the
+    edit."""
+
+    def run(drain: bool):
+        sim = Simulator()
+        streams = RandomStreams(9)
+        ids = PacketIdAllocator()
+        down = Link(
+            sim, make_scheduler("wtp", SDPS), capacity=1.0,
+            target=PacketSink(), name="down", drain=drain,
+        )
+        up = Link(
+            sim, make_scheduler("wtp", SDPS), capacity=1.0, target=down,
+            name="up", drain=drain,
+        )
+        cursor = ArrivalCursor(sim)
+        for link in (up, down):
+            for _ in range(2):
+                cursor.add(
+                    CompiledMixedSource(
+                        link,
+                        ParetoInterarrivals(2.6, 1.9, streams.generator()),
+                        MIX,
+                        1.0,
+                        streams.generator(),
+                        ids=ids,
+                    )
+                )
+        cursor.start()
+        for k in range(1, 400):
+            sim.schedule(0.5 * k + 0.013, lambda: None)
+        state: dict = {}
+
+        def make_lossy() -> None:
+            state["walk_before"] = up._chain_cache
+            down.buffer_packets = 3
+            down.drop_policy = PLRDropper((8.0, 4.0, 2.0, 1.0))
+
+        sim.schedule(100.0, make_lossy)
+        sim.run(until=400.0)
+        links = tuple(
+            (link.arrivals, link.departures, link.drops,
+             tuple(link.drops_per_class), link.bytes_sent, link.busy_time,
+             link.scheduler.queues.total_packets)
+            for link in (up, down)
+        )
+        return state, up, links
+
+    state_d, up_d, fused = run(True)
+    _, _, evented = run(False)
+    assert fused == evented
+    assert fused[1][2] > 0
+    assert len(state_d["walk_before"].members) == 2
+    assert len(up_d._chain_cache.members) == 1
 
 
 # ----------------------------------------------------------------------

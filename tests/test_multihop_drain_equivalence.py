@@ -13,9 +13,9 @@ scheduler named in the Table 1 reproduction, including
   park and resume without disturbing a single timestamp;
 * an :class:`InvariantChecker` attached to a *middle* hop, which must
   disable chain fusion across the whole walk (the checker's hooks see
-  every event) while the entry drains as a chain of one;
+  every event) while the cursor-fed entry runs evented;
 * a monitor attached mid-run to a hop holding columnar backlog, which
-  turns that member to object mode for the rest of the run;
+  keeps draining columnar and hands the monitor scalars;
 * the routed-network topology (``RouteDemux`` resolution instead of
   ``FlowDemux``), under its own ``drain`` flag;
 * the ``truncated_experiments`` diagnostic surfaced by
@@ -70,7 +70,6 @@ def build_chain(
     scheduler_name: str,
     hops: int,
     drain: bool,
-    columnar: bool | None = None,
 ):
     """hops x (Link -> FlowDemux) ending at a FlowRecorder, as in
     run_multihop: cross-traffic exits at each hop's demux sink."""
@@ -86,7 +85,6 @@ def build_chain(
             target=demux,
             name=f"hop{hop}",
             drain=drain,
-            columnar=columnar,
         )
         links.append(link)
         downstream = link
@@ -105,7 +103,6 @@ def run_chain(
     monitor_at: float = 0.0,
     horizon: float = 400.0,
     seed: int = 9,
-    columnar: bool | None = None,
 ):
     """One run; returns (sim, links, per-flow delays, per-hop state,
     checker).  Pareto cross-traffic at roughly 0.77 load per hop plus
@@ -122,7 +119,7 @@ def run_chain(
     sim = Simulator()
     streams = RandomStreams(seed)
     ids = PacketIdAllocator()
-    links, recorder = build_chain(sim, scheduler_name, hops, drain, columnar)
+    links, recorder = build_chain(sim, scheduler_name, hops, drain)
     cursor = ArrivalCursor(sim)
     for link in links:
         for _ in range(2):
@@ -197,26 +194,6 @@ def test_chain_bit_identical_all_schedulers(name):
     assert all(len(d) == 5 for d in delays_d.values())
 
 
-@pytest.mark.parametrize("name", CHAIN_SCHEDULERS)
-def test_chain_columnar_vs_object_bit_identical(name):
-    """The chain-fused drain with columnar members (metas hop between
-    coupled links as scalars, hop histories folded into meta tuples)
-    against the same fused drain carrying real Packets: flow delays
-    (sums of materialized ``hop_delays``) and per-hop state must match
-    exactly."""
-    sim_c, links_c, delays_c, state_c, _ = run_chain(
-        name, drain=True, columnar=True
-    )
-    sim_o, _, delays_o, state_o, _ = run_chain(
-        name, drain=True, columnar=False
-    )
-    assert delays_c == delays_o
-    assert state_c == state_o
-    assert sim_c.now == sim_o.now
-    assert links_c[0]._chain_fuse is True
-    assert all(len(d) == 5 for d in delays_c.values())
-
-
 def test_chain_member_demoted_mid_run():
     """A checker attached to the middle hop by a calendar event landing
     mid-run: the hop's columnar backlog must be demoted to real Packets
@@ -224,7 +201,7 @@ def test_chain_member_demoted_mid_run():
     guards and rebuild as blocked, and the rest of the run must match
     an evented run with the checker attached at the same instant."""
     sim_c, links_c, delays_c, state_c, checker_c = run_chain(
-        "wtp", drain=True, columnar=True, checker_hop=1, checker_at=200.0
+        "wtp", drain=True, checker_hop=1, checker_at=200.0
     )
     sim_e, _, delays_e, state_e, checker_e = run_chain(
         "wtp", drain=False, checker_hop=1, checker_at=200.0
@@ -254,7 +231,7 @@ def test_monitor_attached_mid_run_to_chain_member(name):
     departure's scalars, and the run stays bit-identical to an evented
     run with the same attach."""
     sim_c, links_c, delays_c, state_c, _ = run_chain(
-        name, drain=True, columnar=True, monitor_hop=1, monitor_at=200.0
+        name, drain=True, monitor_hop=1, monitor_at=200.0
     )
     sim_e, links_e, delays_e, state_e, _ = run_chain(
         name, drain=False, monitor_hop=1, monitor_at=200.0
@@ -332,8 +309,8 @@ def test_flow_launch_at_exact_drain_instant():
 def test_checker_mid_chain_disables_fusion_only():
     """A checker attached to the middle hop must force the entry's walk
     to report blocked (its hooks would be bypassed by a fused drain)
-    without breaking equivalence -- the entry falls back to its chain
-    of one, which hands off through plain ``receive``."""
+    without breaking equivalence -- the cursor-fed entry falls back to
+    evented completions, which hand off through plain ``receive``."""
     sim_d, links_d, delays_d, state_d, checker_d = run_chain(
         "wtp", drain=True, checker_hop=1
     )
