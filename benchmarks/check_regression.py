@@ -235,9 +235,6 @@ def collect(repeats: int) -> dict[str, float]:
         "wtp_forwarded_packets_per_sec": best_rate(
             forward_packets, "wtp", forward_packets("wtp"), repeats
         ),
-        "columnar_forwarded_packets_per_sec": best_rate(
-            forward_packets, "wtp", forward_packets("wtp"), repeats
-        ),
         "multihop_packets_per_sec": best_rate(
             run_multihop_cell, "wtp", run_multihop_cell("wtp"), repeats
         ),

@@ -14,8 +14,6 @@ Recorded metrics (events or packets per second, higher is better):
 * ``cancellable_events_per_sec``  -- handle-based (cancellable) chain
 * ``trace_replay_packets_per_sec`` -- TraceSource -> WTP link replay
 * ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding
-* ``columnar_forwarded_packets_per_sec`` -- the same cell, timed
-  again under the name earlier baselines recorded it by
 * ``multihop_packets_per_sec``    -- Table 1 smoke cell (4 hops,
   rho=0.85, WTP, compiled arrivals): the chain-fused drain kernel's
   guarded workload
@@ -133,9 +131,6 @@ def collect(repeats: int) -> dict:
             replay_trace, trace_packets, trace_packets, repeats
         ),
         "wtp_forwarded_packets_per_sec": best_rate(
-            forward_packets, "wtp", forward_packets("wtp"), repeats
-        ),
-        "columnar_forwarded_packets_per_sec": best_rate(
             forward_packets, "wtp", forward_packets("wtp"), repeats
         ),
         "multihop_packets_per_sec": best_rate(

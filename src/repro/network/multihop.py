@@ -165,7 +165,6 @@ def run_multihop(
     config: MultiHopConfig,
     check_invariants: bool = False,
     compiled_arrivals: bool = True,
-    hybrid=None,
 ) -> MultiHopResult:
     """Simulate one Table 1 cell and return its user-experiment results.
 
@@ -182,28 +181,7 @@ def run_multihop(
     cursor spans every hop so the shared packet-id allocator hands out
     ids in the same global arrival order as the scalar path.
     ``compiled_arrivals=False`` keeps per-source scalar emission.
-
-    With ``hybrid`` (a :class:`~repro.sim.hybrid.HybridConfig` with
-    ``epsilon > 0``) the cross-traffic streams are *fast-forwarded*
-    over the measurement-free warm-up: every compiled source consumes
-    its random draws identically but emits nothing until
-    ``warmup - spinup``, so the calendar never sees the warm-up's
-    events.  The queues then re-warm packet-by-packet over the
-    ``spinup`` guard before the first user experiment launches at
-    ``warmup`` -- a regeneration-style cold handoff, no backlog
-    seeding.  Requires ``compiled_arrivals``; per-experiment delays are
-    statistically, not bit-, identical to the full run (skipped
-    arrivals keep their random draws but not their packet ids).  When
-    ``epsilon > 0`` but the warm-up gap is blocked (shorter than the
-    spinup guard, or below ``min_fluid`` after it) a
-    :class:`RuntimeWarning` reports why each candidate gap was
-    rejected instead of silently running fully packet-mode.
     """
-    if hybrid is not None and hybrid.epsilon > 0 and not compiled_arrivals:
-        raise ConfigurationError(
-            "hybrid fast-forward rides the compiled arrival path; "
-            "enable compiled_arrivals"
-        )
     sim = Simulator()
     streams = RandomStreams(config.seed)
     ids = PacketIdAllocator()
@@ -231,7 +209,6 @@ def run_multihop(
     # Cross-traffic: C sources per hop, each with Pareto gaps; rates
     # sized per hop so each link hits its own target utilization.
     cursor = ArrivalCursor(sim) if compiled_arrivals else None
-    cross_streams = []
     for hop, link in enumerate(links):
         gap = config.packet_size / config.cross_byte_rate_per_source_at(
             config.utilization_of_hop(hop)
@@ -249,7 +226,6 @@ def run_multihop(
                     ids=ids,
                 )
                 cursor.add(stream)
-                cross_streams.append(stream)
             else:
                 source = MixedClassSource(
                     sim,
@@ -263,39 +239,6 @@ def run_multihop(
                     ids=ids,
                 )
                 source.start()
-    if hybrid is not None and hybrid.epsilon > 0:
-        # The only fluid-eligible gap here is the measurement-free
-        # warm-up: [0, warmup - spinup).  Vet it by the same rules the
-        # network controller applies to its candidate gaps, and *say
-        # so* when nothing qualifies -- a silently ignored hybrid knob
-        # reads as a speedup that never happened.
-        blocked: list[str] = []
-        skip_until = max(0.0, config.warmup - hybrid.spinup)
-        if skip_until <= 0.0:
-            blocked.append(
-                f"gap [0, {config.warmup}) is fully consumed by the "
-                f"spinup guard ({hybrid.spinup} ms); nothing remains "
-                f"to fast-forward"
-            )
-        elif skip_until < hybrid.min_fluid:
-            blocked.append(
-                f"gap [0, {skip_until}) spans {skip_until} ms "
-                f"< min_fluid {hybrid.min_fluid} ms after the spinup "
-                f"guard ({hybrid.spinup} ms)"
-            )
-        if blocked:
-            warnings.warn(
-                "hybrid fast-forward requested (epsilon="
-                f"{hybrid.epsilon}) but no fluid segment was taken: "
-                + "; ".join(blocked)
-                + "; the run proceeds fully packet-mode (increase "
-                "warmup or lower HybridConfig.spinup/min_fluid)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            for stream in cross_streams:
-                stream.fast_forward(skip_until)
     if cursor is not None:
         cursor.start()
 

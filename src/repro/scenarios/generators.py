@@ -253,14 +253,14 @@ def total_byte_rate(config: "CityScenarioConfig") -> float:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FluidLinkSpec:
-    """Pure-data description of one link for the hybrid fluid engine.
+    """Pure-data description of one link of a city topology.
 
-    :func:`city_link_graph` mirrors :func:`build_city_topology` --
-    same names, same capacity formulas, same wiring -- but as plain
-    data the fluid controller can walk without building a simulator.
-    ``downstream`` indexes into the spec list (``None`` for the sink
-    side of the monitored link); ``branches`` lists which external
-    branch traces enter at this link.
+    :func:`city_link_graph` lists one per link; :func:`build_city_topology`
+    builds the packet links from that list, and the hybrid fluid
+    controller walks it without building a simulator.  ``downstream``
+    indexes into the spec list (``None`` for the sink side of the
+    monitored link); ``branches`` lists which external branch traces
+    enter at this link.
     """
 
     name: str
@@ -274,9 +274,8 @@ def city_link_graph(config: "CityScenarioConfig") -> list[FluidLinkSpec]:
 
     Every spec's ``downstream`` index points *later* in the list, so a
     single forward pass propagates each link's fluid departure process
-    into its downstream arrival process.  Kept in lockstep with
-    :func:`build_city_topology` (asserted in tests): packet segments
-    look links up by ``name`` to seed per-link carried backlogs.
+    into its downstream arrival process, and a backward pass builds
+    each link after its downstream one.
     """
     if config.topology == "star_of_chains":
         hops = config.hops_per_branch
@@ -299,7 +298,6 @@ def city_link_graph(config: "CityScenarioConfig") -> list[FluidLinkSpec]:
                 name="hub",
                 capacity=total_byte_rate(config) / config.utilization,
                 downstream=None,
-                branches=tuple(range(config.branches)) if hops == 0 else (),
             )
         )
         return specs
@@ -326,6 +324,8 @@ def city_link_graph(config: "CityScenarioConfig") -> list[FluidLinkSpec]:
             specs.append(
                 FluidLinkSpec(
                     name=f"agg{a}",
+                    # An idle aggregation link (more aggs than branches)
+                    # still needs a positive capacity to construct.
                     capacity=max(rate, 1e-9) / config.utilization,
                     downstream=core_index,
                 )
@@ -348,95 +348,31 @@ def build_city_topology(
 ) -> tuple[list[Link], list[Link], Link]:
     """Build the configured topology; ``(entries, all_links, hub)``.
 
-    ``entries[b]`` is where branch ``b``'s trace is replayed into;
-    ``hub`` is the converged link whose :class:`DelayMonitor` measures
-    the DDP fidelity; ``all_links`` (hub last) is for invariant
-    checkers.  Links are created back to front so every link knows its
-    downstream at construction, which is what lets the drain kernel
-    fuse the chains (star) or the whole tree path (fat tree).
+    One :class:`Link` per :func:`city_link_graph` spec, in the graph's
+    order (``all_links[i]`` is spec ``i``; hub last).  ``entries[b]`` is
+    the link whose spec lists branch ``b``, where its trace is replayed
+    into; ``hub`` is the converged link whose :class:`DelayMonitor`
+    measures the DDP fidelity.  Links are created back to front so
+    every link knows its downstream at construction, which is what lets
+    the drain kernel fuse the chains (star) or the whole tree path (fat
+    tree).
     """
-    if config.topology == "star_of_chains":
-        return _star_of_chains(sim, config)
-    if config.topology == "fat_tree_lite":
-        return _fat_tree_lite(sim, config)
-    raise ConfigurationError(
-        f"unknown topology {config.topology!r}; choose from {TOPOLOGIES}"
-    )
-
-
-def _make_link(sim, config, capacity: float, target, name: str) -> Link:
-    return Link(
-        sim,
-        make_scheduler(config.scheduler, config.sdps),
-        capacity=capacity,
-        target=target,
-        name=name,
-    )
-
-
-def _star_of_chains(sim, config):
-    hub = _make_link(
-        sim,
-        config,
-        total_byte_rate(config) / config.utilization,
-        PacketSink(),
-        "hub",
-    )
-    links = []
-    entries = []
-    for b in range(config.branches):
-        capacity = branch_byte_rate(config, b) / config.edge_utilization
-        downstream = hub
-        for hop in range(config.hops_per_branch - 1, -1, -1):
-            link = _make_link(
-                sim, config, capacity, downstream, f"b{b}h{hop}"
-            )
-            links.append(link)
-            downstream = link
-        entries.append(downstream)
-    links.append(hub)
-    return entries, links, hub
-
-
-def _fat_tree_lite(sim, config):
-    core = _make_link(
-        sim,
-        config,
-        total_byte_rate(config) / config.utilization,
-        PacketSink(),
-        "core",
-    )
-    # Aggregation layer: edge b homes to aggregation b % aggregation.
-    agg_links = []
-    for a in range(config.aggregation):
-        rate = sum(
-            branch_byte_rate(config, b)
-            for b in range(config.branches)
-            if b % config.aggregation == a
-        )
-        agg_links.append(
-            _make_link(
-                sim,
-                config,
-                # An idle aggregation link (more aggs than branches)
-                # still needs a positive capacity to construct.
-                max(rate, 1e-9) / config.utilization,
-                core,
-                f"agg{a}",
-            )
-        )
-    links = []
-    entries = []
-    for b in range(config.branches):
-        edge = _make_link(
+    graph = city_link_graph(config)
+    links: list[Link] = [None] * len(graph)  # type: ignore[list-item]
+    entries: list[Link] = [None] * config.branches  # type: ignore[list-item]
+    for idx in range(len(graph) - 1, -1, -1):
+        spec = graph[idx]
+        link = links[idx] = Link(
             sim,
-            config,
-            branch_byte_rate(config, b) / config.edge_utilization,
-            agg_links[b % config.aggregation],
-            f"edge{b}",
+            make_scheduler(config.scheduler, config.sdps),
+            capacity=spec.capacity,
+            target=(
+                PacketSink()
+                if spec.downstream is None
+                else links[spec.downstream]
+            ),
+            name=spec.name,
         )
-        links.append(edge)
-        entries.append(edge)
-    links.extend(agg_links)
-    links.append(core)
-    return entries, links, core
+        for b in spec.branches:
+            entries[b] = link
+    return entries, links, links[-1]

@@ -13,15 +13,12 @@ for the scheduler shoot-out ablation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
 from .base import Scheduler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.hybrid import FluidSplitContext
-
-__all__ = ["DRRScheduler", "drr_fluid_map"]
+__all__ = ["DRRScheduler"]
 
 
 class DRRScheduler(Scheduler):
@@ -106,24 +103,3 @@ class DRRScheduler(Scheduler):
         self, cid: int, arrived_at: float, size: float, meta, now: float
     ) -> None:
         self._deficits[cid] -= size
-
-
-# ----------------------------------------------------------------------
-# Fluid model (hybrid engine)
-# ----------------------------------------------------------------------
-def drr_fluid_map(ctx: "FluidSplitContext") -> list[float]:
-    """Relative per-class delays of the DRR fluid model.
-
-    DRR's byte quanta are proportional to the weights, so in the fluid
-    limit its long-run shares coincide with GPS water-filling (Shreedhar
-    & Varghese's rate guarantee, tightened by Mukherjee et al.): the
-    round-robin granularity changes the delay *bound* by one round but
-    not the rate each backlogged class sustains.  The split is therefore
-    the same guaranteed-rate congestion model as SCFQ's
-    (:func:`repro.schedulers.wfq.scfq_fluid_map`) -- calibration from
-    packet samples absorbs the round-granularity offset once the
-    spin-up has measured it.
-    """
-    from .wfq import scfq_fluid_map
-
-    return scfq_fluid_map(ctx)

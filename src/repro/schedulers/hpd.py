@@ -17,15 +17,12 @@ the default here.
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
 from .base import Scheduler, validate_sdps
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.hybrid import FluidSplitContext
-
-__all__ = ["HPDScheduler", "hpd_fluid_map"]
+__all__ = ["HPDScheduler"]
 
 
 class HPDScheduler(Scheduler):
@@ -83,21 +80,3 @@ class HPDScheduler(Scheduler):
     ) -> None:
         self._delay_sums[cid] += now - arrived_at
         self._delay_counts[cid] += 1
-
-
-# ----------------------------------------------------------------------
-# Fluid model (hybrid engine)
-# ----------------------------------------------------------------------
-def hpd_fluid_map(ctx: "FluidSplitContext") -> list[float]:
-    """Relative per-class delays of the HPD fluid model.
-
-    Both of HPD's ingredients target the same stationary fixed point:
-    WTP's head-wait metric approaches the proportional model (Eq 3) in
-    heavy load, and PAD's normalized-average metric (Eq 2) enforces it
-    at every load.  Their convex combination therefore shares the fixed
-    point -- ``g`` only blends *transient* behaviour -- so the fluid
-    split is the proportional model ``d_i`` proportional to ``1/s_i``,
-    with calibration refining the constant-of-motion once packet
-    samples exist.
-    """
-    return [1.0 / s for s in ctx.sdps]

@@ -20,14 +20,11 @@ the ablation benchmarks.
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .base import Scheduler, validate_sdps
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.hybrid import FluidSplitContext
-
-__all__ = ["PADScheduler", "pad_fluid_map"]
+__all__ = ["PADScheduler"]
 
 
 class PADScheduler(Scheduler):
@@ -71,30 +68,3 @@ class PADScheduler(Scheduler):
         if not count:
             return float("nan")
         return self._delay_sums[class_id] / count * self.sdps[class_id]
-
-
-# ----------------------------------------------------------------------
-# Fluid model (hybrid engine)
-# ----------------------------------------------------------------------
-def pad_fluid_map(ctx: "FluidSplitContext") -> list[float]:
-    """Relative per-class delays of the PAD fluid model.
-
-    PAD's whole feedback loop drives every class's normalized average
-    delay ``s_i * d_i`` (Eq 2's normalized form of the Eq 3 target) to
-    a common value -- that equalization *is* its selection rule -- so
-    in a stationary fluid window the fixed point is exactly the
-    proportional model: ``d_i`` proportional to ``1 / s_i``.  Unlike
-    WTP this holds at moderate load too (PAD tracks long-run averages,
-    not instantaneous waits), so the analytic map is trustworthy at the
-    operating point itself -- not just as a cold start.  Packet-mode
-    calibration samples, by contrast, are taken while PAD's running
-    averages re-converge after each packet segment starts fresh, which
-    biases them; the low ``calibration_weight`` below keeps the
-    measured shape as a refinement rather than a replacement.
-    """
-    return [1.0 / s for s in ctx.sdps]
-
-
-#: Shrink packet-measured splits hard toward the analytic fixed point
-#: (see :func:`repro.sim.hybrid.fluid_split` for the blending rule).
-pad_fluid_map.calibration_weight = 0.25  # type: ignore[attr-defined]

@@ -24,20 +24,16 @@ documented.
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..sim.queues import meta_packet_id
 from .base import Scheduler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.hybrid import FluidSplitContext
-
 __all__ = [
     "SCFQScheduler",
     "WFQScheduler",
     "gps_fluid_rates",
-    "scfq_fluid_map",
 ]
 
 
@@ -150,36 +146,3 @@ def gps_fluid_rates(
             cap -= demands[i]
         active = [i for i in active if i not in satisfied]
     return rates
-
-
-def scfq_fluid_map(ctx: "FluidSplitContext") -> list[float]:
-    """Relative per-class delays of the SCFQ/WFQ fluid model.
-
-    Capacity differentiation has no delay knob (Section 2.1), so the
-    fluid split follows from the rate guarantee alone: class ``i`` is
-    an M/G/1-like server at its GPS water-filled rate ``r_i``, whose
-    congestion ``rho_i / (1 - rho_i)`` with ``rho_i = lambda_i / r_i``
-    sets the *relative* delay -- the hybrid engine scales the vector
-    onto Eq 5, so only ratios matter.  Without a real operating point
-    (no span/capacity in the context) the demands are renormalized to
-    a nominal 90%-utilization server so direct calls stay meaningful.
-    """
-    weights = ctx.sdps
-    total_bytes = sum(ctx.class_bytes)
-    if total_bytes <= 0:
-        return [1.0] * len(weights)
-    if ctx.capacity and ctx.span:
-        capacity = ctx.capacity
-        demands = [b / ctx.span for b in ctx.class_bytes]
-    else:
-        capacity = 1.0
-        demands = [0.9 * b / total_bytes for b in ctx.class_bytes]
-    rates = gps_fluid_rates(weights, demands, capacity)
-    coeffs = []
-    for lam, rate in zip(demands, rates):
-        if lam <= 0 or rate <= 0:
-            coeffs.append(0.0)
-            continue
-        rho = min(lam / rate, 0.97)
-        coeffs.append(rho / (1.0 - rho))
-    return coeffs

@@ -191,7 +191,7 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: Optional[float] = None, hybrid: Any = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains or ``until`` is reached.
 
         When ``until`` is given, every event with ``time <= until`` is
@@ -200,18 +200,9 @@ class Simulator:
         rate/interval statistics cover the full horizon.  Running to a
         horizon already in the past is rejected.
 
-        With ``hybrid`` set (a :class:`~repro.sim.hybrid.HybridController`)
-        the run is delegated to the hybrid fluid/packet engine: the
-        controller drives its own per-segment simulators and this
-        calendar stays untouched -- only the clock is advanced to the
-        horizon so callers see ordinary run semantics.  Packet segments
-        each get a *fresh* Simulator spanning the whole multihop
-        topology; fluid segments replay every link's Lindley recursion
-        analytically (:meth:`HybridController._evaluate_links`), so no
-        event of theirs ever touches a calendar.  The handoff contract
-        between the two modes lives on :class:`~repro.sim.link.Link`
-        (:meth:`~repro.sim.link.Link.seed_backlog` /
-        :meth:`~repro.sim.link.Link.backlog_snapshot`).
+        The hybrid fluid/packet engine (:mod:`repro.sim.hybrid`) does not
+        come through here: its controller runs each packet segment on a
+        fresh Simulator of its own.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -219,20 +210,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot run to a horizon in the past: {until} < now={self.now}"
             )
-        if hybrid is not None:
-            if self._heap:
-                raise SimulationError(
-                    "hybrid runs own their whole timeline; this simulator "
-                    "already has scheduled events"
-                )
-            self._running = True
-            try:
-                hybrid.run(until)
-            finally:
-                self._running = False
-            if until is not None and until > self.now:
-                self.now = until
-            return
         self._running = True
         self._run_until = math.inf if until is None else until
         # The fired-event count accumulates in a local and is flushed

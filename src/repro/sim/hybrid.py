@@ -9,7 +9,9 @@ split is pinned by the conservation law:
 
     sum_i lambda_i * d_i = lambda * d(lambda)                    (Eq 5)
 
-so a fluid segment needs no event loop at all:
+so a fluid segment needs no event loop at all.  One engine does this:
+:class:`HybridController`, which drives a whole city cell through
+alternating packet and fluid segments.
 
 * **Aggregate (exact).**  The mean aggregate queueing delay over the
   segment is the Lindley recursion over the segment's arrivals
@@ -19,8 +21,8 @@ so a fluid segment needs no event loop at all:
   arrival of the backlog's total bytes at the segment start, so the
   workload trajectory (including its terminal value, the carried-out
   backlog) is exact, not an ODE discretization.
-* **Network-wide (new).**  A fluid segment covers *every* link of the
-  cell's topology, walked in topological order: each link's departure
+* **Network-wide.**  A fluid segment covers *every* link of the cell's
+  topology, walked in topological order: each link's departure
   process -- arrival time plus Lindley wait plus transmission time,
   exact for any work-conserving discipline because the aggregate
   workload process is discipline-independent -- becomes the arrival
@@ -28,13 +30,12 @@ so a fluid segment needs no event loop at all:
   FlowDemux chains and fan-in DAGs in a single numpy pass per link.
   Carried backlogs are tracked per link and re-seeded per link at the
   fluid->packet handoff.
-* **Per-class (model).**  The monitored link's aggregate mean is
-  distributed across classes by a scheduler-specific *fluid map* that
-  satisfies Eq 5 exactly.  Maps live in a pluggable registry
-  (:func:`register_fluid_map`): equal delays for FCFS, inverse-SDP
-  proportional delays for WTP/BPR (Eq 6) and for PAD/HPD (the
-  normalized-delay model of Eq 2/3 targets the same proportional fixed
-  point), and GPS rate-guarantee congestion for DRR/SCFQ/WFQ
+* **Per-class (model).**  The hub's aggregate mean is distributed
+  across classes by a scheduler's *split map*, scaled so it satisfies
+  Eq 5 exactly.  The maps form one closed table (``_SPLIT_MAPS``):
+  equal delays for FCFS, inverse-SDP proportional delays for
+  WTP/BPR/PAD/HPD (Eq 6, and the normalized-delay fixed point of Eq
+  2/3), and GPS rate-guarantee congestion for DRR/SCFQ/WFQ
   (water-filled per-class service rates; see
   :func:`repro.schedulers.wfq.gps_fluid_rates`).  Strict priority uses
   the successive-subset decomposition (class-filtered Lindley replays,
@@ -51,11 +52,10 @@ so a fluid segment needs no event loop at all:
   its dedicated-rate Lindley mean plus one round, up to slack).  A
   violation *demotes* the segment: it re-runs in packet mode and the
   demotion is recorded in the controller timeline.
-* **Arrival-free stretches** drain analytically: BPR through
-  :class:`~repro.schedulers.bpr.FluidBPRTracker` (Proposition 1's
-  closed form), strict priority top-down, everything else
-  proportionally, with :func:`~repro.schedulers.bpr.fluid_clearing_time`
-  bounding the drain.
+* **Arrival-free stretches** drain through the same Lindley replay: a
+  link's carried backlog is its one virtual arrival, so the remaining
+  total is exact at link capacity, and the carried class proportions
+  are kept.
 
 Packet mode runs the ordinary drain-kernel simulation on the real
 topology around every transient: startup + warm-up + calibration,
@@ -66,7 +66,9 @@ the error-bound knob ``epsilon``.  ``epsilon = 0`` therefore forces
 packet mode everywhere and the controller short-circuits to the
 unmodified pure-packet path (bit-identical to an evented run by
 construction; asserted in :mod:`tests.differential` for every
-registered scheduler, single-hop and multihop).
+registered scheduler, single-hop and multihop).  ``epsilon`` is the
+engine's one knob; the planner's timings are the module constants
+below.
 
 Handoff contract (see DESIGN.md):
 
@@ -74,8 +76,8 @@ Handoff contract (see DESIGN.md):
   segment is extended past its planned boundary until every link goes
   idle (at rho < 1 busy periods end quickly), so the fluid segment
   starts from zero backlog network-wide -- an exact handoff.  If no
-  idle instant appears within ``regen_window`` (sustained overload),
-  the per-class backlog of *each link* is read via
+  idle instant appears within :data:`REGEN_WINDOW` (sustained
+  overload), the per-class backlog of *each link* is read via
   :meth:`~repro.sim.link.Link.backlog_snapshot` and carried into the
   per-link fluid state.
 * **fluid -> packet** symmetrically prefers a *network-wide* idle cut:
@@ -88,12 +90,11 @@ Handoff contract (see DESIGN.md):
   injected through :meth:`~repro.sim.link.Link.seed_backlog` on that
   link.
 
-Wall-clock wiring: :meth:`Simulator.run(hybrid=...)
-<repro.sim.engine.Simulator.run>` delegates a whole run to a
+Wiring: :func:`run_hybrid_city` runs one cell through a
 :class:`HybridController`; :func:`repro.scenarios.city.city_summary`
-builds one when the cell config carries a :class:`HybridConfig`;
-``repro.cli city --hybrid`` and the sweep runner flow through that
-config field (which also lands in the runner cache
+calls it when the cell config carries a :class:`HybridConfig` with
+``epsilon > 0``; ``repro.cli city --hybrid`` and the sweep runner flow
+through that config field (which also lands in the runner cache
 fingerprint automatically -- hybrid and pure cells never collide).
 """
 
@@ -125,12 +126,7 @@ __all__ = [
     "HybridConfig",
     "Segment",
     "FluidSplitContext",
-    "FluidWindowResult",
-    "register_fluid_map",
-    "fluid_supported",
     "fluid_split",
-    "fluid_window",
-    "drain_idle",
     "check_fluid_envelopes",
     "plan_segments",
     "HybridController",
@@ -151,13 +147,29 @@ ENVELOPE_SLACK = 4.0
 #: therefore gets the DRR/SCFQ guaranteed-rate envelope check.
 _RATE_GUARANTEE_SCHEDULERS = ("drr", "scfq", "wfq")
 
+# Planner timings, in the scenario's time unit (ms).
+#: Envelope bin width for rate estimation and transient detection.
+BIN_WIDTH = 250.0
+#: Relative aggregate-rate jump flagged as a transient.
+RATE_JUMP = 0.25
+#: Packet-mode guard band on each side of every transient.
+GUARD = 500.0
+#: Packet-mode calibration span after warm-up (measures the per-class
+#: split the calibrated fluid map projects onto Eq 5).
+SPINUP = 2000.0
+#: Minimum span worth switching to fluid for.
+MIN_FLUID = 2000.0
+#: How far past a boundary to search for an idle regeneration instant
+#: before falling back to backlog seeding.
+REGEN_WINDOW = 500.0
+
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Hybrid-engine knobs.  Time fields share the scenario's unit (ms).
+    """The hybrid engine's one knob.
 
-    ``epsilon`` is the error-bound knob: a candidate fluid stretch runs
-    in fluid mode only when its predicted error -- the coefficient of
+    ``epsilon`` is the error bound: a candidate fluid stretch runs in
+    fluid mode only when its predicted error -- the coefficient of
     variation of the binned aggregate arrival rate, a stationarity
     proxy validated against full packet-level golden runs -- stays at
     or below ``epsilon``.  ``epsilon = 0`` rejects every stretch and
@@ -165,32 +177,12 @@ class HybridConfig:
     """
 
     epsilon: float = 0.05
-    #: Envelope bin width for rate estimation and transient detection.
-    bin_width: float = 250.0
-    #: Relative aggregate-rate jump flagged as a transient.
-    rate_jump: float = 0.25
-    #: Packet-mode guard band on each side of every transient.
-    guard: float = 500.0
-    #: Packet-mode calibration span after warm-up (measures the
-    #: per-class split the calibrated fluid map projects onto Eq 5).
-    spinup: float = 2000.0
-    #: Minimum span worth switching to fluid for.
-    min_fluid: float = 2000.0
-    #: How far past a boundary to search for an idle regeneration
-    #: instant before falling back to backlog seeding.
-    regen_window: float = 500.0
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ConfigurationError(
                 f"epsilon must be non-negative: {self.epsilon}"
             )
-        for name in ("bin_width", "rate_jump", "spinup", "min_fluid"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("guard", "regen_window"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -206,156 +198,93 @@ class Segment:
         return self.end - self.start
 
 
-@dataclass
-class FluidWindowResult:
-    """Outcome of one fluid window evaluation."""
-
-    d_agg: float
-    delays: list[float]
-    counts: list[int]
-    end_backlogs: list[float]
-    #: Where the window actually ended: the boundary, or an earlier
-    #: idle regeneration instant when one was requested and found.
-    handoff_time: float
-    #: True when the window ended at an idle instant (empty handoff).
-    regenerated: bool
-    #: Arrivals NOT consumed (deferred past ``handoff_time``).
-    deferred: int = 0
-
-
 # ----------------------------------------------------------------------
-# Fluid split-map registry
+# Fluid split maps (Eq 5)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FluidSplitContext:
-    """Everything a fluid split map may condition on for one window.
-
-    ``class_bytes`` is the per-class offered byte mass of the window
-    (falls back to the packet counts when a caller has no sizes);
-    ``span``/``capacity`` are optional -- rate-based maps renormalize
-    to a nominal 90%-utilization operating point when they are absent
-    (direct :func:`fluid_split` calls in tests and tools).
-    """
+    """What a fluid split map conditions on for one window: the SDPs,
+    the per-class offered byte mass, the window's span and the link
+    capacity."""
 
     sdps: tuple[float, ...]
-    counts: tuple[int, ...]
-    d_agg: float
     class_bytes: tuple[float, ...]
-    span: Optional[float] = None
-    capacity: Optional[float] = None
+    span: float
+    capacity: float
 
 
-#: Registered fluid split maps: scheduler name -> map callable.  A map
-#: takes a :class:`FluidSplitContext` and returns one non-negative
-#: finite *relative* delay coefficient per class; :func:`fluid_split`
-#: scales them onto Eq 5.
-_FLUID_MAPS: dict[str, Callable[[FluidSplitContext], Sequence[float]]] = {}
-
-#: Built-in maps that live next to their schedulers, resolved lazily to
-#: keep import edges one-directional (schedulers may import this module
-#: for registration helpers).
-_BUILTIN_FLUID_MAPS: dict[str, tuple[str, str]] = {
-    "drr": ("repro.schedulers.drr", "drr_fluid_map"),
-    "scfq": ("repro.schedulers.wfq", "scfq_fluid_map"),
-    "wfq": ("repro.schedulers.wfq", "scfq_fluid_map"),
-    "pad": ("repro.schedulers.pad", "pad_fluid_map"),
-    "hpd": ("repro.schedulers.hpd", "hpd_fluid_map"),
-}
-
-
-def _fcfs_fluid_map(ctx: FluidSplitContext) -> list[float]:
+def _uniform_map(ctx: FluidSplitContext) -> list[float]:
     """FCFS: one shared queueing delay."""
     return [1.0] * len(ctx.sdps)
 
 
-def _inverse_sdp_fluid_map(ctx: FluidSplitContext) -> list[float]:
-    """WTP/BPR: Eq 6's proportional model, d_i proportional to 1/s_i
-    (both schedulers approach it in heavy load -- BPR exactly in the
-    fluid limit of Proposition 1)."""
+def _inverse_sdp_map(ctx: FluidSplitContext) -> list[float]:
+    """Eq 6's proportional model: d_i proportional to 1/s_i."""
     return [1.0 / s for s in ctx.sdps]
 
 
-_FLUID_MAPS["fcfs"] = _fcfs_fluid_map
-_FLUID_MAPS["wtp"] = _inverse_sdp_fluid_map
-_FLUID_MAPS["bpr"] = _inverse_sdp_fluid_map
+def _gps_congestion_map(ctx: FluidSplitContext) -> list[float]:
+    """Capacity differentiation (DRR/SCFQ/WFQ) has no delay knob
+    (Section 2.1), so the split follows from the rate guarantee alone:
+    class ``i`` is an M/G/1-like server at its GPS water-filled rate
+    ``r_i``, whose congestion ``rho_i / (1 - rho_i)`` with
+    ``rho_i = lambda_i / r_i`` sets the *relative* delay."""
+    from ..schedulers.wfq import gps_fluid_rates
+
+    weights = ctx.sdps
+    if sum(ctx.class_bytes) <= 0:
+        return [1.0] * len(weights)
+    demands = [b / ctx.span for b in ctx.class_bytes]
+    rates = gps_fluid_rates(weights, demands, ctx.capacity)
+    coeffs = []
+    for lam, rate in zip(demands, rates):
+        if lam <= 0 or rate <= 0:
+            coeffs.append(0.0)
+            continue
+        rho = min(lam / rate, 0.97)
+        coeffs.append(rho / (1.0 - rho))
+    return coeffs
 
 
-def register_fluid_map(
-    name: str,
-    fn: Callable[[FluidSplitContext], Sequence[float]],
-    *,
-    calibration_weight: Optional[float] = None,
-) -> None:
-    """Register (or override) the fluid split map for a scheduler name.
+#: Scheduler name -> (split map, calibration weight).  A map returns one
+#: non-negative relative delay coefficient per class; the weight in
+#: ``[0, 1]`` is how far packet-measured splits override the map once
+#: calibration samples exist (see :func:`fluid_split`).
+#:
+#: * WTP approaches the proportional model in heavy load and BPR hits
+#:   it exactly in the fluid limit (Proposition 1).
+#: * PAD's feedback loop drives every class's normalized average delay
+#:   ``s_i * d_i`` (Eq 2's form of the Eq 3 target) to a common value,
+#:   so its stationary fixed point is the proportional model at every
+#:   load, not just in heavy load.  Its packet-mode calibration
+#:   samples are taken while its running averages re-converge after
+#:   each fresh packet segment, which biases them: weight 0.25 keeps
+#:   the measurement a refinement of the model, not a replacement.
+#: * HPD blends WTP's head-wait metric and PAD's normalized average;
+#:   both target the same fixed point, so the blend ``g`` only shapes
+#:   transients.
+#: * DRR's byte quanta are proportional to the weights, so in the fluid
+#:   limit its shares coincide with GPS water-filling, like SCFQ's
+#:   (Shreedhar & Varghese, tightened by Mukherjee et al.): the round
+#:   granularity moves the delay *bound* by one round, not the rate a
+#:   backlogged class sustains.  The congestion model is only a cold
+#:   start, so the measurement replaces it outright.
+_SPLIT_MAPS: dict[str, tuple[Callable[[FluidSplitContext], list], float]] = {
+    "fcfs": (_uniform_map, 1.0),
+    "wtp": (_inverse_sdp_map, 1.0),
+    "bpr": (_inverse_sdp_map, 1.0),
+    "pad": (_inverse_sdp_map, 0.25),
+    "hpd": (_inverse_sdp_map, 1.0),
+    "drr": (_gps_congestion_map, 1.0),
+    "scfq": (_gps_congestion_map, 1.0),
+    "wfq": (_gps_congestion_map, 1.0),
+}
 
-    ``fn`` receives a :class:`FluidSplitContext` and returns one
-    non-negative finite coefficient per class; the hybrid engine scales
-    the coefficients onto the conservation law (Eq 5), so only their
-    *ratios* matter.  Registration is how out-of-tree schedulers opt
-    into fluid segments.
-
-    ``calibration_weight`` (optional, in ``[0, 1]``) is stored on the
-    map and controls how much packet-measured splits override the
-    analytic shape once calibration samples exist -- see
-    :func:`fluid_split`.  Omit it to trust the measurement fully.
-    """
-    if not callable(fn):
-        raise ConfigurationError(f"fluid map for {name!r} must be callable")
-    if calibration_weight is not None:
-        if not 0.0 <= calibration_weight <= 1.0:
-            raise ConfigurationError(
-                f"calibration_weight must be in [0, 1]: {calibration_weight}"
-            )
-        fn.calibration_weight = float(calibration_weight)  # type: ignore[attr-defined]
-    _FLUID_MAPS[name.lower()] = fn
-
-
-def fluid_supported() -> tuple[str, ...]:
-    """Scheduler names that can take fluid segments, sorted.
-
-    Includes every registered split map plus ``strict``, whose
-    successive-subset decomposition lives in :func:`fluid_window`
-    rather than the coefficient registry.
-    """
-    names = set(_FLUID_MAPS) | set(_BUILTIN_FLUID_MAPS) | {"strict"}
-    return tuple(sorted(names))
+#: Scheduler names that can take fluid segments: every split map, plus
+#: strict priority's successive-subset decomposition.
+FLUID_SCHEDULERS = tuple(sorted([*_SPLIT_MAPS, "strict"]))
 
 
-def _fluid_map_for(
-    scheduler: str,
-) -> Callable[[FluidSplitContext], Sequence[float]]:
-    """Resolve a scheduler's split map, importing built-ins lazily."""
-    key = scheduler.lower()
-    fn = _FLUID_MAPS.get(key)
-    if fn is not None:
-        return fn
-    builtin = _BUILTIN_FLUID_MAPS.get(key)
-    if builtin is not None:
-        import importlib
-
-        module, attr = builtin
-        fn = getattr(importlib.import_module(module), attr)
-        _FLUID_MAPS[key] = fn
-        return fn
-    raise ConfigurationError(
-        f"no fluid map registered for scheduler {scheduler!r}; "
-        f"supported: {fluid_supported()}; add one via "
-        f"repro.sim.hybrid.register_fluid_map(name, fn)"
-    )
-
-
-def _has_fluid_map(scheduler: str) -> bool:
-    key = scheduler.lower()
-    return key in _FLUID_MAPS or key in _BUILTIN_FLUID_MAPS
-
-
-#: Back-compat alias: the scheduler names with built-in fluid support.
-FLUID_SCHEDULERS = fluid_supported()
-
-
-# ----------------------------------------------------------------------
-# Fluid per-class delay maps (Eq 5)
-# ----------------------------------------------------------------------
 def fluid_split(
     scheduler: str,
     sdps: Sequence[float],
@@ -363,9 +292,9 @@ def fluid_split(
     d_agg: float,
     calibration: Optional[Sequence[float]] = None,
     *,
-    class_bytes: Optional[Sequence[float]] = None,
-    span: Optional[float] = None,
-    capacity: Optional[float] = None,
+    class_bytes: Sequence[float],
+    span: float,
+    capacity: float,
 ) -> list[float]:
     """Per-class mean delays satisfying Eq 5 for a stationary window.
 
@@ -375,54 +304,34 @@ def fluid_split(
     coefficients ``c_i`` are the *measured* per-class means when a
     calibration vector is supplied (projecting the scheduler's actual
     differentiation onto the conservation law), else come from the
-    scheduler's registered fluid map (:func:`register_fluid_map`).
+    scheduler's split map in ``_SPLIT_MAPS``.
 
-    A map may set a ``calibration_weight`` attribute in ``[0, 1]`` to
-    control how much the measured shape overrides its analytic shape
-    once calibration samples exist: 1.0 (the default) trusts the
-    measurement outright, lower values shrink the measured coefficients
-    toward the analytic prior.  PAD uses a low weight because its
-    feedback loop enforces the proportional fixed point at *every*
-    load, so short packet-mode measurements (taken while its running
-    averages re-converge) are noisier than the model they would
-    replace; rate-based maps (drr/scfq/wfq) keep 1.0 because their
-    congestion model is only a cold-start approximation.
+    A calibration weight below 1 shrinks the measured coefficients
+    toward the map's analytic shape; 1 trusts the measurement outright.
 
-    Strict priority has no rate-free split and is handled by
-    :func:`fluid_window` via successive subsets.
+    Strict priority has no rate-free split; the controller handles it
+    with successive subsets (``_strict_subset_delays``).
     """
     if scheduler == "strict":
         raise ConfigurationError(
-            "strict priority needs the successive-subset map; "
-            "use fluid_window"
+            "strict priority needs the successive-subset map, not a "
+            "split coefficient vector"
         )
-    fn = _fluid_map_for(scheduler)
+    entry = _SPLIT_MAPS.get(scheduler.lower())
+    if entry is None:
+        raise ConfigurationError(
+            f"no fluid map for scheduler {scheduler!r}; "
+            f"supported: {FLUID_SCHEDULERS}"
+        )
     if len(counts) != len(sdps):
         raise ConfigurationError("one arrival count per class required")
-
-    def _analytic() -> list[float]:
-        ctx = FluidSplitContext(
-            sdps=tuple(float(s) for s in sdps),
-            counts=tuple(int(n) for n in counts),
-            d_agg=float(d_agg),
-            class_bytes=(
-                tuple(float(b) for b in class_bytes)
-                if class_bytes is not None
-                else tuple(float(n) for n in counts)
-            ),
-            span=span,
-            capacity=capacity,
-        )
-        values = [float(c) for c in fn(ctx)]
-        if len(values) != len(sdps) or any(
-            not math.isfinite(c) or c < 0 for c in values
-        ):
-            raise ConfigurationError(
-                f"fluid map for {scheduler!r} must return one non-negative "
-                f"finite coefficient per class, got {values}"
-            )
-        return values
-
+    split_map, weight = entry
+    ctx = FluidSplitContext(
+        sdps=tuple(float(s) for s in sdps),
+        class_bytes=tuple(float(b) for b in class_bytes),
+        span=span,
+        capacity=capacity,
+    )
     if calibration is not None:
         coeffs = [float(c) for c in calibration]
         if len(coeffs) != len(sdps) or any(
@@ -431,13 +340,12 @@ def fluid_split(
             raise ConfigurationError(
                 f"calibration must be positive and finite per class: {coeffs}"
             )
-        weight = min(1.0, max(0.0, getattr(fn, "calibration_weight", 1.0)))
         if weight < 1.0:
             # Shrink the measured shape toward the analytic prior.  Both
             # vectors are normalized to a count-weighted mean of one so
             # the blend mixes *shapes*; the absolute scale is re-imposed
             # by Eq 5 below either way.
-            analytic = _analytic()
+            analytic = split_map(ctx)
             total = sum(counts)
             m_norm = sum(n * c for n, c in zip(counts, coeffs))
             a_norm = sum(n * c for n, c in zip(counts, analytic))
@@ -448,61 +356,13 @@ def fluid_split(
                     for c, a in zip(coeffs, analytic)
                 ]
     else:
-        coeffs = _analytic()
+        coeffs = split_map(ctx)
     weighted = sum(n * c for n, c in zip(counts, coeffs))
     total = sum(counts)
     if total == 0 or weighted <= 0:
         return [math.nan] * len(sdps)
     scale = total * d_agg / weighted
     return [c * scale for c in coeffs]
-
-
-def drain_idle(
-    scheduler: str,
-    sdps: Sequence[float],
-    capacity: float,
-    backlogs: Sequence[float],
-    span: float,
-) -> list[float]:
-    """Advance carried backlogs through an arrival-free fluid stretch.
-
-    BPR follows Proposition 1's closed form
-    (:class:`~repro.schedulers.bpr.FluidBPRTracker`); strict priority
-    depletes top class down; every other discipline drains
-    proportionally (the uniform-theta fluid, exact for FCFS backlog
-    whose per-class composition is uniform in arrival order).  All
-    disciplines clear simultaneously at :func:`fluid_clearing_time` --
-    work conservation fixes the total; only the per-class composition
-    differs.
-    """
-    from ..schedulers.bpr import FluidBPRTracker, fluid_clearing_time
-
-    if span < 0:
-        raise ConfigurationError(f"span must be non-negative: {span}")
-    backlogs = [float(q) for q in backlogs]
-    total = sum(backlogs)
-    if total <= 0:
-        return [0.0] * len(backlogs)
-    if span >= fluid_clearing_time(backlogs, capacity):
-        return [0.0] * len(backlogs)
-    if scheduler == "bpr":
-        tracker = FluidBPRTracker(sdps, capacity)
-        for cid, amount in enumerate(backlogs):
-            tracker.add_fluid(cid, amount)
-        tracker.advance(span)
-        return list(tracker.backlogs)
-    if scheduler == "strict":
-        budget = capacity * span
-        out = list(backlogs)
-        for cid in range(len(out) - 1, -1, -1):
-            served = min(out[cid], budget)
-            out[cid] -= served
-            budget -= served
-            if budget <= 0:
-                break
-        return out
-    drained_fraction = 1.0 - capacity * span / total
-    return [q * drained_fraction for q in backlogs]
 
 
 # ----------------------------------------------------------------------
@@ -604,120 +464,6 @@ def _terminal_workload(
     return float(max(0.0, (tail_work - (end - times)).max()))
 
 
-def fluid_window(
-    times: np.ndarray,
-    class_ids: np.ndarray,
-    sizes: np.ndarray,
-    num_classes: int,
-    capacity: float,
-    start: float,
-    end: float,
-    scheduler: str,
-    sdps: Sequence[float],
-    carried: Sequence[float],
-    calibration: Optional[Sequence[float]] = None,
-    regen_window: float = 0.0,
-) -> FluidWindowResult:
-    """Evaluate one fluid segment over the arrivals in ``[start, end)``.
-
-    ``times``/``class_ids``/``sizes`` are the segment's slice of the
-    monitored link's offered trace; ``carried`` is the per-class byte
-    backlog handed over at ``start``.  With ``regen_window > 0`` the
-    window prefers to *end early* at the last idle (zero-wait) arrival
-    within ``regen_window`` of ``end``: arrivals at and after that
-    instant are deferred to the following packet segment, which then
-    starts from genuinely empty queues.
-    """
-    from ..core.conservation import fcfs_waiting_times
-
-    if scheduler != "strict" and not _has_fluid_map(scheduler):
-        raise ConfigurationError(
-            f"no fluid map registered for scheduler {scheduler!r}; "
-            f"supported: {fluid_supported()}; add one via "
-            f"repro.sim.hybrid.register_fluid_map(name, fn)"
-        )
-    carried = [float(q) for q in carried]
-    if len(carried) != num_classes:
-        raise ConfigurationError("one carried backlog per class required")
-    carried_total = sum(carried)
-    empty = [0.0] * num_classes
-    if not len(times):
-        drained = drain_idle(scheduler, sdps, capacity, carried, end - start)
-        return FluidWindowResult(
-            d_agg=math.nan,
-            delays=[math.nan] * num_classes,
-            counts=[0] * num_classes,
-            end_backlogs=drained,
-            handoff_time=end,
-            regenerated=sum(drained) == 0.0,
-        )
-
-    # Aggregate Lindley replay; carried backlog enters as one virtual
-    # arrival of its total bytes at the window start.
-    if carried_total > 0:
-        lindley_times = np.concatenate(([start], times))
-        lindley_sizes = np.concatenate(([carried_total], sizes))
-        offset = 1
-    else:
-        lindley_times = times
-        lindley_sizes = sizes
-        offset = 0
-    waits = fcfs_waiting_times(lindley_times, lindley_sizes, capacity)
-
-    # Regeneration: last real arrival with zero wait near the boundary
-    # (the Lindley walk hits an exact float 0.0 at every new minimum).
-    cut = len(times)
-    regenerated = False
-    if regen_window > 0:
-        lo = int(np.searchsorted(times, end - regen_window, side="left"))
-        zero = np.flatnonzero(waits[offset + lo :] == 0.0)
-        if len(zero):
-            cut = lo + int(zero[-1])
-            regenerated = True
-
-    real_waits = waits[offset : offset + cut]
-    window_classes = class_ids[:cut]
-    counts = np.bincount(window_classes, minlength=num_classes).tolist()
-    d_agg = float(real_waits.mean()) if cut else math.nan
-
-    if scheduler == "strict":
-        delays = _strict_subset_delays(
-            times[:cut], window_classes, sizes[:cut],
-            num_classes, capacity, start, carried,
-        )
-    else:
-        class_bytes = np.bincount(
-            window_classes, weights=sizes[:cut], minlength=num_classes
-        ).tolist()
-        delays = fluid_split(
-            scheduler, sdps, counts, d_agg, calibration,
-            class_bytes=class_bytes, span=end - start, capacity=capacity,
-        )
-
-    if regenerated:
-        return FluidWindowResult(
-            d_agg=d_agg,
-            delays=delays,
-            counts=counts,
-            end_backlogs=empty,
-            handoff_time=float(times[cut]),
-            regenerated=True,
-            deferred=len(times) - cut,
-        )
-    terminal = _terminal_workload(lindley_times, lindley_sizes, capacity, end)
-    return FluidWindowResult(
-        d_agg=d_agg,
-        delays=delays,
-        counts=counts,
-        end_backlogs=_split_backlog(
-            terminal * capacity, counts, sizes, window_classes,
-            delays, carried, num_classes,
-        ),
-        handoff_time=end,
-        regenerated=False,
-    )
-
-
 def _strict_subset_delays(
     times: np.ndarray,
     class_ids: np.ndarray,
@@ -802,18 +548,17 @@ def plan_segments(
 ) -> list[Segment]:
     """Alternating packet/fluid plan for ``[0, horizon)``.
 
-    Packet mode is forced on ``[0, warmup + spinup]`` (startup +
-    warm-up edge + calibration) and on ``guard``-wide bands around
+    Packet mode is forced on ``[0, warmup + SPINUP]`` (startup +
+    warm-up edge + calibration) and on ``GUARD``-wide bands around
     every transient; the gaps between forced intervals become fluid
-    *candidates*, accepted only when they span at least ``min_fluid``
+    *candidates*, accepted only when they span at least ``MIN_FLUID``
     and ``predicted_error(t0, t1) <= epsilon``.  With ``epsilon = 0``
     the single returned segment is pure packet.
 
     When ``report`` is a list, one dict per candidate gap is appended
     describing its verdict -- ``accepted`` plus, for rejections, the
     ``reason`` (too short vs ``min_fluid``, or predicted error above
-    ``epsilon``) -- which is what :func:`repro.network.multihop.run_multihop`
-    surfaces when a hybrid run ends up taking zero fluid segments.
+    ``epsilon``); the controller's summary carries it as ``gaps``.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive: {horizon}")
@@ -821,13 +566,11 @@ def plan_segments(
     if hybrid.epsilon <= 0:
         return whole
     forced: list[tuple[float, float]] = [
-        (0.0, min(horizon, warmup + hybrid.spinup))
+        (0.0, min(horizon, warmup + SPINUP))
     ]
     for t in sorted(transients):
         if 0.0 < t < horizon:
-            forced.append(
-                (max(0.0, t - hybrid.guard), min(horizon, t + hybrid.guard))
-            )
+            forced.append((max(0.0, t - GUARD), min(horizon, t + GUARD)))
     forced.sort()
     merged = [list(forced[0])]
     for lo, hi in forced[1:]:
@@ -842,11 +585,11 @@ def plan_segments(
     for lo, hi in boundaries:
         if cursor < lo:  # gap between forced intervals: fluid candidate
             span = lo - cursor
-            if span < hybrid.min_fluid:
+            if span < MIN_FLUID:
                 accept = False
                 reason = (
                     f"gap [{cursor:g}, {lo:g}) spans {span:g} "
-                    f"< min_fluid {hybrid.min_fluid:g}"
+                    f"< min_fluid {MIN_FLUID:g}"
                 )
             else:
                 err = predicted_error(cursor, lo)
@@ -921,8 +664,7 @@ class HybridController:
     :class:`DelayMonitor`: packet segments build a fresh topology (so
     no stale calendar state crosses a handoff) and attach it to the
     hub; fluid segments credit the hub's Eq 5 class means into the
-    same streaming stats.  ``Simulator.run(hybrid=ctrl)`` delegates
-    whole-run control here.
+    same streaming stats.
     """
 
     def __init__(
@@ -935,14 +677,13 @@ class HybridController:
         hybrid = config.hybrid
         if hybrid is None:
             raise ConfigurationError("config.hybrid must be set")
-        if hybrid.epsilon > 0 and not (
-            config.scheduler == "strict" or _has_fluid_map(config.scheduler)
+        name = config.scheduler
+        if hybrid.epsilon > 0 and name != "strict" and (
+            name.lower() not in _SPLIT_MAPS
         ):
             raise ConfigurationError(
-                f"no fluid map registered for scheduler "
-                f"{config.scheduler!r}; supported: {fluid_supported()}; "
-                f"register one via repro.sim.hybrid.register_fluid_map "
-                f"or set epsilon=0 for pure packet"
+                f"no fluid map for scheduler {name!r}; supported: "
+                f"{FLUID_SCHEDULERS}; set epsilon=0 for pure packet"
             )
         self.config = config
         self.hybrid = hybrid
@@ -993,7 +734,7 @@ class HybridController:
         trace = self.hub_trace
         envelope = RateEnvelope.from_arrays(
             trace.times, trace.class_ids, trace.sizes,
-            horizon, self.hybrid.bin_width, self.config.num_classes,
+            horizon, BIN_WIDTH, self.config.num_classes,
         )
         agg = envelope.aggregate_byte_rates()
         edges = envelope.edges
@@ -1018,7 +759,7 @@ class HybridController:
                 return 0.0
             return float(means.std()) / grand
 
-        transients = list(envelope.change_points(self.hybrid.rate_jump))
+        transients = list(envelope.change_points(RATE_JUMP))
         transients.extend(self.config.load_shape.transient_edges(horizon))
         report: list[dict] = []
         segments = plan_segments(
@@ -1064,7 +805,6 @@ class HybridController:
         sim = Simulator()
         entries, links, hub = build_city_topology(sim, config)
         hub.add_monitor(self.monitor)
-        by_name = {link.name: link for link in links}
 
         for idx, spec in enumerate(self.graph):
             carried = self._carried[idx]
@@ -1077,10 +817,10 @@ class HybridController:
             )
             seeds = self._build_seeds(start, carried, hints, spec.capacity)
             if seeds:
-                sim.schedule(start, by_name[spec.name].seed_backlog, seeds)
+                sim.schedule(start, links[idx].seed_backlog, seeds)
         # Feed each branch its slice; extend past the boundary by the
         # regeneration search window so the handoff has live traffic.
-        feed_end = end + (self.hybrid.regen_window if seek_regen else 0.0)
+        feed_end = end + (REGEN_WINDOW if seek_regen else 0.0)
         fed = 0
         for branch, trace in enumerate(self.traces):
             lo = int(np.searchsorted(trace.times, start, side="left"))
@@ -1104,7 +844,7 @@ class HybridController:
         handoff = end
         self._carried = [[0.0] * config.num_classes for _ in self.graph]
         if seek_regen:
-            deadline = end + self.hybrid.regen_window
+            deadline = end + REGEN_WINDOW
             while any(link.busy for link in links):
                 key = sim.peek_key()
                 if key is None or key[0] > deadline:
@@ -1113,10 +853,8 @@ class HybridController:
             if any(link.busy for link in links):
                 # No regeneration point: read each link's backlog out.
                 handoff = max(sim.now, end)
-                for idx, spec in enumerate(self.graph):
-                    self._carried[idx] = list(
-                        by_name[spec.name].backlog_snapshot(handoff)
-                    )
+                for idx, link in enumerate(links):
+                    self._carried[idx] = list(link.backlog_snapshot(handoff))
             else:
                 handoff = max(sim.now, end)
         self.packet_departures += hub.departures - departures_before
@@ -1338,10 +1076,9 @@ class HybridController:
         """Latest external arrival in the regeneration window at which
         the *whole network* is idle (every link's prior departures have
         completed) -- the exact fluid->packet handoff."""
-        window = self.hybrid.regen_window
-        if window <= 0 or not len(ext_times):
+        if REGEN_WINDOW <= 0 or not len(ext_times):
             return None
-        lo = int(np.searchsorted(ext_times, end - window, side="left"))
+        lo = int(np.searchsorted(ext_times, end - REGEN_WINDOW, side="left"))
         candidates = ext_times[lo:]
         for t in candidates[::-1][:128]:
             t = float(t)
@@ -1488,13 +1225,8 @@ class HybridController:
 def run_hybrid_city(
     config: "CityScenarioConfig", traces: Sequence["ArrivalTrace"]
 ) -> HybridController:
-    """Run one city cell through the hybrid engine.
-
-    The entry point :func:`repro.scenarios.city.city_summary` uses when
-    a cell carries a :class:`HybridConfig` with ``epsilon > 0``; the
-    engine-level wiring goes through ``Simulator.run(hybrid=...)``.
+    """Run one city cell through the hybrid engine; returns the finished
+    controller.  :func:`repro.scenarios.city.city_summary` calls this
+    when a cell carries a :class:`HybridConfig` with ``epsilon > 0``.
     """
-    controller = HybridController(config, traces)
-    sim = Simulator()
-    sim.run(until=config.horizon, hybrid=controller)
-    return controller
+    return HybridController(config, traces).run()

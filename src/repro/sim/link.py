@@ -35,8 +35,9 @@ link shape                   completion path                representation
 checker hooks attached, a    (the reference: one
 scheduler class that         calendar event per
 overrides ``select`` or      departure)
-``enqueue``, or a cursor-fed
-link its chain cannot take
+``enqueue``, or a link fed
+by a live cursor that its
+chain cannot take
 
 a lossless link whose        ``_drain_chain`` over the      columns
 walked chain fuses: an       whole chain
@@ -91,11 +92,12 @@ on any link the walk reaches *blocks* fusion, so hooked links only
 ever see plain ``receive`` calls.  A lone cursor-fed link fuses as a
 walked chain of one member: cursor batches
 (:meth:`~repro.traffic.compile.ArrivalCursor.drain_batch`) run only in
-the chain kernel.  A link that drains on its own, lossy or not, keeps
-its state in locals in the single-link loop and reaches every other
-link through ``receive``; a lossy link's arrivals apply its drop
-policy (:meth:`Link._admit`, which takes a class id) where ``receive``
-does.
+the chain kernel; a link drops a cursor whose streams are exhausted at
+its next completion outside that kernel, and is cursor-free from then
+on.  A link that drains on its own, lossy or not, keeps its state in
+locals in the single-link loop and reaches every other link through
+``receive``; a lossy link's arrivals apply its drop policy
+(:meth:`Link._admit`, which takes a class id) where ``receive`` does.
 
 Columns.  Both drain kernels queue only columns: a drained link's
 packets live in the scheduler's
@@ -982,13 +984,25 @@ class Link:
                 )
             if self._chain_fuse and self._drain_chain(packet, chain):
                 return
-        if self._cursors:
+        if self._cursors and self._live_cursors():
             # Cursor batches run only in the chain kernel.  The
             # cursor's pending event is always a real calendar event,
             # so nothing needs detaching to run evented.
             self._complete_service_evented(packet)
         else:
             self._drain_single(packet)
+
+    def _live_cursors(self) -> bool:
+        """Drop exhausted cursors; True while any cursor can still
+        inject.  An exhausted cursor has no pending event, so the link
+        may leave the evented path; the topology stamp makes every
+        chain it belongs to re-read its sources."""
+        live = [c for c in self._cursors if c.pending_sources]
+        if len(live) < len(self._cursors):
+            self._cursors = live
+            self._chain_cache = None
+            self.sim._topo_version += 1
+        return bool(live)
 
     def _drain_single(self, packet: Packet) -> None:
         """Drain loop of one link that no chain fuses and no cursor

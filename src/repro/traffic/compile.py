@@ -39,7 +39,6 @@ and by the :class:`~repro.sim.rng.RandomStreams` discipline:
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
 from typing import Optional, Sequence
@@ -66,19 +65,16 @@ __all__ = [
 class RateEnvelope:
     """Piecewise-constant per-class offered-rate envelope on a time grid.
 
-    ``edges`` are ``bins + 1`` ascending bin edges; ``byte_rates`` and
-    ``packet_rates`` are ``(num_classes, bins)`` arrays of mean offered
-    bytes / packets per time unit within each bin.  The hybrid engine
-    (:mod:`repro.sim.hybrid`) integrates exact offered load over fluid
-    segments from these envelopes and derives its transient boundaries
-    from :meth:`change_points`; compiled streams export their analytic
-    envelopes via :meth:`_CompiledStream.rate_envelope` and recorded
-    traces via :meth:`from_arrays`.
+    ``edges`` are ``bins + 1`` ascending bin edges; ``byte_rates`` is a
+    ``(num_classes, bins)`` array of mean offered bytes per time unit
+    within each bin.  The hybrid engine (:mod:`repro.sim.hybrid`) bins
+    a recorded trace with :meth:`from_arrays`, measures each candidate
+    fluid stretch's stationarity on the aggregate rate, and derives its
+    transient boundaries from :meth:`change_points`.
     """
 
     edges: np.ndarray
     byte_rates: np.ndarray
-    packet_rates: np.ndarray
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.edges, dtype=np.float64)
@@ -86,17 +82,14 @@ class RateEnvelope:
             raise ConfigurationError("edges must be a 1-D array of >= 2 edges")
         if np.any(np.diff(edges) <= 0):
             raise ConfigurationError("edges must be strictly increasing")
-        for name in ("byte_rates", "packet_rates"):
-            rates = getattr(self, name)
-            if rates.ndim != 2 or rates.shape[1] != len(edges) - 1:
-                raise ConfigurationError(
-                    f"{name} must be (num_classes, bins) with "
-                    f"bins == len(edges) - 1"
-                )
-            if np.any(rates < 0):
-                raise ConfigurationError(f"{name} must be non-negative")
-        if self.byte_rates.shape != self.packet_rates.shape:
-            raise ConfigurationError("rate arrays must share one shape")
+        rates = self.byte_rates
+        if rates.ndim != 2 or rates.shape[1] != len(edges) - 1:
+            raise ConfigurationError(
+                "byte_rates must be (num_classes, bins) with "
+                "bins == len(edges) - 1"
+            )
+        if np.any(rates < 0):
+            raise ConfigurationError("byte_rates must be non-negative")
 
     @property
     def num_classes(self) -> int:
@@ -127,18 +120,6 @@ class RateEnvelope:
         jumps = np.abs(np.diff(agg)) > rel_jump * scale
         return [float(t) for t in self.edges[1:-1][jumps]]
 
-    def combine(self, other: "RateEnvelope") -> "RateEnvelope":
-        """Superpose two envelopes sharing one grid and class count."""
-        if self.byte_rates.shape != other.byte_rates.shape or not np.array_equal(
-            self.edges, other.edges
-        ):
-            raise ConfigurationError("envelopes must share grid and classes")
-        return RateEnvelope(
-            self.edges,
-            self.byte_rates + other.byte_rates,
-            self.packet_rates + other.packet_rates,
-        )
-
     @classmethod
     def from_arrays(
         cls,
@@ -157,7 +138,6 @@ class RateEnvelope:
         if num_classes is None:
             num_classes = int(class_ids.max()) + 1 if len(class_ids) else 1
         byte_rates = np.zeros((num_classes, bins))
-        packet_rates = np.zeros((num_classes, bins))
         for cid in range(num_classes):
             mask = class_ids == cid
             if not np.any(mask):
@@ -165,10 +145,8 @@ class RateEnvelope:
             byte_rates[cid], _ = np.histogram(
                 times[mask], bins=edges, weights=sizes[mask]
             )
-            packet_rates[cid], _ = np.histogram(times[mask], bins=edges)
         byte_rates /= bin_width
-        packet_rates /= bin_width
-        return cls(edges, byte_rates, packet_rates)
+        return cls(edges, byte_rates)
 
 #: Gaps/sizes materialized per block: 16 Ki doubles = 128 KiB per array,
 #: small enough that dozens of sources stay cache-friendly, large enough
@@ -210,8 +188,6 @@ class _CompiledStream:
         self.chunk = chunk
         self.packets_emitted = 0
         self.bytes_emitted = 0.0
-        self.packets_skipped = 0
-        self.bytes_skipped = 0.0
         self._carry = start_time
         self._exhausted = False
         self._times: list[float] = []
@@ -259,71 +235,6 @@ class _CompiledStream:
         self._head = 0
         self._draw_block_payload(len(times))
         return True
-
-    # -- fluid interface -----------------------------------------------
-    def _class_rate_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class (byte, packet) rate shares of the stream's mean."""
-        raise NotImplementedError
-
-    def rate_envelope(self, horizon: float, bin_width: float) -> RateEnvelope:
-        """Analytic piecewise-constant offered-rate envelope.
-
-        Compiled streams are (conditionally) stationary between their
-        start and stop times, so the envelope is the mean rate spread
-        over every bin the active interval overlaps, weighted by the
-        overlapped fraction.  The hybrid engine sums these per-stream
-        envelopes to integrate exact offered load over fluid segments.
-        """
-        byte_split, packet_split = self._class_rate_split()
-        bins = max(1, int(np.ceil(horizon / bin_width)))
-        edges = np.linspace(0.0, bins * bin_width, bins + 1)
-        start = self.start_time
-        stop = horizon if self.stop_time is None else min(self.stop_time, horizon)
-        overlap = np.clip(
-            np.minimum(edges[1:], stop) - np.maximum(edges[:-1], start),
-            0.0,
-            None,
-        ) / bin_width
-        return RateEnvelope(
-            edges,
-            byte_split[:, None] * overlap[None, :],
-            packet_split[:, None] * overlap[None, :],
-        )
-
-    def fast_forward(self, until: float) -> tuple[int, float]:
-        """Discard every arrival strictly before ``until``.
-
-        Draws blocks exactly as emission would -- same block sizes,
-        same stream consumption -- so the arrivals from ``until``
-        onward are bit-identical to the ones a fully emitted run
-        produces (packet *ids* are not reserved for skipped arrivals;
-        only the random draws are).  The hybrid engine uses this to
-        fluid-fast-forward warm-up: the skipped offered load is
-        integrated analytically while the stream stays positioned for
-        packet-mode replay.  Returns ``(skipped_packets,
-        skipped_bytes)``, also accumulated on ``packets_skipped`` /
-        ``bytes_skipped``.  Must be called before any emission.
-        """
-        if self.packets_emitted or self._head:
-            raise ConfigurationError(
-                "fast_forward must run before any arrival is emitted"
-            )
-        skipped = 0
-        skipped_bytes = 0.0
-        while True:
-            head_time = self.peek_time()
-            if head_time is None or head_time >= until:
-                break
-            times = self._times
-            cut = bisect_left(times, until, self._head)
-            skipped += cut - self._head
-            skipped_bytes += sum(self._sizes[self._head : cut])
-            self._head = cut
-            if cut < len(times):
-                break
-        self.packets_skipped += skipped
-        self.bytes_skipped += skipped_bytes
-        return skipped, skipped_bytes
 
     # -- cursor interface ----------------------------------------------
     def peek_time(self) -> Optional[float]:
@@ -386,13 +297,6 @@ class CompiledSource(_CompiledStream):
         """Analytic offered load in bytes per time unit."""
         return self.sizes.mean / self.interarrivals.mean
 
-    def _class_rate_split(self) -> tuple[np.ndarray, np.ndarray]:
-        byte_split = np.zeros(self.class_id + 1)
-        packet_split = np.zeros(self.class_id + 1)
-        byte_split[self.class_id] = self.offered_rate_bytes
-        packet_split[self.class_id] = 1.0 / self.interarrivals.mean
-        return byte_split, packet_split
-
 
 class CompiledMixedSource(_CompiledStream):
     """Block-drawn equivalent of
@@ -435,11 +339,6 @@ class CompiledMixedSource(_CompiledStream):
         np.minimum(indices, len(self._cum) - 1, out=indices)
         self._class_ids = indices.tolist()
         self._sizes = [self.packet_size] * count
-
-    def _class_rate_split(self) -> tuple[np.ndarray, np.ndarray]:
-        probs = np.diff(self._cum, prepend=0.0)
-        packet_rate = 1.0 / self.interarrivals.mean
-        return probs * packet_rate * self.packet_size, probs * packet_rate
 
 
 class ArrivalCursor:

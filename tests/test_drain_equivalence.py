@@ -33,6 +33,7 @@ from repro.sim.rng import RandomStreams
 from repro.traffic import (
     PAPER_DEFAULT_LOADS,
     ArrivalCursor,
+    CompiledMixedSource,
     FixedPacketSize,
     PacketIdAllocator,
     ParetoInterarrivals,
@@ -44,7 +45,7 @@ from repro.traffic.trace import ArrivalTrace, TraceSource
 from repro.units import PAPER_LINK_CAPACITY
 
 from .conftest import count_packets
-from .differential import HORIZON, _capture, _cross_traffic, build_single
+from .differential import MIX, HORIZON, _capture, _cross_traffic, build_single
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
@@ -605,6 +606,77 @@ def test_cursor_fed_lossy_link_completes_evented(monkeypatch):
         link_e.target
     )
     assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+
+
+def test_exhausted_cursor_leaves_the_evented_path(monkeypatch):
+    """A cursor-fed lossy link completes evented only while its cursor
+    can still inject: once the cursor's streams are exhausted the link
+    drops it and drains in the single-link loop, still matching the
+    evented run drop for drop."""
+    stop = 100.0
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler("wtp", SDPS),
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+            buffer_packets=4,
+            drop_policy=PLRDropper((8.0, 4.0, 2.0, 1.0)),
+        )
+        monitor = DelayMonitor(4, keep_samples=True)
+        link.add_monitor(monitor)
+        streams = RandomStreams(9)
+        ids = PacketIdAllocator()
+        cursor = ArrivalCursor(sim)
+        cursor.add(
+            CompiledMixedSource(
+                link,
+                ParetoInterarrivals(1.2, 1.9, streams.generator()),
+                MIX,
+                1.0,
+                streams.generator(),
+                ids=ids,
+                stop_time=stop,
+            )
+        )
+        cursor.start()
+        for class_id in (0, 2):
+            TrafficSource(
+                sim,
+                link,
+                class_id,
+                PoissonInterarrivals(2.2, streams.generator()),
+                FixedPacketSize(1.0),
+                ids=ids,
+            ).start()
+        sim.run(until=2000.0)
+        return sim, link, monitor, cursor
+
+    sim_e, link_e, mon_e, _ = run(False)
+    entries: list[float] = []
+    original = Link._drain_single
+
+    def recording(self, packet):
+        entries.append(self.sim.now)
+        return original(self, packet)
+
+    monkeypatch.setattr(Link, "_drain_single", recording)
+    sim_d, link_d, mon_d, cursor = run(True)
+    assert cursor.pending_sources == 0 and not link_d._cursors
+    assert entries and max(entries) > stop
+    assert link_d.drops == link_e.drops > 0
+    assert link_d.drops_per_class == link_e.drops_per_class
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
+    assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
+    assert [s.count for s in mon_d.stats] == [s.count for s in mon_e.stats]
+    assert mon_d.mean_delays() == mon_e.mean_delays()
+    for series_d, series_e in zip(mon_d.samples, mon_e.samples):
+        assert np.array_equal(series_d, series_e)
 
 
 def test_checker_attached_mid_run_demotes_columns():

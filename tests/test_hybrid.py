@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.hybrid as hybrid_mod
 from repro.core.conservation import fcfs_waiting_times
 from repro.errors import ConfigurationError
 from repro.schedulers.bpr import (
@@ -35,17 +36,16 @@ from repro.scenarios.city import (
 )
 from repro.scenarios.generators import LoadShape
 from repro.sim.hybrid import (
-    FLUID_SCHEDULERS,
     HybridConfig,
     HybridController,
     Segment,
-    drain_idle,
+    _strict_subset_delays,
     fluid_split,
-    fluid_window,
     plan_segments,
     run_hybrid_city,
 )
 from repro.traffic.compile import RateEnvelope
+from repro.traffic.trace import ArrivalTrace
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
@@ -243,7 +243,7 @@ class TestLoadShape:
 
 
 # ----------------------------------------------------------------------
-# Rate envelopes + fast-forward (repro.traffic.compile)
+# Rate envelopes (repro.traffic.compile)
 # ----------------------------------------------------------------------
 class TestRateEnvelope:
     def test_from_arrays_bins_bytes(self):
@@ -278,22 +278,31 @@ class TestRateEnvelope:
 
 
 # ----------------------------------------------------------------------
-# Fluid split (Eq 5) and arrival-free drains
+# Fluid split (Eq 5)
 # ----------------------------------------------------------------------
+def _split(scheduler, counts, d_agg, calibration=None):
+    """``fluid_split`` at a nominal operating point (the maps under
+    test here do not read it)."""
+    return fluid_split(
+        scheduler, SDPS, counts, d_agg, calibration,
+        class_bytes=[float(n) for n in counts], span=100.0, capacity=1.0,
+    )
+
+
 class TestFluidSplit:
     def test_conservation_exact(self):
         counts = [40, 30, 20, 10]
         d_agg = 3.7
         for scheduler in ("fcfs", "wtp", "bpr"):
-            delays = fluid_split(scheduler, SDPS, counts, d_agg)
+            delays = _split(scheduler, counts, d_agg)
             weighted = sum(n * d for n, d in zip(counts, delays))
             assert weighted == pytest.approx(sum(counts) * d_agg, rel=1e-12)
 
     def test_fcfs_is_uniform_wtp_is_inverse_sdp(self):
         counts = [10, 10, 10, 10]
-        fcfs = fluid_split("fcfs", SDPS, counts, 2.0)
+        fcfs = _split("fcfs", counts, 2.0)
         assert fcfs == pytest.approx([2.0] * 4)
-        wtp = fluid_split("wtp", SDPS, counts, 2.0)
+        wtp = _split("wtp", counts, 2.0)
         for i in range(3):
             assert wtp[i] / wtp[i + 1] == pytest.approx(
                 SDPS[i + 1] / SDPS[i], rel=1e-12
@@ -302,7 +311,7 @@ class TestFluidSplit:
     def test_calibration_overrides_analytic(self):
         counts = [10, 10, 10, 10]
         measured = [8.0, 4.0, 2.0, 1.0]
-        delays = fluid_split("wtp", SDPS, counts, 3.0, calibration=measured)
+        delays = _split("wtp", counts, 3.0, calibration=measured)
         # Shape follows the measurement; level satisfies Eq 5.
         assert delays[0] / delays[3] == pytest.approx(8.0, rel=1e-12)
         assert sum(n * d for n, d in zip(counts, delays)) == pytest.approx(
@@ -311,52 +320,22 @@ class TestFluidSplit:
 
     def test_strict_and_unknown_rejected(self):
         with pytest.raises(ConfigurationError, match="successive-subset"):
-            fluid_split("strict", SDPS, [1, 1, 1, 1], 1.0)
+            _split("strict", [1, 1, 1, 1], 1.0)
         # qwtp is a registered *scheduler* but has no fluid map: the
-        # registry error must name the supported set.
-        with pytest.raises(ConfigurationError, match="register_fluid_map"):
-            fluid_split("qwtp", SDPS, [1, 1, 1, 1], 1.0)
+        # error must name the supported set.
+        with pytest.raises(ConfigurationError, match="no fluid map"):
+            _split("qwtp", [1, 1, 1, 1], 1.0)
         with pytest.raises(ConfigurationError, match="calibration"):
-            fluid_split(
-                "wtp", SDPS, [1, 1, 1, 1], 1.0, calibration=[1.0, 0.0, 1.0, 1.0]
-            )
+            _split("wtp", [1, 1, 1, 1], 1.0, calibration=[1.0, 0.0, 1.0, 1.0])
 
     def test_empty_window_is_nan(self):
-        delays = fluid_split("wtp", SDPS, [0, 0, 0, 0], 1.0)
+        delays = _split("wtp", [0, 0, 0, 0], 1.0)
         assert all(math.isnan(d) for d in delays)
 
 
-class TestDrainIdle:
-    def test_clears_past_clearing_time(self):
-        for scheduler in FLUID_SCHEDULERS:
-            out = drain_idle(scheduler, SDPS, 2.0, [4.0, 4.0, 0.0, 0.0], 4.0)
-            assert out == [0.0] * 4
-
-    def test_strict_drains_top_class_first(self):
-        out = drain_idle("strict", SDPS, 2.0, [10.0, 0.0, 0.0, 6.0], 2.0)
-        assert out == pytest.approx([10.0, 0.0, 0.0, 2.0])
-        out = drain_idle("strict", SDPS, 2.0, [10.0, 0.0, 0.0, 6.0], 4.0)
-        assert out == pytest.approx([8.0, 0.0, 0.0, 0.0])
-
-    def test_bpr_matches_tracker(self):
-        backlogs = [8.0, 6.0, 4.0, 2.0]
-        tracker = FluidBPRTracker(SDPS, 2.0)
-        for cid, q in enumerate(backlogs):
-            tracker.add_fluid(cid, q)
-        tracker.advance(3.0)
-        out = drain_idle("bpr", SDPS, 2.0, backlogs, 3.0)
-        assert out == pytest.approx(tracker.backlogs)
-
-    def test_proportional_conserves_work(self):
-        backlogs = [9.0, 3.0, 6.0, 0.0]
-        out = drain_idle("wtp", SDPS, 2.0, backlogs, 3.0)
-        assert sum(out) == pytest.approx(sum(backlogs) - 6.0)
-        # Composition is preserved under the proportional drain.
-        assert out[0] / out[1] == pytest.approx(3.0)
-
-
 # ----------------------------------------------------------------------
-# Fluid windows
+# Fluid windows: the controller's per-link Lindley replay, network cut
+# and carried backlogs on a one-branch, one-hop cell
 # ----------------------------------------------------------------------
 def _uniform_window(n=400, gap=1.0, size=0.8, capacity=1.0):
     times = np.arange(n) * gap
@@ -365,74 +344,96 @@ def _uniform_window(n=400, gap=1.0, size=0.8, capacity=1.0):
     return times, class_ids, sizes, capacity
 
 
+def _window_controller(trace: ArrivalTrace) -> HybridController:
+    """An edge link into the hub, fed ``trace`` on its one branch."""
+    config = CityScenarioConfig(
+        branches=1,
+        hops_per_branch=1,
+        flows=4,
+        horizon=10_000.0,
+        warmup=0.0,
+        hybrid=HybridConfig(epsilon=0.5),
+    )
+    return HybridController(config, [trace])
+
+
+def _paced_trace() -> ArrivalTrace:
+    """100-byte packets every 50 ms, classes cycling."""
+    times = np.arange(0.0, 10_000.0, 50.0)
+    return ArrivalTrace(
+        times, np.arange(len(times)) % 4, np.full(len(times), 100.0)
+    )
+
+
+def _empty_trace() -> ArrivalTrace:
+    return ArrivalTrace(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+
+
 class TestFluidWindow:
     def test_aggregate_matches_lindley(self):
-        times, class_ids, sizes, capacity = _uniform_window()
-        result = fluid_window(
-            times, class_ids, sizes, 4, capacity, 0.0, 400.0,
-            "wtp", SDPS, [0.0] * 4,
+        controller = _window_controller(_paced_trace())
+        fluxes, _ = controller._evaluate_links(1000.0, 3000.0)
+        edge, hub = fluxes
+        # The edge link's departures inside the window are the hub's
+        # arrivals, and the hub's waits are their Lindley walk at the
+        # hub capacity.
+        inside = edge.departures < 3000.0
+        assert np.array_equal(hub.times, edge.departures[inside])
+        expected = fcfs_waiting_times(
+            edge.departures[inside], edge.sizes[inside], controller.capacity
         )
-        waits = fcfs_waiting_times(times, sizes, capacity)
-        assert result.d_agg == pytest.approx(float(waits.mean()), rel=1e-12)
-        assert result.counts == [100] * 4
-        weighted = sum(
-            n * d for n, d in zip(result.counts, result.delays)
-        )
-        assert weighted == pytest.approx(400 * result.d_agg, rel=1e-12)
+        assert np.array_equal(hub.waits, expected)
 
     def test_carried_backlog_enters_as_virtual_arrival(self):
-        times, class_ids, sizes, capacity = _uniform_window()
-        loaded = fluid_window(
-            times, class_ids, sizes, 4, capacity, 0.0, 400.0,
-            "wtp", SDPS, [5.0, 0.0, 0.0, 0.0],
-        )
-        empty = fluid_window(
-            times, class_ids, sizes, 4, capacity, 0.0, 400.0,
-            "wtp", SDPS, [0.0] * 4,
-        )
-        assert loaded.d_agg > empty.d_agg
+        empty = _window_controller(_paced_trace())
+        loaded = _window_controller(_paced_trace())
+        backlog = 5.0 * loaded.capacity
+        loaded._carried[loaded.hub_index] = [backlog, 0.0, 0.0, 0.0]
+        hub_empty = empty._evaluate_links(1000.0, 3000.0)[0][-1]
+        hub_loaded = loaded._evaluate_links(1000.0, 3000.0)[0][-1]
+        assert hub_loaded.lindley_times[0] == 1000.0
+        assert hub_loaded.lindley_sizes[0] == backlog
+        assert hub_loaded.waits.mean() > hub_empty.waits.mean()
 
     def test_empty_window_drains_carried(self):
-        result = fluid_window(
-            np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
-            4, 2.0, 0.0, 1.0, "bpr", SDPS, [8.0, 0.0, 0.0, 0.0],
-        )
-        assert result.counts == [0] * 4
-        assert sum(result.end_backlogs) == pytest.approx(6.0)
-        result = fluid_window(
-            np.empty(0), np.empty(0, dtype=np.int64), np.empty(0),
-            4, 2.0, 0.0, 100.0, "bpr", SDPS, [8.0, 0.0, 0.0, 0.0],
-        )
-        assert result.regenerated
-        assert result.end_backlogs == [0.0] * 4
+        controller = _window_controller(_empty_trace())
+        capacity = controller.capacity
+        hub = controller.hub_index
+        controller._carried[hub] = [10.0 * capacity, 0.0, 0.0, 5.0 * capacity]
+        assert controller._run_fluid(0.0, 8.0) == 8.0
+        # An arrival-free stretch drains the exact total at link
+        # capacity and keeps the carried class proportions.
+        left = controller._carried[hub]
+        assert sum(left) == 7.0 * capacity
+        assert left[0] == 2.0 * left[3]
+        assert left[1] == left[2] == 0.0
+        controller._run_fluid(8.0, 100.0)
+        assert controller._carried[hub] == [0.0] * 4
 
     def test_regeneration_prefers_idle_boundary(self):
-        # Sparse arrivals (gap 2, size 0.5, capacity 1): every arrival
-        # sees an idle server, so the last arrival in the regen window
-        # is a zero-wait regeneration point.
-        times = np.arange(0.0, 100.0, 2.0)
-        class_ids = np.zeros(len(times), dtype=np.int64)
-        sizes = np.full(len(times), 0.5)
-        result = fluid_window(
-            times, class_ids, sizes, 1, 1.0, 0.0, 100.0,
-            "fcfs", (1.0,), [0.0], regen_window=10.0,
-        )
-        assert result.regenerated
-        assert result.deferred == 1
-        assert result.handoff_time == pytest.approx(98.0)
-        assert result.end_backlogs == [0.0]
+        # Sparse arrivals: every arrival meets an idle network, so the
+        # last external arrival in the regeneration window is the cut.
+        controller = _window_controller(_paced_trace())
+        fluxes, ext_times = controller._evaluate_links(1000.0, 3000.0)
+        cut = controller._find_network_cut(fluxes, ext_times, 1000.0, 3000.0)
+        assert cut == 2950.0
+        assert controller._run_fluid(1000.0, 3000.0) == 2950.0
+        record = controller.timeline[-1]
+        assert record["regenerated"] and record["deferred"] == 1
+        assert all(sum(q) == 0.0 for q in controller._carried)
 
     def test_strict_subset_delays_telescope(self):
         times, class_ids, sizes, capacity = _uniform_window()
-        result = fluid_window(
-            times, class_ids, sizes, 4, capacity, 0.0, 400.0,
-            "strict", SDPS, [0.0] * 4,
+        delays = _strict_subset_delays(
+            times, class_ids, sizes, 4, capacity, 0.0, [0.0] * 4
         )
-        # Eq 5 conservation holds through the subset telescope too.
-        weighted = sum(n * d for n, d in zip(result.counts, result.delays))
-        assert weighted == pytest.approx(400 * result.d_agg, rel=1e-9)
+        counts = np.bincount(class_ids, minlength=4)
+        d_agg = float(fcfs_waiting_times(times, sizes, capacity).mean())
+        # Eq 5 conservation holds through the subset telescope.
+        weighted = sum(n * d for n, d in zip(counts, delays))
+        assert weighted == pytest.approx(400 * d_agg, rel=1e-9)
         # Higher class id = higher priority here: delays decrease.
-        for left, right in zip(result.delays, result.delays[1:]):
+        for left, right in zip(delays, delays[1:]):
             assert right <= left + 1e-9
 
 
@@ -446,10 +447,11 @@ class TestPlanner:
         )
         assert plan == [Segment(0.0, 1e4, "packet")]
 
-    def test_forced_prefix_and_guards(self):
-        hybrid = HybridConfig(
-            epsilon=0.5, spinup=1e3, guard=500.0, min_fluid=1e3
-        )
+    def test_forced_prefix_and_guards(self, monkeypatch):
+        monkeypatch.setattr(hybrid_mod, "SPINUP", 1e3)
+        monkeypatch.setattr(hybrid_mod, "GUARD", 500.0)
+        monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 1e3)
+        hybrid = HybridConfig(epsilon=0.5)
         plan = plan_segments(20e3, 1e3, hybrid, [10e3], lambda a, b: 0.0)
         assert plan[0] == Segment(0.0, 2e3, "packet")
         modes = {(s.start, s.end): s.mode for s in plan}
@@ -462,15 +464,18 @@ class TestPlanner:
         for a, b in zip(plan, plan[1:]):
             assert a.end == b.start
 
-    def test_high_predicted_error_stays_packet(self):
-        hybrid = HybridConfig(epsilon=0.05, spinup=1e3, min_fluid=1e3)
+    def test_high_predicted_error_stays_packet(self, monkeypatch):
+        monkeypatch.setattr(hybrid_mod, "SPINUP", 1e3)
+        monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 1e3)
+        hybrid = HybridConfig(epsilon=0.05)
         plan = plan_segments(20e3, 1e3, hybrid, [], lambda a, b: 0.2)
         assert plan == [Segment(0.0, 20e3, "packet")]
 
-    def test_short_gaps_not_worth_switching(self):
-        hybrid = HybridConfig(
-            epsilon=0.5, spinup=1e3, guard=500.0, min_fluid=5e3
-        )
+    def test_short_gaps_not_worth_switching(self, monkeypatch):
+        monkeypatch.setattr(hybrid_mod, "SPINUP", 1e3)
+        monkeypatch.setattr(hybrid_mod, "GUARD", 500.0)
+        monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 5e3)
+        hybrid = HybridConfig(epsilon=0.5)
         # Transients every 2k: every gap is under min_fluid.
         plan = plan_segments(
             10e3, 1e3, hybrid, [2e3, 4e3, 6e3, 8e3], lambda a, b: 0.0
@@ -480,10 +485,6 @@ class TestPlanner:
     def test_knob_validation(self):
         with pytest.raises(ConfigurationError):
             HybridConfig(epsilon=-0.1)
-        with pytest.raises(ConfigurationError):
-            HybridConfig(bin_width=0.0)
-        with pytest.raises(ConfigurationError):
-            HybridConfig(guard=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -509,10 +510,10 @@ class TestController:
         assert controller.monitor.counts() == reference["class_counts"]
         assert controller.packet_departures == reference["hub_departures"]
 
-    def test_fluid_segments_run_and_monitor_credits(self):
-        config = _small_cell(
-            hybrid=HybridConfig(epsilon=0.5, spinup=500.0, min_fluid=500.0)
-        )
+    def test_fluid_segments_run_and_monitor_credits(self, monkeypatch):
+        monkeypatch.setattr(hybrid_mod, "SPINUP", 500.0)
+        monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 500.0)
+        config = _small_cell(hybrid=HybridConfig(epsilon=0.5))
         summary = city_summary(CityTask(config))
         hybrid = summary["hybrid"]
         assert hybrid["fluid_time_fraction"] > 0.5
@@ -556,15 +557,17 @@ class TestController:
         with pytest.raises(ConfigurationError, match="pure packet"):
             _small_cell(hybrid=HybridConfig(), check_invariants=True)
 
-    def test_run_hybrid_delegates_through_simulator(self):
-        from repro.errors import SimulationError
-        from repro.sim.engine import Simulator
-
-        config = _small_cell(hybrid=HybridConfig(epsilon=0.0))
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError, match="hybrid"):
-            sim.run(until=10.0, hybrid=object())
+    def test_seeded_handoffs_keep_class_means_finite(self, monkeypatch):
+        # No regeneration search: every fluid->packet switch carries the
+        # terminal fluid backlog into the packet segment as seeds.
+        monkeypatch.setattr(hybrid_mod, "REGEN_WINDOW", 0.0)
+        monkeypatch.setattr(hybrid_mod, "SPINUP", 500.0)
+        monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 500.0)
+        config = _small_cell(hybrid=HybridConfig(epsilon=0.5))
+        controller = run_hybrid_city(config, compile_city_traces(config))
+        assert controller.seeded_packets > 0
+        means = controller.monitor.mean_delays()
+        assert all(math.isfinite(m) and m > 0 for m in means), means
 
 
 class TestSeededHandoff:
@@ -617,95 +620,6 @@ class TestSeededHandoff:
         assert snapshot[0] == pytest.approx(3.0)
 
 
-class TestMultihopHybrid:
-    def test_fast_forward_preserves_experiment_results(self):
-        from repro.network.multihop import MultiHopConfig, run_multihop
-
-        config = MultiHopConfig(hops=2, experiments=5, warmup=8_000.0)
-        full = run_multihop(config)
-        fast = run_multihop(config, hybrid=HybridConfig(epsilon=0.05))
-        # Cross-traffic draws are consumed identically, so post-warm-up
-        # arrivals (and the experiments riding on them) are unchanged.
-        assert fast.rd == pytest.approx(full.rd, rel=1e-9)
-        assert fast.truncated_experiments == full.truncated_experiments
-
-    def test_requires_compiled_arrivals(self):
-        from repro.network.multihop import MultiHopConfig, run_multihop
-
-        with pytest.raises(ConfigurationError, match="compiled"):
-            run_multihop(
-                MultiHopConfig(hops=2, experiments=2, warmup=2_000.0),
-                compiled_arrivals=False,
-                hybrid=HybridConfig(epsilon=0.05),
-            )
-
-
-class TestFastForward:
-    def test_skip_then_emit_matches_full_tail(self):
-        from repro.sim.rng import RandomStreams
-        from repro.traffic.compile import CompiledMixedSource
-        from repro.traffic.pareto import ParetoInterarrivals
-
-        class _Capture:
-            def __init__(self):
-                self.times = []
-
-            def receive(self, packet, now):
-                self.times.append(now)
-
-        def build(seed=7):
-            streams = RandomStreams(seed)
-            return CompiledMixedSource(
-                _Capture(),
-                ParetoInterarrivals(2.0, 1.9, streams.generator()),
-                (0.5, 0.5),
-                1.0,
-                streams.generator(),
-            )
-
-        full = build()
-        drained = []
-        t = full.peek_time()
-        while t is not None and t < 200.0:
-            drained.append(t)
-            full.emit()
-            t = full.peek_time()
-
-        skipped = build()
-        nskip, _ = skipped.fast_forward(100.0)
-        tail = []
-        t = skipped.peek_time()
-        while t is not None and t < 200.0:
-            tail.append(t)
-            skipped.emit()
-            t = skipped.peek_time()
-        expected_tail = [x for x in drained if x >= 100.0]
-        assert tail == expected_tail
-        assert nskip == len(drained) - len(expected_tail)
-
-    def test_rejected_after_emission(self):
-        from repro.sim.rng import RandomStreams
-        from repro.traffic.compile import CompiledMixedSource
-        from repro.traffic.pareto import ParetoInterarrivals
-
-        class _Sink:
-            def receive(self, packet, now):
-                pass
-
-        streams = RandomStreams(7)
-        source = CompiledMixedSource(
-            _Sink(),
-            ParetoInterarrivals(2.0, 1.9, streams.generator()),
-            (0.5, 0.5),
-            1.0,
-            streams.generator(),
-        )
-        source.peek_time()
-        source.emit()
-        with pytest.raises(ConfigurationError, match="fast_forward"):
-            source.fast_forward(10.0)
-
-
 class TestDelayCurveCrossCheck:
     """The fluid aggregate is the same d(lambda) the paper's delay-curve
     estimator computes: both run the exact O(n) FCFS recursion, so at
@@ -714,23 +628,17 @@ class TestDelayCurveCrossCheck:
 
     def test_fluid_aggregate_matches_delay_curve_operating_point(self):
         from repro.core.delay_curve import estimate_delay_curve
-        from repro.traffic.trace import merge_traces
 
-        config = CityScenarioConfig(flows=32, horizon=8_000.0, warmup=0.0)
-        trace = merge_traces(compile_city_traces(config))
-        capacity = float(trace.sizes.sum()) / config.horizon / 0.9
-        result = fluid_window(
-            trace.times,
-            trace.class_ids,
-            trace.sizes,
-            config.num_classes,
-            capacity,
-            start=0.0,
-            end=config.horizon,
-            scheduler="fcfs",
-            sdps=config.sdps,
-            carried=[0.0] * config.num_classes,
+        config = CityScenarioConfig(
+            flows=32, horizon=8_000.0, warmup=0.0,
+            hybrid=HybridConfig(epsilon=0.5),
         )
-        curve = estimate_delay_curve(trace, capacity, fractions=(0.5, 1.0))
-        measured_rate = len(trace) / float(trace.times[-1])
-        assert result.d_agg == curve(measured_rate)
+        controller = HybridController(config, compile_city_traces(config))
+        fluxes, _ = controller._evaluate_links(0.0, config.horizon)
+        hub = fluxes[controller.hub_index]
+        arrivals = ArrivalTrace(hub.times, hub.class_ids, hub.sizes)
+        curve = estimate_delay_curve(
+            arrivals, controller.capacity, fractions=(0.5, 1.0)
+        )
+        measured_rate = len(arrivals) / float(arrivals.times[-1])
+        assert float(hub.waits.mean()) == curve(measured_rate)

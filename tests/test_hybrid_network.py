@@ -1,24 +1,22 @@
 """Network-wide hybrid engine: fluid maps, envelopes, multihop fidelity.
 
-Property tests for the four per-scheduler fluid split maps added with
-the network-wide engine (drr/scfq rate-guarantee congestion model,
-pad/hpd normalized-delay model), the pluggable map registry, the
-analytic envelope demotion path, the per-link topology graph used for
-fluid planning, and the end-to-end multihop fidelity/warning contracts.
+Property tests for the per-scheduler fluid split maps added with the
+network-wide engine (drr/scfq rate-guarantee congestion model, pad/hpd
+normalized-delay model), the analytic envelope demotion path, the
+per-link topology graph used for fluid planning, and the end-to-end
+multihop fidelity contracts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import repro.sim.hybrid as hybrid_mod
 from repro.errors import ConfigurationError
-from repro.network.multihop import MultiHopConfig, run_multihop
 from repro.scenarios.city import (
     CityScenarioConfig,
     CityTask,
@@ -31,14 +29,11 @@ from repro.scenarios.generators import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.hybrid import (
-    FluidSplitContext,
     HybridConfig,
     HybridController,
     check_fluid_envelopes,
     fluid_split,
-    fluid_supported,
     plan_segments,
-    register_fluid_map,
 )
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
@@ -76,18 +71,6 @@ def test_eq5_conservation_exact(scheduler):
     )
 
 
-@pytest.mark.parametrize("scheduler", NEW_MAPS)
-def test_eq5_conservation_without_operating_point(scheduler):
-    # No span/capacity/class_bytes context: the rate maps renormalize
-    # to a nominal utilization, but Eq 5 must still hold exactly.
-    d_agg = 3.0
-    delays = fluid_split(scheduler, SDPS, COUNTS, d_agg)
-    total = sum(COUNTS)
-    assert sum(n * d for n, d in zip(COUNTS, delays)) == pytest.approx(
-        total * d_agg, rel=1e-12
-    )
-
-
 @pytest.mark.parametrize("scheduler", ("pad", "hpd"))
 def test_pad_hpd_monotone_in_sdp(scheduler):
     # Higher SDP => proportionally lower delay, strictly (Eq 3 model).
@@ -115,7 +98,7 @@ def test_pad_hpd_monotone_under_calibration_blend(scheduler):
     for higher, lower in zip(delays, delays[1:]):
         assert lower <= higher
     if scheduler == "pad":
-        # calibration_weight 0.25: the blended shape keeps most of the
+        # Calibration weight 0.25: the blended shape keeps most of the
         # analytic differentiation (strictly monotone, ratio > 2 across
         # the SDP range) instead of collapsing to the flat measurement.
         assert delays[0] / delays[-1] > 2.0
@@ -147,46 +130,9 @@ def test_rate_maps_track_load_imbalance():
     assert skewed[0] / skewed[1] > balanced[0] / balanced[1]
 
 
-# ----------------------------------------------------------------------
-# Pluggable registry
-# ----------------------------------------------------------------------
-def test_register_fluid_map_roundtrip():
-    name = "unit-test-sched"
-    assert name not in fluid_supported()
-    try:
-        register_fluid_map(name, lambda ctx: [2.0] * len(ctx.sdps))
-        assert name in fluid_supported()
-        delays = fluid_split(name, SDPS, COUNTS, 3.0)
-        # Uniform coefficients: every class gets the aggregate mean.
-        assert delays == pytest.approx([3.0] * 4)
-    finally:
-        hybrid_mod._FLUID_MAPS.pop(name, None)
-    assert name not in fluid_supported()
-
-
-def test_register_fluid_map_rejects_bad_inputs():
-    with pytest.raises(ConfigurationError, match="callable"):
-        register_fluid_map("nope", "not-a-function")
-    with pytest.raises(ConfigurationError, match="calibration_weight"):
-        register_fluid_map(
-            "nope", lambda ctx: [1.0], calibration_weight=1.5
-        )
-    assert "nope" not in fluid_supported()
-
-
 def test_unknown_scheduler_names_the_registry():
-    with pytest.raises(ConfigurationError, match="register_fluid_map"):
-        fluid_split("no-such-sched", SDPS, COUNTS, 1.0)
-
-
-def test_registered_map_bad_coefficients_rejected():
-    name = "unit-test-bad"
-    try:
-        register_fluid_map(name, lambda ctx: [-1.0] * len(ctx.sdps))
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            fluid_split(name, SDPS, COUNTS, 1.0)
-    finally:
-        hybrid_mod._FLUID_MAPS.pop(name, None)
+    with pytest.raises(ConfigurationError, match="no fluid map.*supported"):
+        _split("no-such-sched")
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +179,8 @@ def test_controller_demotes_on_envelope_violation(monkeypatch):
     # its envelope and the controller must re-run those spans in packet
     # mode, recording each demotion, while still finishing the horizon.
     monkeypatch.setattr(hybrid_mod, "ENVELOPE_SLACK", 1e-9)
+    monkeypatch.setattr(hybrid_mod, "SPINUP", 500.0)
+    monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 500.0)
     config = CityScenarioConfig(
         topology="star_of_chains",
         branches=2,
@@ -241,7 +189,7 @@ def test_controller_demotes_on_envelope_violation(monkeypatch):
         horizon=20_000.0,
         warmup=1_000.0,
         seed=11,
-        hybrid=HybridConfig(epsilon=0.5, spinup=500.0, min_fluid=500.0),
+        hybrid=HybridConfig(epsilon=0.5),
     )
     controller = HybridController(config, compile_city_traces(config))
     plan = controller.plan(config.horizon)
@@ -355,9 +303,11 @@ def test_rate_map_splits_match_packet_measured(scheduler):
     assert all(a > b for a, b in zip(hyb, hyb[1:]))
 
 
-def test_plan_segments_reports_blocked_gaps():
-    cfg = HybridConfig(epsilon=0.01, min_fluid=5_000.0, spinup=500.0,
-                       guard=200.0)
+def test_plan_segments_reports_blocked_gaps(monkeypatch):
+    monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 5_000.0)
+    monkeypatch.setattr(hybrid_mod, "SPINUP", 500.0)
+    monkeypatch.setattr(hybrid_mod, "GUARD", 200.0)
+    cfg = HybridConfig(epsilon=0.01)
     report: list[dict] = []
     plan_segments(
         20_000.0,
@@ -371,27 +321,6 @@ def test_plan_segments_reports_blocked_gaps():
     assert all(not entry["accepted"] for entry in report)
     reasons = " ".join(entry["reason"] for entry in report)
     assert "min_fluid" in reasons or "predicted error" in reasons
-
-
-def test_multihop_warns_when_no_fluid_segment_taken():
-    cfg = MultiHopConfig(hops=2, experiments=2, warmup=1_000.0, seed=3)
-    with pytest.warns(RuntimeWarning, match="no fluid segment"):
-        run_multihop(cfg, hybrid=HybridConfig(epsilon=0.05))
-    # The same cell with ample warm-up fast-forwards silently.
-    ample = MultiHopConfig(hops=2, experiments=2, warmup=20_000.0, seed=3)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run_multihop(ample, hybrid=HybridConfig(epsilon=0.05))
-    assert not [
-        w for w in caught if "no fluid segment" in str(w.message)
-    ]
-    assert math.isfinite(result.rd)
-
-
-def test_multihop_warns_below_min_fluid():
-    cfg = MultiHopConfig(hops=2, experiments=2, warmup=3_000.0, seed=3)
-    with pytest.warns(RuntimeWarning, match="min_fluid"):
-        run_multihop(cfg, hybrid=HybridConfig(epsilon=0.05))
 
 
 # ----------------------------------------------------------------------
