@@ -102,15 +102,30 @@ def fcfs_mean_delay_per_class(
 def subset_delay_function(
     trace: ArrivalTrace, capacity: float, warmup: float = 0.0
 ) -> Callable[[tuple[int, ...]], float]:
-    """Memoized  phi -> d(sum_{i in phi} lambda_i)  via FCFS replay."""
+    """Memoized  phi -> d(sum_{i in phi} lambda_i)  via FCFS replay.
+
+    Each subset's sub-trace is the aggregate filtered through a boolean
+    class table indexed by ``trace.class_ids`` -- the same arrivals, in
+    the same order, as :meth:`~repro.traffic.trace.ArrivalTrace.filter_classes`
+    keeps, so the value equals ``fcfs_mean_delay`` of that sub-trace.
+    """
     cache: dict[tuple[int, ...], float] = {}
+    times, class_ids, sizes = trace.times, trace.class_ids, trace.sizes
+    num_classes = trace.num_classes
 
     def subset_delay(subset: tuple[int, ...]) -> float:
         key = tuple(sorted(subset))
         if key not in cache:
-            cache[key] = fcfs_mean_delay(
-                trace.filter_classes(key), capacity, warmup
-            )
+            table = np.zeros(num_classes, dtype=bool)
+            for cid in key:
+                if 0 <= cid < num_classes:
+                    table[cid] = True
+            mask = table[class_ids]
+            sub_times = times[mask]
+            waits = fcfs_waiting_times(sub_times, sizes[mask], capacity)
+            if warmup > 0.0:
+                waits = waits[sub_times >= warmup]
+            cache[key] = float(waits.mean()) if len(waits) else float("nan")
         return cache[key]
 
     return subset_delay

@@ -379,48 +379,78 @@ def run_city(grid: CityGridConfig, runner=None) -> list[dict]:
     return _map_cells(city_tasks(grid), runner)
 
 
+def _hybrid_columns(point: dict) -> tuple:
+    """(fluid time fraction, segments, demotions) of a hybrid cell."""
+    summary = point.get("hybrid")
+    if summary is None:
+        return (0.0, 0, 0)
+    return (
+        summary["fluid_time_fraction"],
+        summary["segments"],
+        len(summary["demotions"]),
+    )
+
+
 def format_city(points: Sequence[dict]) -> str:
-    """Plain-text DDP fidelity table, one row per cell."""
-    lines = [
+    """Plain-text DDP fidelity table, one row per cell.
+
+    A grid whose cells ran the hybrid engine adds what the engine did
+    per cell: the fraction of simulated time served fluid, the mode
+    timeline's segment count and the demotion count.
+    """
+    hybrid = any(p.get("hybrid") is not None for p in points)
+    header = (
         f"{'topology':<14} {'sched':<6} {'sdps':<20} {'rho':>4} "
         f"{'seed':>4} {'packets':>9} {'fidelity err':>12}"
-    ]
+    )
+    if hybrid:
+        header += f" {'fluid frac':>10} {'segments':>8} {'demotions':>9}"
+    lines = [header]
     for p in points:
         sdps = "x".join(f"{s:g}" for s in p["sdps"])
-        lines.append(
+        line = (
             f"{p['topology']:<14} {p['scheduler']:<6} {sdps:<20} "
             f"{p['utilization']:>4.2f} {p['seed']:>4} {p['packets']:>9} "
             f"{p['fidelity_error']:>12.4f}"
         )
+        if hybrid:
+            fluid, segments, demotions = _hybrid_columns(p)
+            line += f" {fluid:>10.4f} {segments:>8} {demotions:>9}"
+        lines.append(line)
     return "\n".join(lines)
 
 
 def city_to_csv(points: Sequence[dict], path: str | Path) -> Path:
-    """Write the fidelity curve data (CSV, one row per cell)."""
+    """Write the fidelity curve data (CSV, one row per cell); hybrid
+    grids add the :func:`format_city` engine columns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    hybrid = any(p.get("hybrid") is not None for p in points)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            (
-                "topology", "scheduler", "sdps", "utilization", "seed",
-                "packets", "fidelity_error", "mean_delays", "ratios",
-            )
+        header = (
+            "topology", "scheduler", "sdps", "utilization", "seed",
+            "packets", "fidelity_error", "mean_delays", "ratios",
         )
+        if hybrid:
+            header += ("fluid_time_fraction", "segments", "demotions")
+        writer.writerow(header)
         for p in points:
-            writer.writerow(
-                (
-                    p["topology"],
-                    p["scheduler"],
-                    "x".join(f"{s:g}" for s in p["sdps"]),
-                    p["utilization"],
-                    p["seed"],
-                    p["packets"],
-                    repr(p["fidelity_error"]),
-                    " ".join(repr(d) for d in p["mean_delays"]),
-                    " ".join(repr(r) for r in p["ratios"]),
-                )
+            row = (
+                p["topology"],
+                p["scheduler"],
+                "x".join(f"{s:g}" for s in p["sdps"]),
+                p["utilization"],
+                p["seed"],
+                p["packets"],
+                repr(p["fidelity_error"]),
+                " ".join(repr(d) for d in p["mean_delays"]),
+                " ".join(repr(r) for r in p["ratios"]),
             )
+            if hybrid:
+                fluid, segments, demotions = _hybrid_columns(p)
+                row += (repr(fluid), segments, demotions)
+            writer.writerow(row)
     return path
 
 

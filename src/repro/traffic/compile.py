@@ -7,16 +7,18 @@ event calendar.  At the paper's operating point -- heavy-tailed sources
 at 80-95% utilization -- arrivals are roughly half of all heap traffic,
 so this module compiles them instead:
 
-* Each source pre-draws interarrival gaps and packet sizes in numpy
+* Each source draws interarrival gaps and packet sizes in numpy
   blocks (:meth:`~repro.traffic.base.InterarrivalProcess.draw_gaps` /
-  :meth:`~repro.traffic.base.PacketSizeSampler.draw_sizes`), converts
-  gaps to absolute timestamps with a carry-folded cumulative sum, and
-  materializes one bounded chunk at a time, so memory stays O(chunk)
-  per source regardless of horizon.
-* All compiled streams aimed at a link feed one
-  :class:`ArrivalCursor`, which keeps exactly *one* outstanding event
-  on the simulator heap (the globally next arrival) instead of one
-  pending event per source.
+  :meth:`~repro.traffic.base.PacketSizeSampler.draw_sizes`) of at most
+  ``chunk`` and converts gaps to absolute timestamps with a
+  carry-folded cumulative sum.
+* Compiled streams feed one :class:`ArrivalCursor`, which merges them
+  one time window at a time: every stream draws just past a common
+  window end, and one stable sort orders the window's arrivals.  The
+  cursor keeps exactly *one* outstanding event on the simulator heap
+  (the globally next arrival) instead of one pending event per
+  source, its memory is O(window) in total regardless of horizon or
+  stream count, and a run draws about what it injects.
 
 Equivalence contract
 --------------------
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import inf
+from math import inf, nextafter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -148,21 +150,30 @@ class RateEnvelope:
         byte_rates /= bin_width
         return cls(edges, byte_rates)
 
-#: Gaps/sizes materialized per block: 16 Ki doubles = 128 KiB per array,
-#: small enough that dozens of sources stay cache-friendly, large enough
-#: that the per-block numpy overhead amortizes to a few ns per arrival.
+#: Gaps/sizes drawn per block at most: 16 Ki doubles = 128 KiB per
+#: array, small enough that dozens of sources stay cache-friendly, large
+#: enough that the per-block numpy overhead amortizes to a few ns per
+#: arrival.
 DEFAULT_CHUNK = 16384
+
+#: Expected arrivals per merged window of an :class:`ArrivalCursor`,
+#: summed over its streams.  Window size never changes the output; it
+#: bounds the cursor's memory and the draws a run leaves unused.
+WINDOW_ARRIVALS = DEFAULT_CHUNK
 
 
 class _CompiledStream:
-    """Chunked absolute-timestamp timeline of one source (base class).
+    """Block-drawn absolute-timestamp timeline of one source (base class).
 
-    Subclasses fill ``_class_ids``/``_sizes`` for each block via
-    :meth:`_draw_block_payload`.  The timeline itself is shared logic:
-    draw a block of gaps, fold the running carry into the first gap, and
+    Subclasses draw each block's class ids and sizes in
+    :meth:`_draw_payload`.  The timeline itself is shared logic: draw a
+    block of gaps, fold the running carry into the first gap, and
     cumulative-sum -- which performs exactly the scalar path's
     left-to-right ``t += gap`` additions -- then truncate strictly below
     ``stop_time`` (the scalar sources' ``next_time < stop_time`` rule).
+    An :class:`ArrivalCursor` takes the timeline one merged window at a
+    time (:meth:`_take`); arrivals drawn past a window's end wait in
+    ``_rest`` for the next window.
     """
 
     def __init__(
@@ -190,36 +201,32 @@ class _CompiledStream:
         self.bytes_emitted = 0.0
         self._carry = start_time
         self._exhausted = False
-        self._times: list[float] = []
-        self._class_ids: list[int] = []
-        self._sizes: list[float] = []
-        self._head = 0
+        #: Drawn arrivals at or past the last window end, as one
+        #: ``(times, class_ids, sizes)`` block, or ``None``.
+        self._rest: Optional[tuple] = None
         #: Coupled chain member behind ``target`` during an active
         #: chain-fused drain; cached per chain epoch by the drain entry
         #: (see :meth:`ArrivalCursor.drain_batch`), ``None`` otherwise.
         self._chain_dcl = None
 
-    # -- block materialization -----------------------------------------
-    def _draw_block_payload(self, count: int) -> None:
-        """Fill ``_class_ids`` and ``_sizes`` for ``count`` arrivals."""
+    # -- block draws ---------------------------------------------------
+    def _draw_payload(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Class ids and sizes of the next ``count`` arrivals."""
         raise NotImplementedError
 
-    def _load_block(self) -> bool:
-        """Materialize the next chunk; False when the stream is done."""
-        if self._exhausted:
-            return False
+    def _draw(self, end: float) -> Optional[tuple]:
+        """Draw the next block, sized to pass ``end``; ``None`` when the
+        stream stops before its next arrival."""
         chunk = self.chunk
         stop = self.stop_time
-        if stop is not None:
-            # Size the block to the expected remaining arrivals (+10%
-            # headroom), capped at ``chunk``.  Block size never changes
-            # the emitted stream -- draws are consumed in sequence
-            # either way -- it only bounds how many surplus draws are
-            # discarded past ``stop_time``.  Unbounded streams keep the
-            # fixed chunk: every draw is eventually used.
-            want = int((stop - self._carry) / self.interarrivals.mean * 1.1) + 8
-            if want < chunk:
-                chunk = want
+        target = end if stop is None else min(end, stop)
+        # Size the block to the expected arrivals before ``target``
+        # (+10% headroom), capped at ``chunk``.  Block size never
+        # changes the emitted stream -- draws are consumed in sequence
+        # either way -- it only bounds the surplus drawn past ``end``.
+        want = int((target - self._carry) / self.interarrivals.mean * 1.1) + 8
+        if want < chunk:
+            chunk = want
         gaps = self.interarrivals.draw_gaps(chunk)
         gaps[0] += self._carry
         times = np.cumsum(gaps)
@@ -227,36 +234,33 @@ class _CompiledStream:
             times = times[: int(np.searchsorted(times, stop, side="left"))]
             self._exhausted = True
             if not len(times):
-                self._times = []
-                self._head = 0
-                return False
+                return None
         self._carry = float(times[-1])
-        self._times = times.tolist()
-        self._head = 0
-        self._draw_block_payload(len(times))
-        return True
+        return (times, *self._draw_payload(len(times)))
 
-    # -- cursor interface ----------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending arrival, or None when done."""
-        if self._head >= len(self._times) and not self._load_block():
-            return None
-        return self._times[self._head]
-
-    def emit(self) -> Packet:
-        """Materialize the head arrival as a Packet and advance."""
-        head = self._head
-        self._head = head + 1
-        packet = Packet(
-            packet_id=self.ids.next_id(),
-            class_id=self._class_ids[head],
-            size=self._sizes[head],
-            created_at=self._times[head],
-            flow_id=self.flow_id,
-        )
-        self.packets_emitted += 1
-        self.bytes_emitted += packet.size
-        return packet
+    def _take(self, end: float) -> list[tuple]:
+        """Every arrival before ``end`` not yet taken, as
+        ``(times, class_ids, sizes)`` blocks; draws until the stream's
+        timeline passes ``end`` (or stops)."""
+        blocks = []
+        if self._rest is not None:
+            blocks.append(self._rest)
+            self._rest = None
+        while self._carry < end and not self._exhausted:
+            block = self._draw(end)
+            if block is None:
+                break
+            blocks.append(block)
+        if blocks:
+            times, cids, sizes = blocks[-1]
+            if times[-1] >= end:
+                k = int(np.searchsorted(times, end, side="left"))
+                self._rest = (times[k:], cids[k:], sizes[k:])
+                if k:
+                    blocks[-1] = (times[:k], cids[:k], sizes[:k])
+                else:
+                    blocks.pop()
+        return blocks
 
 
 class CompiledSource(_CompiledStream):
@@ -288,9 +292,8 @@ class CompiledSource(_CompiledStream):
         self.class_id = class_id
         self.sizes = sizes
 
-    def _draw_block_payload(self, count: int) -> None:
-        self._class_ids = [self.class_id] * count
-        self._sizes = self.sizes.draw_sizes(count).tolist()
+    def _draw_payload(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.full(count, self.class_id), self.sizes.draw_sizes(count)
 
     @property
     def offered_rate_bytes(self) -> float:
@@ -332,33 +335,41 @@ class CompiledMixedSource(_CompiledStream):
         self.packet_size = float(packet_size)
         self._rng = rng
 
-    def _draw_block_payload(self, count: int) -> None:
+    def _draw_payload(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         # Same uniforms, edges and clamp as MixedClassSource._emit.
         u = self._rng.random(count)
         indices = np.searchsorted(self._cum, u, side="right")
         np.minimum(indices, len(self._cum) - 1, out=indices)
-        self._class_ids = indices.tolist()
-        self._sizes = [self.packet_size] * count
+        return indices, np.full(count, self.packet_size)
 
 
 class ArrivalCursor:
     """Merged injection cursor over compiled streams.
 
-    Holds a small private heap of (head timestamp, registration order,
-    stream) entries and keeps exactly one pending event on the simulator
-    calendar: the globally next arrival across all registered streams.
+    Merges its streams one time *window* at a time.  At each refill
+    every stream draws just far enough to pass a common window end,
+    placed so the window holds about :data:`WINDOW_ARRIVALS` arrivals
+    in total (from the streams' analytic mean gaps).  The window's
+    arrivals, concatenated in registration order, are sorted by one
+    stable ``argsort`` on time -- exactly the order of a heap keyed on
+    ``(time, registration order)`` -- and walked as flat
+    time/class/size/stream lists by index.  Memory is O(window) in
+    total, however many streams there are, and what a run draws but
+    never injects is about one window plus each stream's block
+    headroom.
 
-    Each calendar firing injects a *batch*: after emitting the due
-    arrival it keeps going -- advancing ``sim.now`` itself -- for as
-    long as the next merged arrival stays within the run horizon and
-    strictly before every pending calendar event, and only then
-    reschedules one event for the next arrival.  For closely spaced
-    streams (small-gap CBR/on-off) this removes the per-arrival
-    calendar push/pop and run-loop dispatch that used to make the
-    compiled path *slower* than scalar sources; a single-stream cursor
-    also skips the private-heap replace entirely.  Ties with a calendar
-    event defer to the calendar (the cursor reschedules and the run
-    loop interleaves by sequence number, exactly as before).
+    The cursor keeps exactly one pending event on the simulator
+    calendar: the globally next arrival.  Each calendar firing injects
+    a *batch*: after emitting the due arrival it keeps going --
+    advancing ``sim.now`` itself -- for as long as the next merged
+    arrival stays within the run horizon and strictly before every
+    pending calendar event, and only then reschedules one event for the
+    next arrival.  For closely spaced streams (small-gap CBR/on-off)
+    this removes the per-arrival calendar push/pop and run-loop
+    dispatch that used to make the compiled path *slower* than scalar
+    sources.  Ties with a calendar event defer to the calendar (the
+    cursor reschedules and the run loop interleaves by sequence number,
+    exactly as before).
 
     Mirror protocol (chain drains)
     ------------------------------
@@ -377,7 +388,6 @@ class ArrivalCursor:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._streams: list[_CompiledStream] = []
-        self._heap: list[tuple[float, int, _CompiledStream]] = []
         self._started = False
         self.packets_injected = 0
         #: Heap key of the pending calendar event (feeder mirror
@@ -388,6 +398,15 @@ class ArrivalCursor:
         #: Chain-epoch marker: the ``coupled`` dict the streams'
         #: ``_chain_dcl`` caches were resolved against.
         self._dcl_for = None
+        #: The merged window: parallel time, class id, size and stream
+        #: lists, walked by index ``_i``.
+        self._window: tuple[list, list, list, list] = ([], [], [], [])
+        self._i = 0
+        #: Streams that can still reach a later window.
+        self._live: list[_CompiledStream] = []
+        #: Window positions of the final arrivals of the streams that
+        #: end in the current window.
+        self._tails: list[int] = []
 
     def add(self, stream: _CompiledStream) -> _CompiledStream:
         """Register a compiled stream.  Returns it for chaining."""
@@ -403,51 +422,110 @@ class ArrivalCursor:
         if self._started:
             return
         self._started = True
-        for order, stream in enumerate(self._streams):
-            first = stream.peek_time()
-            if first is not None:
-                self._heap.append((first, order, stream))
+        for stream in self._streams:
             # Register with the target for chain-drain absorption;
             # plain receivers (sinks, demuxes) have no _attach_cursor.
             attach = getattr(stream.target, "_attach_cursor", None)
             if attach is not None:
                 attach(self)
-        heapq.heapify(self._heap)
-        if self._heap:
+        self._live = list(self._streams)
+        if self._refill():
             sim = self.sim
-            first = self._heap[0][0]
+            first = self._window[0][0]
             self.next_time = first
             self.next_seq = sim._seq
             sim.schedule(first, self._fire)
 
+    def _refill(self) -> bool:
+        """Load the next non-empty window; False when every stream is
+        done (the window is then empty)."""
+        live = self._live
+        blocks: list[tuple] = []
+        while live and not blocks:
+            # The window opens at the earliest arrival a live stream can
+            # still make (its drawn head, or the carry it draws from)
+            # and spans about WINDOW_ARRIVALS arrivals at mean rates.
+            rate = 0.0
+            lower = inf
+            for s in live:
+                rate += 1.0 / s.interarrivals.mean
+                head = s._carry if s._rest is None else float(s._rest[0][0])
+                if head < lower:
+                    lower = head
+            end = lower + WINDOW_ARRIVALS / rate
+            if end <= lower:
+                end = nextafter(lower, inf)
+            owners: list[_CompiledStream] = []
+            counts: list[int] = []
+            ending: list[int] = []
+            still = []
+            for s in live:
+                taken = s._take(end)
+                if taken:
+                    blocks.extend(taken)
+                    owners.append(s)
+                    counts.append(sum(len(b[0]) for b in taken))
+                if not s._exhausted or s._rest is not None:
+                    still.append(s)
+                elif taken:
+                    ending.append(len(owners) - 1)
+            self._live = live = still
+        self._i = 0
+        if not blocks:
+            self._window = ([], [], [], [])
+            self._tails = []
+            return False
+        times = np.concatenate([b[0] for b in blocks])
+        # Stable: equal times keep concatenation (= registration) order,
+        # the tie-break of a heap keyed on (time, registration order).
+        order = np.argsort(times, kind="stable")
+        owner_ids = np.repeat(np.arange(len(owners)), counts)[order]
+        table = np.empty(len(owners), dtype=object)
+        table[:] = owners
+        self._window = (
+            times[order].tolist(),
+            np.concatenate([b[1] for b in blocks])[order].tolist(),
+            np.concatenate([b[2] for b in blocks])[order].tolist(),
+            table[owner_ids].tolist(),
+        )
+        self._tails = [int(np.flatnonzero(owner_ids == j)[-1]) for j in ending]
+        return True
+
     def _fire(self) -> None:
         sim = self.sim
-        heap = self._heap
         sim_heap = sim._heap
         until = sim._run_until
+        times, cids, sizes, owners = self._window
+        i = self._i
+        n = len(times)
         injected = 0
         while True:
-            _, order, stream = heap[0]
-            packet = stream.emit()
+            stream = owners[i]
+            size = sizes[i]
+            packet = Packet(
+                next(stream.ids._counter), cids[i], size, times[i],
+                stream.flow_id,
+            )
+            stream.packets_emitted += 1
+            stream.bytes_emitted += size
             injected += 1
+            i += 1
             stream.target.receive(packet)
-            next_time = stream.peek_time()
-            if next_time is None:
-                heapq.heappop(heap)
-                if not heap:
+            if i == n:
+                i = 0
+                if not self._refill():
                     self.next_time = None
                     break
-            elif len(heap) == 1:
-                heap[0] = (next_time, order, stream)
-            else:
-                heapq.heapreplace(heap, (next_time, order, stream))
-            nxt = heap[0][0]
+                times, cids, sizes, owners = self._window
+                n = len(times)
+            nxt = times[i]
             if nxt > until or (sim_heap and sim_heap[0][0] <= nxt):
                 self.next_time = nxt
                 self.next_seq = sim._seq
                 sim.schedule(nxt, self._fire)
                 break
             sim.now = nxt
+        self._i = i
         self.packets_injected += injected
 
     def park(self, heap: list) -> None:
@@ -485,7 +563,9 @@ class ArrivalCursor:
         virtual); False when the cursor is exhausted.
         """
         sim = self.sim
-        heap = self._heap
+        times, cids, sizes, owners = self._window
+        i = self._i
+        n = len(times)
         injected = 0
         reserved = True
         if self._dcl_for is not coupled:
@@ -504,24 +584,22 @@ class ArrivalCursor:
         if fused_heap and fused_heap[0][0] < m:
             m = fused_heap[0][0]
         while True:
-            entry = heap[0]
-            order = entry[1]
-            stream = entry[2]
-            head = stream._head
+            stream = owners[i]
+            cid = cids[i]
+            size = sizes[i]
+            pid = next(stream.ids._counter)
+            stream.packets_emitted += 1
+            stream.bytes_emitted += size
+            injected += 1
+            i += 1
             dcl = stream._chain_dcl
             if dcl is not None:
                 # -- columnar emit: the arrival enters the member's
                 # per-class column as scalars; no Packet is built.  The
-                # heap key equals _times[head], so created == arrived
-                # == now and an int meta (flow-less) loses nothing.
-                pid = next(stream.ids._counter)
-                cid = stream._class_ids[head]
-                size = stream._sizes[head]
+                # window time equals the absorbed key, so created ==
+                # arrived == now and an int meta (flow-less) loses
+                # nothing.
                 fid = stream.flow_id
-                stream._head = head + 1
-                stream.packets_emitted += 1
-                stream.bytes_emitted += size
-                injected += 1
                 meta = pid if fid is None else (pid, fid, now, ())
                 L = dcl.link
                 if L.busy:
@@ -548,39 +626,21 @@ class ArrivalCursor:
                     if fused_heap and fused_heap[0][0] < m:
                         m = fused_heap[0][0]
             else:
-                # -- stream.emit() inlined (identical field order/values)
-                packet = Packet(
-                    next(stream.ids._counter),
-                    stream._class_ids[head],
-                    stream._sizes[head],
-                    stream._times[head],
-                    stream.flow_id,
+                stream.target.receive(
+                    Packet(pid, cid, size, now, stream.flow_id)
                 )
-                stream._head = head + 1
-                stream.packets_emitted += 1
-                stream.bytes_emitted += packet.size
-                injected += 1
-                stream.target.receive(packet)
                 m = sim_heap[0][0] if sim_heap else inf
                 if fused_heap and fused_heap[0][0] < m:
                     m = fused_heap[0][0]
-            # -- stream.peek_time() inlined (block reload on exhaustion)
-            times = stream._times
-            if stream._head < len(times):
-                next_time = times[stream._head]
-            else:
-                next_time = stream.peek_time()
-            if next_time is None:
-                heapq.heappop(heap)
-                if not heap:
+            if i == n:
+                i = 0
+                if not self._refill():
                     self.next_time = None
                     reserved = False
                     break
-            elif len(heap) == 1:
-                heap[0] = (next_time, order, stream)
-            else:
-                heapq.heapreplace(heap, (next_time, order, stream))
-            nxt = heap[0][0]
+                times, cids, sizes, owners = self._window
+                n = len(times)
+            nxt = times[i]
             if nxt > until or m <= nxt:
                 s = sim._seq
                 sim._seq = s + 1
@@ -590,10 +650,14 @@ class ArrivalCursor:
                 break
             now = nxt
             sim.now = nxt
+        self._i = i
         self.packets_injected += injected
         return reserved
 
     @property
     def pending_sources(self) -> int:
-        """Streams that still have arrivals to inject."""
-        return len(self._heap) if self._started else len(self._streams)
+        """Streams that still have arrivals to inject: O(streams)."""
+        if not self._started:
+            return len(self._streams)
+        i = self._i
+        return len(self._live) + sum(1 for t in self._tails if t >= i)

@@ -11,6 +11,9 @@ Sampling uses inversion: x = x_m * U^(-1/alpha).
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -63,16 +66,21 @@ class ParetoInterarrivals(InterarrivalProcess):
 
     def draw_gaps(self, n: int) -> np.ndarray:
         # The uniform block and the 1-U flip are bit-identical to n
-        # scalar draws, but the power must stay a Python-level ``**``:
-        # numpy's vectorized pow differs from libm's by 1 ulp on ~5% of
-        # inputs, which is enough to flip a near-tie scheduler decision
-        # and macroscopically diverge a long run.
-        scale = self.scale
-        neg_inv_shape = -self._inv_shape
+        # scalar draws, but the power must stay libm's ``pow`` (what
+        # the scalar ``**`` calls): numpy's vectorized pow differs from
+        # libm's by 1 ulp on ~5% of inputs, which is enough to flip a
+        # near-tie scheduler decision and macroscopically diverge a
+        # long run.  ``math.pow`` mapped over the block makes the same
+        # libm call without per-gap bytecode; the scale multiply is one
+        # IEEE multiply either way, so numpy does it.
         u = 1.0 - self._rng.random(n)
-        return np.asarray(
-            [scale * x ** neg_inv_shape for x in u.tolist()], dtype=np.float64
+        gaps = np.fromiter(
+            map(math.pow, u.tolist(), repeat(-self._inv_shape)),
+            dtype=np.float64,
+            count=n,
         )
+        gaps *= self.scale
+        return gaps
 
     @property
     def mean(self) -> float:

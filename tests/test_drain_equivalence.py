@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.traffic.compile as compiled_arrivals
 from repro.dropping import PLRDropper, TailDropPolicy
 from repro.invariants import InvariantChecker
 from repro.schedulers import available_schedulers, make_scheduler
@@ -45,7 +46,15 @@ from repro.traffic.trace import ArrivalTrace, TraceSource
 from repro.units import PAPER_LINK_CAPACITY
 
 from .conftest import count_packets
-from .differential import MIX, HORIZON, _capture, _cross_traffic, build_single
+from .differential import (
+    MIX,
+    HORIZON,
+    _capture,
+    _cross_traffic,
+    build_single,
+    differential_cell,
+    run_cell,
+)
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
@@ -565,6 +574,26 @@ def test_lossy_link_builds_no_packet_per_arrival(name, monkeypatch):
     assert link.drops > 0
     assert link.arrivals > 5 * link.drops
     assert built[0] <= link.drops + 10, (built[0], link.drops)
+
+
+@pytest.mark.parametrize("scheduler", ["wtp", "drr", "bpr"])
+def test_cursor_fed_chain_crosses_merged_windows(monkeypatch, scheduler):
+    """The differential 3-hop chain's cursor never fills one default
+    window; shrunk to five arrivals, it refills dozens of times, inside
+    chain-drain batches and evented firings alike.  Drained must still
+    equal evented, and both must equal the default-window run."""
+    default, _ = run_cell(scheduler, "chain", "evented")
+    monkeypatch.setattr(compiled_arrivals, "WINDOW_ARRIVALS", 5)
+    refills = [0]
+    original = ArrivalCursor._refill
+
+    def refill(self):
+        refills[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(ArrivalCursor, "_refill", refill)
+    assert differential_cell(scheduler, "chain") == default
+    assert refills[0] > 100
 
 
 def test_cursor_fed_lossy_link_completes_evented(monkeypatch):

@@ -14,6 +14,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro.scenarios.city as city_module
+import repro.sim.hybrid as hybrid_mod
 import repro.traffic.io as traffic_io
 from repro.errors import ConfigurationError
 from repro.runner import ResultCache, SweepRunner, serial_runner, shared_trace
@@ -45,6 +47,8 @@ from repro.scenarios.generators import (
     city_size_mean,
     total_byte_rate,
 )
+
+from repro.sim.hybrid import HybridConfig
 
 from .conftest import count_packets
 
@@ -276,6 +280,54 @@ class TestCityGrid:
         rows = path.read_text().splitlines()
         assert len(rows) == len(points) + 1
         assert rows[0].startswith("topology,scheduler,sdps")
+
+    def test_hybrid_grid_reports_what_the_engine_did(self, monkeypatch, tmp_path):
+        """A hybrid grid's table and CSV carry each cell's fluid time
+        fraction, segment count and demotion count; the same grid run
+        pure keeps the pure columns only."""
+        monkeypatch.setattr(hybrid_mod, "SPINUP", 500.0)
+        monkeypatch.setattr(hybrid_mod, "MIN_FLUID", 500.0)
+        pure_grid = CityGridConfig(
+            base=CityScenarioConfig(
+                flows=80, horizon=8_000.0, warmup=500.0, seed=3
+            ),
+            schedulers=("wtp",),
+            sdp_grid=((1.0, 2.0, 4.0, 8.0),),
+            utilizations=(0.8,),
+            seeds=(3,),
+        )
+        grid = dataclasses.replace(
+            pure_grid,
+            base=dataclasses.replace(
+                pure_grid.base, hybrid=HybridConfig(epsilon=0.5)
+            ),
+        )
+        points = run_city(grid, runner=serial_runner())
+        summary = points[0]["hybrid"]
+        assert summary["fluid_time_fraction"] > 0
+        expected = [
+            f"{summary['fluid_time_fraction']:.4f}",
+            str(summary["segments"]),
+            str(len(summary["demotions"])),
+        ]
+        header, row = format_city(points).splitlines()
+        assert header.split()[-3:] == ["frac", "segments", "demotions"]
+        assert row.split()[-3:] == expected
+        with city_to_csv(points, tmp_path / "hybrid.csv").open() as handle:
+            (record,) = csv.DictReader(handle)
+        assert record["fluid_time_fraction"] == repr(
+            summary["fluid_time_fraction"]
+        )
+        assert record["segments"] == str(summary["segments"])
+        assert record["demotions"] == str(len(summary["demotions"]))
+
+        pure = run_city(pure_grid, runner=serial_runner())
+        assert "fluid" not in format_city(pure)
+        pure_csv = city_to_csv(pure, tmp_path / "pure.csv").read_text()
+        assert pure_csv.splitlines()[0] == (
+            "topology,scheduler,sdps,utilization,seed,packets,"
+            "fidelity_error,mean_delays,ratios"
+        )
 
     def test_city_tasks_wrap_cells(self):
         tasks = city_tasks(TINY_GRID)

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.traffic.compile as compiled_arrivals
+from repro.network import MultiHopConfig, run_multihop
 from repro.sim.engine import Simulator
 from repro.sim.rng import BufferedExponentials
 from repro.traffic import (
+    DEFAULT_CHUNK,
     ArrivalCursor,
     CompiledMixedSource,
     CompiledSource,
@@ -341,3 +344,196 @@ class TestCompiledSources:
         assert len(compiled_sink.packets) > 50
         classes = {p[1] for p in compiled_sink.packets}
         assert classes == {0, 1, 2, 3}
+
+
+def tiny_window(monkeypatch, arrivals: int) -> list[float]:
+    """Shrink the cursor's merged window to about ``arrivals`` arrivals;
+    returns the first timestamp of every window the cursor loads."""
+    monkeypatch.setattr(compiled_arrivals, "WINDOW_ARRIVALS", arrivals)
+    opened: list[float] = []
+    original = ArrivalCursor._refill
+
+    def refill(self):
+        loaded = original(self)
+        if loaded:
+            opened.append(self._window[0][0])
+        return loaded
+
+    monkeypatch.setattr(ArrivalCursor, "_refill", refill)
+    return opened
+
+
+def scalar_and_compiled(specs, stop_time):
+    """Run one source per ``(kind, seed, start_time, chunk)`` spec on
+    scalar sources and on one cursor; returns both packet streams and
+    the cursor."""
+    scalar_sink = RecordingSink()
+    sim_a = Simulator()
+    ids_a = PacketIdAllocator()
+    for class_id, (kind, seed, start, _) in enumerate(specs):
+        TrafficSource(
+            sim_a, scalar_sink, class_id,
+            make_process(kind, seed),
+            paper_trimodal_sizes(np.random.default_rng(seed + 100)),
+            ids=ids_a, flow_id=class_id,
+            start_time=start, stop_time=stop_time,
+        ).start()
+    sim_a.run()
+
+    compiled_sink = RecordingSink()
+    sim_b = Simulator()
+    ids_b = PacketIdAllocator()
+    cursor = ArrivalCursor(sim_b)
+    for class_id, (kind, seed, start, chunk) in enumerate(specs):
+        cursor.add(
+            CompiledSource(
+                compiled_sink, class_id,
+                make_process(kind, seed),
+                paper_trimodal_sizes(np.random.default_rng(seed + 100)),
+                ids=ids_b, flow_id=class_id,
+                start_time=start, stop_time=stop_time, chunk=chunk,
+            )
+        )
+    cursor.start()
+    sim_b.run()
+    return scalar_sink.packets, compiled_sink.packets, cursor
+
+
+class TestMergedWindow:
+    """The cursor merges its streams one window at a time.  Window size
+    never changes the output, so with the window shrunk to a few
+    arrivals every run below crosses many refills and must still match
+    the scalar sources (or, for exact ties, the (time, registration
+    order) merge)."""
+
+    def test_exact_ties_keep_registration_order_across_window_edges(
+        self, monkeypatch
+    ):
+        # The gaps sum to a rate of 18.5 per unit, so a window of 37
+        # arrivals is exactly 2.0 wide: every even instant is an
+        # eight-way tie that opens a window, and each window holds
+        # enough ties that only a stable sort keeps them in order.
+        opened = tiny_window(monkeypatch, 37)
+        gaps = (1.0, 2.0, 0.5, 0.25, 0.25, 0.5, 1.0, 0.25)
+        stop = 9.0
+        sink = RecordingSink()
+        sim = Simulator()
+        ids = PacketIdAllocator()
+        cursor = ArrivalCursor(sim)
+        for order, gap in enumerate(gaps):
+            cursor.add(
+                CompiledSource(
+                    sink, 0, ConstantInterarrivals(gap), FixedPacketSize(1.0),
+                    ids=ids, flow_id=order, stop_time=stop,
+                )
+            )
+        cursor.start()
+        sim.run()
+        merged = sorted(
+            (k * gap, order)
+            for order, gap in enumerate(gaps)
+            for k in range(1, int(stop / gap) + 1)
+            if k * gap < stop
+        )
+        assert sink.packets == [
+            (pid, 0, 1.0, t, order) for pid, (t, order) in enumerate(merged)
+        ]
+        assert opened == [0.25, 2.0, 4.0, 6.0, 8.0]
+        assert cursor.pending_sources == 0
+
+    def test_stream_starting_several_windows_out(self, monkeypatch):
+        opened = tiny_window(monkeypatch, 4)
+        specs = [
+            ("poisson", 1, 0.0, DEFAULT_CHUNK),
+            ("pareto", 2, 0.5, DEFAULT_CHUNK),
+            ("onoff", 3, 0.0, DEFAULT_CHUNK),
+        ]
+        scalar, compiled, _ = scalar_and_compiled(specs, stop_time=0.8)
+        assert compiled == scalar
+        late = [p for p in compiled if p[4] == 1]
+        assert late and late[0][3] > 0.5
+        # Many windows open before the late stream's first arrival.
+        assert sum(1 for t in opened if t < 0.5) > 10
+
+    def test_chunk_one_streams(self, monkeypatch):
+        opened = tiny_window(monkeypatch, 5)
+        specs = [
+            ("pareto", 4, 0.0, 1),
+            ("mmpp", 5, 0.02, 1),
+            ("cbr", 6, 0.003, 1),
+        ]
+        scalar, compiled, _ = scalar_and_compiled(specs, stop_time=0.6)
+        assert compiled == scalar
+        assert len(compiled) > 100
+        assert len(opened) > 20
+
+    def test_one_pending_event_and_pending_sources_across_refills(
+        self, monkeypatch
+    ):
+        opened = tiny_window(monkeypatch, 5)
+        stops = (0.3, 0.6, 0.9)
+
+        def build():
+            sink = RecordingSink()
+            sim = Simulator()
+            ids = PacketIdAllocator()
+            cursor = ArrivalCursor(sim)
+            for order, stop in enumerate(stops):
+                cursor.add(
+                    CompiledSource(
+                        sink, 0, make_process("pareto", 30 + order),
+                        FixedPacketSize(1.0),
+                        ids=ids, flow_id=order, stop_time=stop,
+                    )
+                )
+            return sim, cursor, sink
+
+        sim, cursor, sink = build()
+        cursor.start()
+        sim.run()
+        last = [max(p[3] for p in sink.packets if p[4] == k) for k in range(3)]
+        opened.clear()
+
+        sim, cursor, _ = build()
+        assert cursor.pending_sources == 3
+        cursor.start()
+        assert sim.pending == 1
+        assert cursor.pending_sources == 3
+        for until in np.linspace(0.01, 1.0, 100):
+            sim.run(until=float(until))
+            live = sum(1 for t in last if t > until)
+            assert cursor.pending_sources == live, until
+            assert sim.pending == (1 if live else 0), until
+        assert cursor.pending_sources == 0
+        assert len(opened) > 20
+
+
+def test_table1_cells_draw_little_past_what_they_inject(monkeypatch):
+    """Table 1's cross traffic draws about what it injects: one window
+    of surplus per run, not a full block per stream (the per-stream
+    block cursor drew 4.7x)."""
+    drawn = [0]
+    cursors: list[ArrivalCursor] = []
+    original_draw = ParetoInterarrivals.draw_gaps
+    original_init = ArrivalCursor.__init__
+
+    def draw_gaps(self, n):
+        drawn[0] += n
+        return original_draw(self, n)
+
+    def init(self, sim):
+        original_init(self, sim)
+        cursors.append(self)
+
+    monkeypatch.setattr(ParetoInterarrivals, "draw_gaps", draw_gaps)
+    monkeypatch.setattr(ArrivalCursor, "__init__", init)
+    for hops in (4, 8):
+        run_multihop(
+            MultiHopConfig(
+                hops=hops, utilization=0.95, flow_packets=10,
+                flow_rate_kbps=200.0, experiments=2, warmup=500.0, seed=1,
+            )
+        )
+    injected = sum(c.packets_injected for c in cursors)
+    assert len(cursors) == 2 and injected > 300_000
+    assert drawn[0] <= 1.2 * injected, drawn[0] / injected
