@@ -27,8 +27,9 @@ bench-record:
 bench-sources:
 	$(PYTHON) benchmarks/bench_sources.py
 
-# Engine + source microbenchmarks vs the committed BENCH_*.json
-# baseline; warns (exit 0) on >20% regression.
+# Engine + source microbenchmarks vs benchmarks/baseline.json; warns
+# on >20% regression, exits non-zero past the hard threshold on a
+# drain-kernel metric or on an absolute (allocation, RSS, hybrid) gate.
 perf-smoke:
 	$(PYTHON) benchmarks/check_regression.py
 

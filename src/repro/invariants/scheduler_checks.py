@@ -20,8 +20,8 @@ disciplines can register their own check via
 Registered entries are *factories*: ``factory(scheduler)`` is called
 once when a checker attaches and returns the bound per-dispatch check.
 Binding at attach time lets a factory capture the scheduler's constant
-state (SDPs, capacity, the in-place-mutated backlog and rate lists) in
-closure locals, keeping the per-dispatch cost to the comparison itself.
+state (SDPs, capacity, the in-place-mutated backlog list) in closure
+locals, keeping the per-dispatch cost to the comparison itself.
 The bound check runs immediately *after* ``select`` returned, against
 the live post-pop queues::
 
@@ -171,25 +171,23 @@ def make_bpr_check(
 ) -> BoundDispatchCheck:
     """After a BPR selection, rates must satisfy r_i = s_i q_i R / sum.
 
-    ``on_select`` recomputes the rates over the post-pop backlogs; this
-    re-derives them from the same state and requires agreement within
-    ``relative_tolerance`` (the scheduler and the reference perform the
-    identical float operations, so real implementations match exactly).
-    Also enforces Eq 9: the rates of backlogged classes sum to the link
-    capacity R, i.e. BPR never leaves capacity unallocated.
-
-    The backlog and rate lists are mutated in place by the scheduler, so
-    capturing the references here reads live state with no per-dispatch
-    attribute chasing.
+    ``on_select`` sets the rates from the post-pop backlogs; this reads
+    them through ``current_rates`` and re-derives Eqs 8-9 from ``sdps``
+    and the live backlog -- never from the scheduler's stored weights --
+    requiring agreement within ``relative_tolerance`` (the scheduler and
+    the reference perform the identical float operations, so real
+    implementations match exactly).  Also enforces Eq 9: the rates of
+    backlogged classes sum to the link capacity R, i.e. BPR never leaves
+    capacity unallocated.
     """
     capacity = scheduler.capacity
     backlog = scheduler.queues.bytes_backlog
     sdps = scheduler.sdps
-    rates = scheduler._rates
     num_classes = len(sdps)
     tolerance = relative_tolerance * capacity
 
     def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+        rates = scheduler.current_rates
         weight_sum = 0.0
         for cid in range(num_classes):
             weight_sum += sdps[cid] * backlog[cid]

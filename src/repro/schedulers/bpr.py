@@ -35,6 +35,15 @@ received:
 * The next packet comes from queue  argmin_i (L_i - v_i(t^k)),  ties
   broken in favour of the higher class.
 
+Each selection makes one pass over the classes: ``on_select`` stores
+the Eq 8 weights w_i = s_i * q_i of the post-pop backlogs and Eq 9's
+``scale`` = R / sum_j w_j (0 when nothing is queued), and a rate is
+derived where it is read, r_i = w_i * scale.  The sum is an explicit
+left-to-right loop because float addition order is observable and
+``sum()`` of floats is compensated from Python 3.12; a credit advances
+by ``(w_i * scale) * dt``, never reassociated, so selections stay
+bit-identical on every interpreter and every drain path.
+
 Appendix 3 leaves one case unspecified: v_i of the queue that was just
 served.  We subtract the transmitted length (clamped at zero), so the
 new head keeps any excess virtual service but does not inherit the full
@@ -72,9 +81,14 @@ class BPRScheduler(Scheduler):
         #: Output link rate R (bytes per time unit).  May also be bound
         #: later by the owning Link via :meth:`bind_capacity`.
         self.capacity = capacity
-        self._last_decision: float | None = None
-        self._rates = [0.0] * self.num_classes
+        self._last_decision = -math.inf  # no decision yet: credits reset
         self._virtual = [0.0] * self.num_classes
+        #: Eq 8 weights s_i * q_i and Eq 9's R / sum(w) at the last
+        #: selection; class i's rate is ``_weights[i] * _scale``.
+        self._weights = [0.0] * self.num_classes
+        self._scale = 0.0
+        self._classes = tuple(enumerate(self.sdps))
+        self._scan = tuple(range(self.num_classes - 1, -1, -1))
 
     def bind_capacity(self, capacity: float) -> None:
         """Set the link rate R used in Eq 9 (called by the Link)."""
@@ -96,27 +110,28 @@ class BPRScheduler(Scheduler):
         cheads = queues.col_heads
         last = self._last_decision
         virtual = self._virtual
-        rates = self._rates
+        weights = self._weights
+        scale = self._scale
         inf = math.inf
         # Update virtual service for the elapsed inter-departure interval.
         best_class = -1
         best_score = inf
-        for cid in range(self.num_classes - 1, -1, -1):
+        for cid in self._scan:
             arrived = heads[cid]
             if arrived == inf:
                 virtual[cid] = 0.0
                 continue
-            if last is None or arrived > last:
-                virtual[cid] = 0.0
+            if arrived > last:
+                credit = 0.0
             else:
-                virtual[cid] += rates[cid] * (now - last)
+                credit = virtual[cid] + weights[cid] * scale * (now - last)
+            virtual[cid] = credit
             # Head size: the deque head, else the column head.
             queue = qlist[cid]
             if queue:
-                size = queue[0].size
+                score = queue[0].size - credit
             else:
-                size = cols[cid][cheads[cid] + 1]
-            score = size - virtual[cid]
+                score = cols[cid][cheads[cid] + 1] - credit
             if score < best_score:
                 best_score = score
                 best_class = cid
@@ -126,40 +141,26 @@ class BPRScheduler(Scheduler):
         self, cid: int, arrived_at: float, size: float, meta, now: float
     ) -> None:
         # Consume the served queue's virtual credit (Appendix 3 does not
-        # specify this case; see module docstring).
-        self._virtual[cid] = max(0.0, self._virtual[cid] - size)
-        self._recompute_rates()
-        self._last_decision = now
-
-    def _recompute_rates(self) -> None:
-        """Eqs 8-9 over the *current* byte backlogs (post-selection).
-
-        The normalized-rate counters are updated *in place* into the
-        preallocated ``_rates`` list, and the weighted sum accumulates
-        left-to-right -- deliberately kept this way (rather than, say,
-        maintained incrementally per enqueue/dequeue) because float
-        summation order is observable: the drain kernel promises
-        bit-identical selections to the evented path, and an
-        incremental sum would reassociate the additions.
-        """
+        # specify this case; see module docstring).  The comparison
+        # clamps zero, negative and NaN credit to +0.0, as max(0.0, x).
+        virtual = self._virtual
+        credit = virtual[cid] - size
+        virtual[cid] = credit if credit > 0.0 else 0.0
+        # Eqs 8-9 over the post-pop byte backlogs, summed left to right.
         backlog = self.queues.bytes_backlog
-        sdps = self.sdps
-        weight_sum = 0.0
-        for cid in range(self.num_classes):
-            weight_sum += sdps[cid] * backlog[cid]
-        rates = self._rates
-        if weight_sum <= 0.0:
-            for cid in range(self.num_classes):
-                rates[cid] = 0.0
-            return
-        scale = self.capacity / weight_sum
-        for cid in range(self.num_classes):
-            rates[cid] = sdps[cid] * backlog[cid] * scale
+        weights = self._weights
+        total = 0.0
+        for i, sdp in self._classes:
+            weight = weights[i] = sdp * backlog[i]
+            total += weight
+        self._scale = 0.0 if total <= 0.0 else self.capacity / total
+        self._last_decision = now
 
     @property
     def current_rates(self) -> tuple[float, ...]:
         """Service rates assigned at the last decision (bytes/unit)."""
-        return tuple(self._rates)
+        scale = self._scale
+        return tuple([weight * scale for weight in self._weights])
 
 
 class FluidBPRTracker:

@@ -6,7 +6,8 @@ Three angles:
   an unchecked run, and a link that never had a checker attached runs
   the original class methods (zero overhead when disabled).
 * *Sensitivity*: deliberately broken schedulers (inverted WTP
-  priorities, equal-split BPR rates, inverted strict priority) and
+  priorities, equal-split or pre-pop-weighted BPR rates, inverted
+  strict priority) and
   tampered kernel state (stolen packets, forged byte counters, idle
   servers with backlog, calendar time regressions) each trigger
   :class:`~repro.errors.InvariantViolation` naming the violated
@@ -86,10 +87,22 @@ class InvertedWTP(WTPScheduler):
 class EqualSplitBPR(BPRScheduler):
     """Ignores backlogs: splits capacity evenly instead of Eq 8."""
 
-    def _recompute_rates(self) -> None:
-        share = self.capacity / self.num_classes
-        for cid in range(self.num_classes):
-            self._rates[cid] = share
+    def on_select(self, cid, arrived_at, size, meta, now) -> None:
+        super().on_select(cid, arrived_at, size, meta, now)
+        self._weights[:] = [1.0] * self.num_classes
+        self._scale = self.capacity / self.num_classes
+
+
+class PrePopBacklogBPR(BPRScheduler):
+    """Weights Eq 8 by the backlogs from *before* the served packet
+    left, instead of the post-pop backlogs."""
+
+    def on_select(self, cid, arrived_at, size, meta, now) -> None:
+        backlog = self.queues.bytes_backlog
+        post_pop = backlog[cid]
+        backlog[cid] = post_pop + size
+        super().on_select(cid, arrived_at, size, meta, now)
+        backlog[cid] = post_pop
 
 
 class InvertedStrictPriority(StrictPriorityScheduler):
@@ -220,6 +233,16 @@ def test_equal_split_bpr_triggers_rate_allocation_violation() -> None:
     with pytest.raises(InvariantViolation) as excinfo:
         replay_through_scheduler(
             trace, EqualSplitBPR(SDPS), config, check_invariants=True
+        )
+    assert excinfo.value.invariant == "bpr-rate-allocation"
+
+
+def test_pre_pop_backlog_bpr_triggers_rate_allocation_violation() -> None:
+    config = small_config("bpr")
+    trace = generate_trace(config)
+    with pytest.raises(InvariantViolation) as excinfo:
+        replay_through_scheduler(
+            trace, PrePopBacklogBPR(SDPS), config, check_invariants=True
         )
     assert excinfo.value.invariant == "bpr-rate-allocation"
 

@@ -3,11 +3,18 @@ packetized Appendix 3 algorithm."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.common import SingleHopConfig, generate_trace
+from repro.scenarios.generators import CITY_SIZES
 from repro.schedulers import BPRScheduler, fluid_backlogs, fluid_clearing_time
 from repro.sim import Link, PacketSink, Simulator
+from repro.traffic.trace import TraceSource
 
 from .conftest import make_packet, run_poisson_link
 
@@ -152,3 +159,251 @@ class TestPacketizedBPR:
             BPRScheduler((1.0, 2.0, 4.0, 8.0)), rates, horizon=1e5
         )
         assert delays[0] > delays[1] > delays[2] > delays[3]
+
+
+# ----------------------------------------------------------------------
+# Bit-level reference: the two-loop Appendix 3 formulation
+# ----------------------------------------------------------------------
+class TwoLoopBPR(BPRScheduler):
+    """Appendix 3 written the direct way: a ``_rates`` list rewritten
+    per selection by two loops (the Eq 8 sum, then every r_i), with
+    the served credit clamped by ``max``.  The bit-level reference for
+    ``BPRScheduler``, which stores the weights and derives a rate where
+    it reads one: both must make the same IEEE operations in the same
+    order."""
+
+    def __init__(self, sdps, capacity=None) -> None:
+        super().__init__(sdps, capacity)
+        self._last_decision = None
+        self._rates = [0.0] * self.num_classes
+
+    def choose_class(self, now: float) -> int:
+        if self.capacity is None:
+            raise ConfigurationError("TwoLoopBPR needs the link capacity")
+        queues = self.queues
+        heads = queues.head_arrivals
+        qlist = queues.queues
+        cols = queues.cols
+        cheads = queues.col_heads
+        last = self._last_decision
+        virtual = self._virtual
+        rates = self._rates
+        inf = math.inf
+        best_class = -1
+        best_score = inf
+        for cid in range(self.num_classes - 1, -1, -1):
+            arrived = heads[cid]
+            if arrived == inf:
+                virtual[cid] = 0.0
+                continue
+            if last is None or arrived > last:
+                virtual[cid] = 0.0
+            else:
+                virtual[cid] += rates[cid] * (now - last)
+            queue = qlist[cid]
+            if queue:
+                size = queue[0].size
+            else:
+                size = cols[cid][cheads[cid] + 1]
+            score = size - virtual[cid]
+            if score < best_score:
+                best_score = score
+                best_class = cid
+        return best_class
+
+    def on_select(self, cid, arrived_at, size, meta, now) -> None:
+        self._virtual[cid] = max(0.0, self._virtual[cid] - size)
+        self._recompute_rates()
+        self._last_decision = now
+
+    def _recompute_rates(self) -> None:
+        backlog = self.queues.bytes_backlog
+        sdps = self.sdps
+        weight_sum = 0.0
+        for cid in range(self.num_classes):
+            weight_sum += sdps[cid] * backlog[cid]
+        rates = self._rates
+        if weight_sum <= 0.0:
+            for cid in range(self.num_classes):
+                rates[cid] = 0.0
+            return
+        scale = self.capacity / weight_sum
+        for cid in range(self.num_classes):
+            rates[cid] = sdps[cid] * backlog[cid] * scale
+
+    @property
+    def current_rates(self) -> tuple[float, ...]:
+        return tuple(self._rates)
+
+
+#: The paper's packet sizes, then the city mix's.
+REFERENCE_SIZES = (40.0, 550.0, 1500.0) + CITY_SIZES
+
+
+def drive_both(sdps, capacity, ops) -> list[tuple]:
+    """Run ``BPRScheduler`` and :class:`TwoLoopBPR` through one op
+    sequence, asserting identical decisions and state after every
+    selection; returns ``(class, rates, credits)`` per selection.
+
+    Ops: ``("enqueue", class, size, gap)`` waits ``gap`` then enqueues;
+    ``("select", gap)`` waits ``gap`` then serves one packet if any is
+    queued; ``("idle", gap)`` serves the whole backlog back to back at
+    the link rate, then leaves the link idle for ``gap``.
+    """
+    schedulers = (
+        BPRScheduler(sdps, capacity=capacity),
+        TwoLoopBPR(sdps, capacity=capacity),
+    )
+    new, ref = schedulers
+    log = []
+    now = 0.0
+    pid = 0
+
+    def select() -> float:
+        served = [scheduler.select(now) for scheduler in schedulers]
+        assert served[0].packet_id == served[1].packet_id
+        assert new.current_rates == ref.current_rates
+        assert new._virtual == ref._virtual
+        log.append((served[0].class_id, new.current_rates, list(new._virtual)))
+        return served[0].size
+
+    for op in ops:
+        if op[0] == "enqueue":
+            _, cid, size, gap = op
+            now += gap
+            for scheduler in schedulers:
+                scheduler.enqueue(
+                    make_packet(pid, cid % len(sdps), size, created_at=now), now
+                )
+            pid += 1
+        elif op[0] == "select":
+            now += op[1]
+            if new.backlogged:
+                select()
+        else:
+            while new.backlogged:
+                now += select() / capacity
+            now += op[1]
+    return log
+
+
+gaps = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0))
+op_lists = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("enqueue"),
+            st.integers(0, 5),
+            st.sampled_from(REFERENCE_SIZES),
+            gaps,
+        ),
+        st.tuples(st.just("select"), gaps),
+        st.tuples(st.just("idle"), gaps),
+    ),
+    max_size=60,
+)
+
+
+@st.composite
+def bpr_configs(draw):
+    """Strictly increasing SDPs for 1-6 classes, and a capacity."""
+    steps = draw(
+        st.lists(
+            st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=6
+        )
+    )
+    sdps = []
+    total = 0.0
+    for step in steps:
+        total += step
+        sdps.append(total)
+    capacity = draw(st.floats(min_value=0.5, max_value=2000.0))
+    return tuple(sdps), capacity
+
+
+class TestTwoLoopReference:
+    @given(config=bpr_configs(), ops=op_lists)
+    @example(
+        config=((1.0, 3.0), 7.0),
+        ops=[("enqueue", 0, 550.0, 0.0), ("enqueue", 1, 550.0, 0.0)]
+        + [("select", 0.3)] * 2,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_match_bit_for_bit(self, config, ops):
+        drive_both(*config, ops)
+
+    def test_first_decision_and_score_tie(self):
+        """Every credit starts at zero, so equal heads tie on L - v
+        and the higher class wins."""
+        log = drive_both(
+            (1.0, 2.0, 4.0),
+            10.0,
+            [("enqueue", cid, 1500.0, 0.0) for cid in (0, 1, 2)]
+            + [("select", 0.0)],
+        )
+        [(chosen, rates, credits)] = log
+        assert chosen == 2
+        assert rates == pytest.approx((10 / 3, 20 / 3, 0.0))
+        assert credits == [0.0, 0.0, 0.0]
+
+    def test_class_drained_to_exactly_zero(self):
+        log = drive_both(
+            (1.0, 2.0),
+            100.0,
+            [
+                ("enqueue", 1, 576.0, 0.0),
+                ("enqueue", 0, 4380.0, 0.0),
+                ("enqueue", 0, 9000.0, 0.0),
+                ("select", 0.0),
+            ]
+            + [("select", 3.0)] * 2,
+        )
+        assert [entry[0] for entry in log] == [1, 0, 0]
+        assert log[0][1] == (100.0, 0.0)
+        assert log[-1][1] == (0.0, 0.0)
+
+    def test_idle_gap_resets_every_credit(self):
+        ops = [("enqueue", cid, 1500.0, 0.0) for cid in (0, 1, 0, 1)]
+        ops += [("select", 0.0), ("select", 2.0), ("idle", 50.0)]
+        ops += [("enqueue", cid, 40.0, 0.0) for cid in (1, 0)]
+        ops += [("select", 0.0)]
+        log = drive_both((1.0, 4.0), 1000.0, ops)
+        assert any(credit > 0.0 for credit in log[1][2])
+        assert log[-1][0] == 1
+        assert log[-1][2] == [0.0, 0.0]
+
+    def test_weight_sum_runs_left_to_right(self):
+        """Post-pop backlogs whose Eq 8 sum rounds differently left to
+        right than exactly (``math.fsum``, or the compensated ``sum()``
+        of Python 3.12+): the rates must follow the left-to-right sum."""
+        sdps = (0.1, 0.2, 0.4, 0.8)
+        ops = [("enqueue", 0, 40.0, 0.0), ("enqueue", 3, 40.0, 0.0)]
+        ops += [("enqueue", cid, 576.0, 0.0) for cid in (1, 2, 3)]
+        ops += [("select", 0.0), ("select", 1.0)]
+        log = drive_both(sdps, 100.0, ops)
+        weights = [s * q for s, q in zip(sdps, (40.0, 576.0, 576.0, 576.0))]
+        left_to_right = 0.0
+        for weight in weights:
+            left_to_right += weight
+        assert left_to_right != math.fsum(weights)
+        assert log[0][0] == 3  # the 40 B heads tie; the higher class wins
+        assert log[0][1] == tuple(w * (100.0 / left_to_right) for w in weights)
+
+    def test_drained_link_matches_reference(self):
+        """Through a drained link the heads sit in the queue columns,
+        so ``choose_class`` reads the column head size."""
+        config = SingleHopConfig(
+            scheduler="bpr", utilization=0.95, horizon=2e4, warmup=1e3, seed=3
+        )
+        trace = generate_trace(config)
+        departures = []
+        for cls in (BPRScheduler, TwoLoopBPR):
+            sim = Simulator()
+            sink = PacketSink(keep_packets=True)
+            link = Link(sim, cls(config.sdps), config.capacity, target=sink)
+            TraceSource(sim, link, trace).start()
+            sim.run(until=config.horizon)
+            departures.append(
+                [(p.packet_id, p.departed_at) for p in sink.packets]
+            )
+        assert len(departures[0]) > 1_000
+        assert departures[0] == departures[1]
