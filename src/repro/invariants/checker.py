@@ -141,12 +141,9 @@ class InvariantChecker:
         # the next drain entry and rebuild as blocked.
         if hasattr(link, "_chain_cache"):
             link._chain_cache = None
-        # The checker's wrappers (and its queue scans below) observe
-        # packets while queued: any columnar (object-free) backlog left
-        # by a drain is an observation boundary -- demote it to real
-        # Packets in the deques before the first hooked event.
-        if scheduler.queues.col_count:
-            scheduler.queues.demote()
+        # Scalar column entries a drain left queued stay scalar: the
+        # dispatch checks read class heads through ``queues.heads()``,
+        # which materializes each head in place when it is observed.
         # Attaching mid-busy-period: the bytes already sent this period
         # were never observed, so the end-of-period conservation check
         # must cover only the portion from the attach onward.  The
@@ -171,7 +168,6 @@ class InvariantChecker:
 
         sim = link.sim
         queues = scheduler.queues
-        queue_list = queues.queues
         capacity = link.capacity
         inv_capacity = 1.0 / capacity
         tolerance = self.tolerance
@@ -209,11 +205,12 @@ class InvariantChecker:
             if arrived < last_dispatch_arrival[cid]:
                 self._raise_out_of_order_dispatch(packet, now)
             last_dispatch_arrival[cid] = arrived
-            queue = queue_list[cid]
-            if queue and queue[0].arrived_at < arrived:
-                self._raise_non_head_dispatch(packet, queue[0], now)
+            heads = queues.heads()
+            head = heads[cid]
+            if head is not None and head.arrived_at < arrived:
+                self._raise_non_head_dispatch(packet, head, now)
             if dispatch_check is not None:
-                dispatch_check(queue_list, now, packet)
+                dispatch_check(heads, now, packet)
             return packet
 
         def checked_complete(packet) -> None:
@@ -392,8 +389,8 @@ class InvariantChecker:
         """End-of-run audit; returns the report of what was verified.
 
         Re-verifies packet conservation and cross-checks the queue
-        accounting (packet counts and byte backlogs against the actual
-        queue contents -- an O(backlog) scan done once).
+        accounting (packet counts and byte backlogs against the class
+        columns' live entries -- an O(backlog) scan done once).
         """
         link = self.link
         report = self.report
@@ -404,7 +401,12 @@ class InvariantChecker:
         )
         self._check_packet_conservation(sim_time=link.sim.now)
         queues = self.scheduler.queues
-        actual_packets = sum(len(q) for q in queues.queues)
+        # Each live entry is (arrived_at, size, meta): the recount reads
+        # the columns, never the counters it checks.
+        columns = [
+            col[head:] for col, head in zip(queues.cols, queues.col_heads)
+        ]
+        actual_packets = sum(len(col) // 3 for col in columns)
         if actual_packets != queues.total_packets:
             raise InvariantViolation(
                 "losslessness",
@@ -413,8 +415,8 @@ class InvariantChecker:
                 f"{actual_packets}",
                 sim_time=link.sim.now,
             )
-        for cid, queue in enumerate(queues.queues):
-            actual_bytes = sum(p.size for p in queue)
+        for cid, col in enumerate(columns):
+            actual_bytes = sum(col[1::3])
             recorded = queues.bytes_backlog[cid]
             if abs(recorded - actual_bytes) > max(1e-6, 1e-9 * actual_bytes):
                 raise InvariantViolation(

@@ -23,17 +23,20 @@ Binding at attach time lets a factory capture the scheduler's constant
 state (SDPs, capacity, the in-place-mutated backlog list) in closure
 locals, keeping the per-dispatch cost to the comparison itself.
 The bound check runs immediately *after* ``select`` returned, against
-the live post-pop queues::
+the live post-pop class heads::
 
-    check(queues, now, chosen)
+    check(heads, now, chosen)
 
-where ``queues[c]`` is class ``c``'s FIFO deque (``queues[c][0]`` its
-head) and ``chosen`` is the packet the scheduler picked.  Only the
-chosen packet's own queue changed since the decision, so a check
-compares ``chosen`` against the heads of every *other* class -- the
-argmax rule "chosen attains the maximum, ties to the higher class" is
-equivalent to "no other class strictly beats chosen, and no equal class
-sits above it", which needs no pre-pop snapshot.
+where ``heads = queues.heads()`` holds class ``c``'s head packet at
+``heads[c]`` (``None`` for an empty class), read from the class columns
+themselves -- never from the ``head_arrivals`` keys the waiting-time
+schedulers' ``choose_class`` reads -- and ``chosen`` is the packet the
+scheduler picked.  Only the chosen packet's own queue changed since the
+decision, so a check compares ``chosen`` against the heads of every
+*other* class -- the argmax rule "chosen attains the maximum, ties to
+the higher class" is equivalent to "no other class strictly beats
+chosen, and no equal class sits above it", which needs no pre-pop
+snapshot.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from ..errors import InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections import deque
-
     from ..schedulers.base import Scheduler
     from ..sim.packet import Packet
 
@@ -57,8 +58,10 @@ __all__ = [
     "scheduler_check_for",
 ]
 
-#: The bound per-dispatch check: ``check(queues, now, chosen)``.
-BoundDispatchCheck = Callable[[Sequence["deque"], float, "Packet"], None]
+#: Post-pop head packet of every class (``None`` for an empty class).
+Heads = Sequence[Optional["Packet"]]
+#: The bound per-dispatch check: ``check(heads, now, chosen)``.
+BoundDispatchCheck = Callable[[Heads, float, "Packet"], None]
 #: What gets registered: binds a scheduler instance to its check.
 DispatchCheckFactory = Callable[["Scheduler"], BoundDispatchCheck]
 
@@ -102,16 +105,16 @@ def make_wtp_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     sdps = scheduler.sdps
     top = len(sdps) - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         chosen_priority = (now - chosen.arrived_at) * sdps[ccid]
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
-            priority = (now - queue[0].arrived_at) * sdps[cid]
+            priority = (now - head.arrived_at) * sdps[cid]
             if priority > chosen_priority or (
                 priority == chosen_priority and cid > ccid
             ):
@@ -133,7 +136,7 @@ def make_quantized_wtp_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     epoch = scheduler.epoch
     top = len(sdps) - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         now_epoch = int(now / epoch)
         chosen_priority = (
@@ -142,11 +145,11 @@ def make_quantized_wtp_check(scheduler: "Scheduler") -> BoundDispatchCheck:
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
             priority = (
-                now_epoch - int(queue[0].arrived_at / epoch)
+                now_epoch - int(head.arrived_at / epoch)
             ) * sdps[cid]
             if priority > chosen_priority or (
                 priority == chosen_priority and cid > ccid
@@ -186,7 +189,7 @@ def make_bpr_check(
     num_classes = len(sdps)
     tolerance = relative_tolerance * capacity
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         rates = scheduler.current_rates
         weight_sum = 0.0
         for cid in range(num_classes):
@@ -225,16 +228,16 @@ def make_fcfs_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     """FCFS must serve the globally oldest head (ties to higher class)."""
     top = scheduler.num_classes - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         arrived = chosen.arrived_at
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
-            other = queue[0].arrived_at
+            other = head.arrived_at
             if other < arrived or (other == arrived and cid > ccid):
                 raise _violation(
                     "fcfs-order",
@@ -252,9 +255,9 @@ def make_strict_priority_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     """Strict priority must serve the highest backlogged class."""
     top = scheduler.num_classes - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         for cid in range(top, chosen.class_id, -1):
-            if queues[cid]:
+            if heads[cid] is not None:
                 raise _violation(
                     "strict-priority-order",
                     f"served class {chosen.class_id} while the higher "
@@ -282,17 +285,17 @@ def make_pad_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     counts = scheduler._delay_counts
     top = len(sdps) - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         chosen_metric = sums[ccid] / counts[ccid] * sdps[ccid]
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
             metric = (
-                (sums[cid] + (now - queue[0].arrived_at))
+                (sums[cid] + (now - head.arrived_at))
                 / (counts[cid] + 1)
                 * sdps[cid]
             )
@@ -328,7 +331,7 @@ def make_hpd_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     top = len(sdps) - 1
     scales = [scheduler._wtp_scale, scheduler._pad_scale]
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         inv_w = 1.0 / scales[0]
         inv_a = 1.0 / scales[1]
@@ -346,10 +349,10 @@ def make_hpd_check(scheduler: "Scheduler") -> BoundDispatchCheck:
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
-            head_wait = now - queue[0].arrived_at
+            head_wait = now - head.arrived_at
             wtp_term = sdps[cid] * head_wait
             pad_term = (
                 (sums[cid] + head_wait) / (counts[cid] + 1) * sdps[cid]
@@ -401,16 +404,16 @@ def make_adaptive_wtp_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     ewma = list(scheduler._ewma_delay)
     counter = [scheduler._served_since_adjust]
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         chosen_priority = (now - chosen.arrived_at) * esdps[ccid]
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
-            priority = (now - queue[0].arrived_at) * esdps[cid]
+            priority = (now - head.arrived_at) * esdps[cid]
             if priority > chosen_priority or (
                 priority == chosen_priority and cid > ccid
             ):
@@ -483,7 +486,7 @@ def make_drr_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     deficits = list(scheduler._deficits)
     cursor_active = [scheduler._round_cursor, scheduler._active]
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         csize = chosen.size
         predicted = -1
@@ -493,8 +496,8 @@ def make_drr_check(scheduler: "Scheduler") -> BoundDispatchCheck:
             # the active class was served, the live head otherwise.
             if active == ccid:
                 hsize = csize
-            elif queues[active]:
-                hsize = queues[active][0].size
+            elif heads[active] is not None:
+                hsize = heads[active].size
             else:
                 hsize = None
             if hsize is not None and hsize <= deficits[active]:
@@ -509,11 +512,11 @@ def make_drr_check(scheduler: "Scheduler") -> BoundDispatchCheck:
             while True:
                 cid = cursor_active[0]
                 cursor_active[0] = (cursor_active[0] + 1) % num_classes
-                if cid != ccid and not queues[cid]:
+                if cid != ccid and heads[cid] is None:
                     deficits[cid] = 0.0
                     continue
                 deficits[cid] += quanta[cid]
-                hsize = csize if cid == ccid else queues[cid][0].size
+                hsize = csize if cid == ccid else heads[cid].size
                 if hsize <= deficits[cid]:
                     cursor_active[1] = cid
                     predicted = cid
@@ -551,11 +554,11 @@ def make_scfq_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     tags = scheduler._finish_tags
     top = scheduler.num_classes - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         empty = True
-        for queue in queues:
-            if queue:
+        for head in heads:
+            if head is not None:
                 empty = False
                 break
         if empty:
@@ -564,10 +567,10 @@ def make_scfq_check(scheduler: "Scheduler") -> BoundDispatchCheck:
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
-            tag = tags[queue[0].packet_id]
+            tag = tags[head.packet_id]
             if tag < chosen_tag or (tag == chosen_tag and cid > ccid):
                 raise _violation(
                     "scfq-finish-tag-order",
@@ -586,16 +589,16 @@ def make_additive_check(scheduler: "Scheduler") -> BoundDispatchCheck:
     offsets = scheduler.offsets
     top = scheduler.num_classes - 1
 
-    def check(queues: Sequence["deque"], now: float, chosen: "Packet") -> None:
+    def check(heads: Heads, now: float, chosen: "Packet") -> None:
         ccid = chosen.class_id
         chosen_priority = (now - chosen.arrived_at) + offsets[ccid]
         for cid in range(top, -1, -1):
             if cid == ccid:
                 continue
-            queue = queues[cid]
-            if not queue:
+            head = heads[cid]
+            if head is None:
                 continue
-            priority = (now - queue[0].arrived_at) + offsets[cid]
+            priority = (now - head.arrived_at) + offsets[cid]
             if priority > chosen_priority or (
                 priority == chosen_priority and cid > ccid
             ):

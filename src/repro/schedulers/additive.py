@@ -48,7 +48,7 @@ class AdditiveDelayScheduler(Scheduler):
         best_priority = float("-inf")
         # Head waiting times come from the incrementally-maintained
         # head_arrivals timestamps (inf == empty class), never the
-        # deques, so columnar (object-free) backlogs schedule
+        # column entries, so scalar and Packet metas schedule
         # identically.
         heads = self.queues.head_arrivals
         offsets = self.offsets

@@ -15,18 +15,19 @@ bookkeeping.  ``num_classes`` follows the paper's convention: index 0 is
 paper class 1, the *lowest* class (largest delay target).
 
 Drain-kernel contract: every scheduler is *column-native*, so each
-dispatch rule is written exactly once, in its class.  The link's drain
-kernels (:mod:`repro.sim.link`) keep unobserved packets as columnar
-``(arrived_at, size, meta)`` entries instead of ``Packet`` objects (see
-:mod:`repro.sim.queues`), so:
+dispatch rule is written exactly once, in its class.  Each class FIFO
+is one column of ``(arrived_at, size, meta)`` entries whose ``meta`` is
+a ``Packet`` or an unmaterialized scalar identity (see
+:mod:`repro.sim.queues`), and the link's drain kernels
+(:mod:`repro.sim.link`) push and pop them inline, so:
 
-* ``choose_class`` reads only state that is exact in either
-  representation: the incrementally-maintained
+* ``choose_class`` reads only state that is exact for any meta: the
+  incrementally-maintained
   :attr:`~repro.sim.queues.ClassQueueSet.head_arrivals` keys (``+inf``
   for an empty class) and, where needed, ``bytes_backlog``.  A rule
-  that needs more of the head packet reads it from the deque head, or
-  else from the column head, in place -- BPR and DRR the head size,
-  SCFQ the packet id (:func:`~repro.sim.queues.meta_packet_id`).
+  that needs more of the head packet reads it from the column head in
+  place -- BPR and DRR the head size, SCFQ the packet id
+  (:func:`~repro.sim.queues.meta_packet_id`).
 * The hooks take scalars: ``on_enqueue(cid, size, meta, now)`` after a
   push and ``on_select(cid, arrived_at, size, meta, now)`` after a pop,
   where ``meta`` is a real ``Packet`` on the object path and a column

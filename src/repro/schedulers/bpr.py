@@ -105,7 +105,6 @@ class BPRScheduler(Scheduler):
             )
         queues = self.queues
         heads = queues.head_arrivals
-        qlist = queues.queues
         cols = queues.cols
         cheads = queues.col_heads
         last = self._last_decision
@@ -126,12 +125,8 @@ class BPRScheduler(Scheduler):
             else:
                 credit = virtual[cid] + weights[cid] * scale * (now - last)
             virtual[cid] = credit
-            # Head size: the deque head, else the column head.
-            queue = qlist[cid]
-            if queue:
-                score = queue[0].size - credit
-            else:
-                score = cols[cid][cheads[cid] + 1] - credit
+            # Head size, read in place from the class column.
+            score = cols[cid][cheads[cid] + 1] - credit
             if score < best_score:
                 best_score = score
                 best_class = cid

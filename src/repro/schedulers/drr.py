@@ -52,22 +52,17 @@ class DRRScheduler(Scheduler):
 
     def choose_class(self, now: float) -> int:
         queues = self.queues
-        qlist = queues.queues
         cols = queues.cols
         cheads = queues.col_heads
         deficits = self._deficits
         # Continue the active class while its deficit covers its head.
         active = self._active
         if active is not None:
-            # Head size: the deque head, else the column head, else
-            # None for an emptied queue.
-            queue = qlist[active]
-            if queue:
-                size = queue[0].size
-            else:
-                col = cols[active]
-                h = cheads[active]
-                size = col[h + 1] if h < len(col) else None
+            # Head size, read in place from the class column, or None
+            # for an emptied queue.
+            col = cols[active]
+            h = cheads[active]
+            size = col[h + 1] if h < len(col) else None
             if size is not None and size <= deficits[active]:
                 return active
             if size is None:
@@ -84,16 +79,12 @@ class DRRScheduler(Scheduler):
         while True:
             cid = self._round_cursor
             self._round_cursor = (cid + 1) % num_classes
-            queue = qlist[cid]
-            if queue:
-                size = queue[0].size
-            else:
-                col = cols[cid]
-                h = cheads[cid]
-                if h >= len(col):
-                    deficits[cid] = 0.0
-                    continue
-                size = col[h + 1]
+            col = cols[cid]
+            h = cheads[cid]
+            if h >= len(col):
+                deficits[cid] = 0.0
+                continue
+            size = col[h + 1]
             deficits[cid] += quanta[cid]
             if size <= deficits[cid]:
                 self._active = cid

@@ -23,10 +23,9 @@ class StrictPriorityScheduler(Scheduler):
     name = "strict"
 
     def choose_class(self, now: float) -> int:
-        # Occupancy is read off head_arrivals (inf == empty) rather
-        # than the deques: the columnar drain kernels keep packets out
-        # of the deques entirely, but the head timestamps are always
-        # maintained.
+        # Occupancy is read off head_arrivals (inf == empty), one flat
+        # list the queue set keeps exact on every push and pop, rather
+        # than the class columns.
         heads = self.queues.head_arrivals
         for cid in range(self.num_classes - 1, -1, -1):
             if heads[cid] != inf:

@@ -65,22 +65,16 @@ class SCFQScheduler(Scheduler):
         best_class = -1
         best_tag = inf
         queues = self.queues
-        qlist = queues.queues
         cols = queues.cols
         cheads = queues.col_heads
         tags = self._finish_tags
         for cid in range(self.num_classes - 1, -1, -1):
-            # Head packet id: the deque head, else the column head.
-            queue = qlist[cid]
-            if queue:
-                pid = queue[0].packet_id
-            else:
-                col = cols[cid]
-                h = cheads[cid]
-                if h >= len(col):
-                    continue
-                pid = meta_packet_id(col[h + 2])
-            tag = tags[pid]
+            # Head packet id, read in place from the class column.
+            col = cols[cid]
+            h = cheads[cid]
+            if h >= len(col):
+                continue
+            tag = tags[meta_packet_id(col[h + 2])]
             if tag < best_tag:
                 best_tag = tag
                 best_class = cid

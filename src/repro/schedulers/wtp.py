@@ -53,7 +53,7 @@ class WTPScheduler(Scheduler):
 
     def choose_class(self, now: float) -> int:
         # Scan the incrementally-maintained head-arrival keys instead of
-        # dereferencing deques and packets: same float expression, so
+        # dereferencing column heads: same float expression, so
         # selections are bit-identical to the per-packet form.  An empty
         # class has ``head == +inf`` and yields ``-inf``, which never
         # beats a real priority (``>= 0``).  High class -> low class so

@@ -99,23 +99,23 @@ locals in the single-link loop and reaches every other link through
 ``receive``; a lossy link's arrivals apply its drop policy
 (:meth:`Link._admit`, which takes a class id) where ``receive`` does.
 
-Columns.  Both drain kernels queue only columns: a drained link's
-packets live in the scheduler's
-:class:`~repro.sim.queues.ClassQueueSet` as flat per-class column
-entries ``(arrived_at, size, meta)`` and are selected, transmitted,
-handed between chain members and counted as scalars.  A ``Packet``
-that reaches a chain member already built -- a user-flow packet, or
-one materialized for routing -- is its own column meta.  Monitors
-observe departures as scalars, feeders supply arrivals as scalars
-(``pull_col``) and drop policies decide on class ids, so none of them
-forces objects.  A real ``Packet`` -- bit-identical to the evented
-path's -- is built (:func:`~repro.sim.queues.materialize_entry`) only
-at an observation boundary: a receiver other than a ``Link`` or a
-non-keeping ``PacketSink``, routing that inspects the packet, a
-push-out victim (``pop_tail`` returns it), the invariant checker
-(attach demotes every column), and a park (the pending completion
-becomes a calendar payload).  Evented arrivals (``receive``), demoted
-queues and seeded backlogs still queue ``Packet`` objects.
+Columns.  Every class FIFO is one column: a link's packets live in
+the scheduler's :class:`~repro.sim.queues.ClassQueueSet` as flat
+per-class column entries ``(arrived_at, size, meta)``, and the drain
+kernels select, transmit, hand between chain members and count them as
+scalars.  A ``Packet`` that is queued already built -- by an evented
+arrival (``receive``), a seeded backlog, a user-flow packet handed to a
+chain member, or one materialized for routing -- is its own column
+meta.  Monitors observe departures as scalars, feeders supply arrivals
+as scalars (``pull_col``) and drop policies decide on class ids, so
+none of them forces objects.  A real ``Packet`` -- bit-identical to
+the evented path's -- is built
+(:func:`~repro.sim.queues.materialize_entry`) only at an observation
+boundary: a receiver other than a ``Link`` or a non-keeping
+``PacketSink``, routing that inspects the packet, a push-out victim
+(``pop_tail`` returns it), a peek at a class head (the invariant
+checker's oracles read ``heads()``), an evented ``select``, and a park
+(the pending completion becomes a calendar payload).
 ``tests/test_drain_equivalence.py``,
 ``tests/test_multihop_drain_equivalence.py`` and
 ``tests/differential.py`` pin every path bit-identical to the evented
@@ -233,7 +233,6 @@ class _ChainLink:
         "choose",
         "on_select",
         "on_enqueue",
-        "qlist",
         "heads",
         "backlog",
         "nclasses",
@@ -277,7 +276,6 @@ class _ChainLink:
         self.on_select, self.on_enqueue = draingen.generated_drain_pair(
             scheduler
         )
-        self.qlist = queues.queues
         self.heads = queues.head_arrivals
         self.backlog = queues.bytes_backlog
         self.nclasses = queues.num_classes
@@ -382,55 +380,33 @@ def _chain_select(cl: _ChainLink, now: float, sim):
     evented path would have called ``sim.schedule``.
 
     ``Scheduler.select`` inlined: the member's ``choose_class``, then
-    ``ClassQueueSet.pop`` over the hybrid deque+column FIFO (identical
-    float ops and mutation order), then the bound ``on_select`` hook.
-    The head stays in the representation it was queued in: a columnar
-    head is held unmaterialized in ``pend_meta``.  NOTE: the body is
-    duplicated inline in ``_chain_complete`` (the per-departure hot
-    path); keep the two in sync.
+    ``ClassQueueSet.pop`` over the class column (identical float ops
+    and mutation order), then the bound ``on_select`` hook.  The head
+    stays in the representation it was queued in: a scalar meta is
+    held unmaterialized in ``pend_meta``.  NOTE: the body is duplicated
+    inline in ``_chain_complete`` (the per-departure hot path); keep
+    the two in sync.
     """
     cid = cl.choose(now)
-    queue = cl.qlist[cid]
-    if queue:
-        nxt = queue.popleft()
-        size = nxt.size
-        if queue:
-            cl.backlog[cid] -= size
-            cl.heads[cid] = queue[0].arrived_at
-        else:
-            col = cl.ccols[cid]
-            h = cl.cheads[cid]
-            if h < len(col):
-                cl.backlog[cid] -= size
-                cl.heads[cid] = col[h]
-            else:
-                cl.backlog[cid] = 0.0
-                cl.heads[cid] = inf
-        cl.queues.total_packets -= 1
-        meta = nxt
-        arr = nxt.arrived_at
+    col = cl.ccols[cid]
+    h = cl.cheads[cid]
+    arr = col[h]
+    size = col[h + 1]
+    meta = col[h + 2]
+    h += 3
+    if h == len(col):
+        col.clear()
+        cl.cheads[cid] = 0
+        cl.backlog[cid] = 0.0
+        cl.heads[cid] = inf
     else:
-        col = cl.ccols[cid]
-        h = cl.cheads[cid]
-        arr = col[h]
-        size = col[h + 1]
-        meta = col[h + 2]
-        h += 3
-        queues = cl.queues
-        queues.col_count -= 1
-        if h == len(col):
-            col.clear()
-            cl.cheads[cid] = 0
-            cl.backlog[cid] = 0.0
-            cl.heads[cid] = inf
-        else:
-            if h >= _COL_COMPACT:
-                del col[:h]
-                h = 0
-            cl.cheads[cid] = h
-            cl.backlog[cid] -= size
-            cl.heads[cid] = col[h]
-        queues.total_packets -= 1
+        if h >= _COL_COMPACT:
+            del col[:h]
+            h = 0
+        cl.cheads[cid] = h
+        cl.backlog[cid] -= size
+        cl.heads[cid] = col[h]
+    cl.queues.total_packets -= 1
     if cl.on_select is not None:
         cl.on_select(cid, arr, size, meta, now)
     s = sim._seq
@@ -468,10 +444,8 @@ def _chain_arrival(
     if cl.heads[cid] == inf:
         cl.heads[cid] = now
     cl.ccols[cid].extend((now, size, meta))
-    queues = cl.queues
-    queues.col_count += 1
     cl.backlog[cid] += size
-    queues.total_packets += 1
+    cl.queues.total_packets += 1
     if cl.on_enqueue is not None:
         cl.on_enqueue(cid, size, meta, now)
     if not L.busy:
@@ -560,10 +534,8 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         if dcl.heads[cid] == inf:
             dcl.heads[cid] = now
         dcl.ccols[cid].extend((now, size, meta))
-        queues = dcl.queues
-        queues.col_count += 1
         dcl.backlog[cid] += size
-        queues.total_packets += 1
+        dcl.queues.total_packets += 1
         if dcl.on_enqueue is not None:
             dcl.on_enqueue(cid, size, meta, now)
         if not down.busy:
@@ -582,47 +554,25 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         # Next service: inline copy of _chain_select (keep in sync),
         # returning the item for the caller's heapreplace.
         cid = cl.choose(now)
-        queue = cl.qlist[cid]
-        if queue:
-            nxt = queue.popleft()
-            size = nxt.size
-            if queue:
-                cl.backlog[cid] -= size
-                cl.heads[cid] = queue[0].arrived_at
-            else:
-                col = cl.ccols[cid]
-                h = cl.cheads[cid]
-                if h < len(col):
-                    cl.backlog[cid] -= size
-                    cl.heads[cid] = col[h]
-                else:
-                    cl.backlog[cid] = 0.0
-                    cl.heads[cid] = inf
-            cl.queues.total_packets -= 1
-            meta = nxt
-            arr = nxt.arrived_at
+        col = cl.ccols[cid]
+        h = cl.cheads[cid]
+        arr = col[h]
+        size = col[h + 1]
+        meta = col[h + 2]
+        h += 3
+        if h == len(col):
+            col.clear()
+            cl.cheads[cid] = 0
+            cl.backlog[cid] = 0.0
+            cl.heads[cid] = inf
         else:
-            col = cl.ccols[cid]
-            h = cl.cheads[cid]
-            arr = col[h]
-            size = col[h + 1]
-            meta = col[h + 2]
-            h += 3
-            queues = cl.queues
-            queues.col_count -= 1
-            if h == len(col):
-                col.clear()
-                cl.cheads[cid] = 0
-                cl.backlog[cid] = 0.0
-                cl.heads[cid] = inf
-            else:
-                if h >= _COL_COMPACT:
-                    del col[:h]
-                    h = 0
-                cl.cheads[cid] = h
-                cl.backlog[cid] -= size
-                cl.heads[cid] = col[h]
-            queues.total_packets -= 1
+            if h >= _COL_COMPACT:
+                del col[:h]
+                h = 0
+            cl.cheads[cid] = h
+            cl.backlog[cid] -= size
+            cl.heads[cid] = col[h]
+        cl.queues.total_packets -= 1
         if cl.on_select is not None:
             cl.on_select(cid, arr, size, meta, now)
         s = sim._seq
@@ -956,12 +906,6 @@ class Link:
         if not self.drain or _hooked(self):
             if self._feeders:
                 self.suspend_drain()
-            queues = self.scheduler.queues
-            if queues.col_count:
-                # Hooks observe whole queues: any columnar residue is
-                # an observation boundary (checker attach demotes too;
-                # this is the safety net for hooks installed by hand).
-                queues.demote()
             self._complete_service_evented(packet)
             return
         if self.buffer_packets is None:
@@ -1049,7 +993,6 @@ class Link:
         # Looked up through the module: see its docstring.
         on_select, on_enqueue = draingen.generated_drain_pair(scheduler)
         queues = scheduler.queues
-        qlist = queues.queues
         cols = queues.cols
         cheads = queues.col_heads
         heads = queues.head_arrivals
@@ -1077,7 +1020,6 @@ class Link:
         heapify(fheap)
         now = sim.now
         total = queues.total_packets
-        ccount = queues.col_count
         arrivals = self.arrivals
         departures = self.departures
         nbytes = self.bytes_sent
@@ -1100,43 +1042,24 @@ class Link:
                     # -- next service, at a departure or an idle reopen
                     queues.total_packets = total
                     cid = choose(now)
-                    queue = qlist[cid]
-                    if queue:
-                        smeta = queue.popleft()
-                        sarr = smeta.arrived_at
-                        ssize = smeta.size
-                        if queue:
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = queue[0].arrived_at
-                        else:
-                            col = cols[cid]
-                            h = cheads[cid]
-                            if h < len(col):
-                                backlog_bytes[cid] -= ssize
-                                heads[cid] = col[h]
-                            else:
-                                backlog_bytes[cid] = 0.0
-                                heads[cid] = inf
+                    col = cols[cid]
+                    h = cheads[cid]
+                    sarr = col[h]
+                    ssize = col[h + 1]
+                    smeta = col[h + 2]
+                    h += 3
+                    if h == len(col):
+                        col.clear()
+                        cheads[cid] = 0
+                        backlog_bytes[cid] = 0.0
+                        heads[cid] = inf
                     else:
-                        col = cols[cid]
-                        h = cheads[cid]
-                        sarr = col[h]
-                        ssize = col[h + 1]
-                        smeta = col[h + 2]
-                        h += 3
-                        ccount -= 1
-                        if h == len(col):
-                            col.clear()
-                            cheads[cid] = 0
-                            backlog_bytes[cid] = 0.0
-                            heads[cid] = inf
-                        else:
-                            if h >= _COL_COMPACT:
-                                del col[:h]
-                                h = 0
-                            cheads[cid] = h
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = col[h]
+                        if h >= _COL_COMPACT:
+                            del col[:h]
+                            h = 0
+                        cheads[cid] = h
+                        backlog_bytes[cid] -= ssize
+                        heads[cid] = col[h]
                     total -= 1
                     scid = cid
                     if on_select is not None:
@@ -1191,11 +1114,9 @@ class Link:
                             self.departures = departures
                             self.bytes_sent = nbytes
                             queues.total_packets = total
-                            queues.col_count = ccount
                             sim.now = ft
                             admitted = self._admit(cid, ft)
                             total = queues.total_packets
-                            ccount = queues.col_count
                             if not admitted:
                                 continue
                         if heads[cid] == inf:
@@ -1203,7 +1124,6 @@ class Link:
                         fid = feeder.flow_id
                         meta = pid if fid is None else (pid, fid, ft, ())
                         cols[cid].extend((ft, size, meta))
-                        ccount += 1
                         backlog_bytes[cid] += size
                         total += 1
                         if on_enqueue is not None:
@@ -1235,7 +1155,6 @@ class Link:
                     self.departures = departures
                     self.bytes_sent = nbytes
                     queues.total_packets = total
-                    queues.col_count = ccount
                     if sink is not None:
                         sink.received = received
                     sim.now = now
@@ -1259,7 +1178,6 @@ class Link:
                         target.receive(smeta)
                         arrivals = self.arrivals
                         total = queues.total_packets
-                        ccount = queues.col_count
                     else:
                         received += 1
                 else:
@@ -1287,7 +1205,6 @@ class Link:
             self.departures = departures
             self.bytes_sent = nbytes
             queues.total_packets = total
-            queues.col_count = ccount
             if sink is not None:
                 sink.received = received
             sim.now = now

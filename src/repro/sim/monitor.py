@@ -166,9 +166,16 @@ class DelayMonitor:
         return [s.count for s in self.stats]
 
     def successive_ratios(self) -> list[float]:
-        """d_i / d_{i+1} for each successive class pair (paper Figs 1-2)."""
-        means = self.mean_delays()
-        return [means[i] / means[i + 1] for i in range(self.num_classes - 1)]
+        """d_i / d_{i+1} for each successive class pair (paper Figs 1-2).
+
+        IEEE division: a class whose mean delay is exactly 0.0 (every
+        packet found the link idle, common at very low load) gives
+        ``+inf`` under a positive mean and ``nan`` under a zero one, and
+        a ``nan`` mean (no departures) propagates.
+        """
+        means = np.array(self.mean_delays())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (means[:-1] / means[1:]).tolist()
 
     def percentile(self, class_id: int, q: float) -> float:
         """Delay percentile (requires ``keep_samples=True``)."""

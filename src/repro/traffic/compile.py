@@ -614,10 +614,8 @@ class ArrivalCursor:
                     if dcl.heads[cid] == inf:
                         dcl.heads[cid] = now
                     dcl.ccols[cid].extend((now, size, meta))
-                    queues = dcl.queues
-                    queues.col_count += 1
                     dcl.backlog[cid] += size
-                    queues.total_packets += 1
+                    dcl.queues.total_packets += 1
                     if dcl.on_enqueue is not None:
                         dcl.on_enqueue(cid, size, meta, now)
                 else:

@@ -65,6 +65,18 @@ def departure_args(packet: Packet) -> tuple:
     )
 
 
+def scalar_entries(queues) -> int:
+    """Queued entries of a :class:`~repro.sim.queues.ClassQueueSet`
+    whose meta is not (yet) a :class:`Packet`: the object-free backlog
+    a drain left behind."""
+    return sum(
+        1
+        for col, head in zip(queues.cols, queues.col_heads)
+        for meta in col[head + 2 :: 3]
+        if type(meta) is not Packet
+    )
+
+
 def count_packets(monkeypatch) -> list[int]:
     """Count :class:`Packet` constructions from now on; the count is
     the returned list's only element."""

@@ -93,10 +93,10 @@ class InvertedPAD(PADScheduler):
         best_class = -1
         best_metric = float("inf")
         for cid in range(self.num_classes):
-            queue = self.queues.queues[cid]
-            if not queue:
+            head = self.queues.head(cid)
+            if head is None:
                 continue
-            head_wait = now - queue[0].arrived_at
+            head_wait = now - head.arrived_at
             metric = (
                 (self._delay_sums[cid] + head_wait)
                 / (self._delay_counts[cid] + 1)
@@ -159,7 +159,7 @@ class InvertedAdditive(AdditiveDelayScheduler):
         best_priority = float("inf")
         heads = self.queues.head_arrivals
         for cid in range(self.num_classes):
-            if self.queues.queues[cid]:
+            if self.queues.backlog_packets(cid):
                 priority = (now - heads[cid]) + self.offsets[cid]
                 if priority < best_priority:
                     best_priority = priority

@@ -44,7 +44,7 @@ from repro.schedulers.wtp import WTPScheduler
 from repro.sim import Link, PacketSink, Simulator
 from repro.traffic.trace import TraceSource
 
-from .conftest import make_packet
+from .conftest import make_packet, scalar_entries
 
 SDPS = (1.0, 2.0, 4.0, 8.0)
 
@@ -74,10 +74,10 @@ class InvertedWTP(WTPScheduler):
         best_class = -1
         best_priority = math.inf
         for cid in range(self.num_classes):
-            queue = self.queues.queues[cid]
-            if not queue:
+            head = self.queues.head(cid)
+            if head is None:
                 continue
-            priority = (now - queue[0].arrived_at) * self.sdps[cid]
+            priority = (now - head.arrived_at) * self.sdps[cid]
             if priority < best_priority:
                 best_priority = priority
                 best_class = cid
@@ -110,7 +110,7 @@ class InvertedStrictPriority(StrictPriorityScheduler):
 
     def choose_class(self, now: float) -> int:
         for cid in range(self.num_classes):
-            if self.queues.queues[cid]:
+            if self.queues.backlog_packets(cid):
                 return cid
         return -1
 
@@ -270,6 +270,39 @@ def test_tail_popping_scheduler_triggers_class_fifo_violation() -> None:
             trace, scheduler, config, check_invariants=True
         )
     assert excinfo.value.invariant == "class-fifo"
+
+
+def test_impostor_drained_before_attach_triggers_violation() -> None:
+    """An impostor that overrides only ``choose_class`` drains in the
+    single-link loop while unchecked, so scalar column entries are still
+    queued when a checker attaches mid-busy-period; the attach leaves
+    them scalar.  The oracle peeks at the class heads itself, so the
+    first hooked dispatch -- the completion of the packet in service at
+    the attach -- must raise."""
+    config = small_config("wtp")
+    trace = generate_trace(config)
+    attach_at = float(trace.times[len(trace) * 3 // 4]) + 0.25
+    sim = Simulator()
+    link = Link(sim, InvertedWTP(SDPS), config.capacity, target=PacketSink())
+    checker = InvariantChecker(link)
+    seen = {}
+
+    def attach() -> None:
+        seen["busy"] = link.busy
+        seen["scalar"] = scalar_entries(link.scheduler.queues)
+        seen["completion"] = link._pending_key[0]
+        checker.attach()
+        seen["scalar_after"] = scalar_entries(link.scheduler.queues)
+
+    sim.schedule(attach_at, attach)
+    TraceSource(sim, link, trace).start()
+    with pytest.raises(InvariantViolation) as excinfo:
+        sim.run(until=config.horizon)
+    assert seen["busy"]
+    assert seen["scalar"] > 0
+    assert seen["scalar_after"] == seen["scalar"]
+    assert excinfo.value.invariant == "wtp-priority-order"
+    assert excinfo.value.sim_time == seen["completion"]
 
 
 def _unchecked_replay(scheduler, drain: bool) -> tuple:

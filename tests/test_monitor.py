@@ -64,6 +64,23 @@ class TestDelayMonitor:
             monitor.on_departure(*departed(cid, 0.0, delay), delay)
         assert monitor.successive_ratios() == pytest.approx([2.0, 2.0])
 
+    def test_successive_ratios_follow_ieee_division(self):
+        """A class whose every packet found the link idle has mean delay
+        exactly 0.0: the ratio over it is +inf, 0/0 is nan, and a class
+        with no departures (nan mean) propagates nan."""
+        monitor = DelayMonitor(6)
+        delays = ((0, 0.3), (1, 0.7), (2, 0.0), (3, 0.0), (4, 1.5))
+        for cid, delay in delays:
+            monitor.on_departure(*departed(cid, 0.0, delay), delay)
+        means = monitor.mean_delays()
+        ratios = monitor.successive_ratios()
+        assert ratios[0] == means[0] / means[1]
+        assert ratios[1] == math.inf
+        assert math.isnan(ratios[2])
+        assert ratios[3] == 0.0
+        assert math.isnan(ratios[4])
+        assert all(type(ratio) is float for ratio in ratios)
+
     def test_percentile_needs_samples(self):
         monitor = DelayMonitor(1)
         with pytest.raises(ConfigurationError):

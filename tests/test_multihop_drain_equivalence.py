@@ -44,6 +44,8 @@ from repro.traffic import (
     ParetoInterarrivals,
 )
 
+from .conftest import scalar_entries
+
 SDPS = (1.0, 2.0, 4.0, 8.0)
 MIX = (0.4, 0.3, 0.2, 0.1)
 
@@ -110,10 +112,10 @@ def run_chain(
     so the fused loop, parking, and resumption all engage.
 
     ``checker_at`` delays the checker attach to a scheduled calendar
-    event mid-run (``checker.capture`` records the hop's columnar
-    backlog around the attach); ``None`` attaches before the run.
+    event mid-run (``checker.capture`` records the hop's object-free
+    backlog at the attach); ``None`` attaches before the run.
     ``monitor_hop`` gets a :class:`DelayMonitor` from a calendar event
-    at ``monitor_at``; the monitor records the hop's columnar backlog
+    at ``monitor_at``; the monitor records the hop's object-free backlog
     at that instant in its ``cols_at_attach`` attribute.
     """
     sim = Simulator()
@@ -159,10 +161,9 @@ def run_chain(
             capture = checker.capture
 
             def attach_mid_run():
-                capture["cols"] = hop_link.scheduler.queues.col_count
+                capture["cols"] = scalar_entries(hop_link.scheduler.queues)
                 capture["busy"] = hop_link.busy
                 checker.attach()
-                capture["cols_after"] = hop_link.scheduler.queues.col_count
 
             sim.schedule(checker_at, attach_mid_run)
     if monitor_hop is not None:
@@ -170,7 +171,8 @@ def run_chain(
         monitor = DelayMonitor(len(SDPS))
 
         def attach_monitor():
-            monitor.cols_at_attach = monitored.scheduler.queues.col_count
+            queues = monitored.scheduler.queues
+            monitor.cols_at_attach = scalar_entries(queues)
             monitored.add_monitor(monitor)
 
         sim.schedule(monitor_at, attach_monitor)
@@ -194,12 +196,13 @@ def test_chain_bit_identical_all_schedulers(name):
     assert all(len(d) == 5 for d in delays_d.values())
 
 
-def test_chain_member_demoted_mid_run():
+def test_chain_member_checked_mid_run():
     """A checker attached to the middle hop by a calendar event landing
-    mid-run: the hop's columnar backlog must be demoted to real Packets
-    at the attach instant, the entry's cached chain walk must fail its
-    guards and rebuild as blocked, and the rest of the run must match
-    an evented run with the checker attached at the same instant."""
+    mid-run, over the hop's object-free backlog: the entry's cached
+    chain walk must fail its guards and rebuild as blocked, the backlog
+    stays scalar until a check peeks at it or it is popped, and the
+    rest of the run must match an evented run with the checker attached
+    at the same instant."""
     sim_c, links_c, delays_c, state_c, checker_c = run_chain(
         "wtp", drain=True, checker_hop=1, checker_at=200.0
     )
@@ -208,11 +211,9 @@ def test_chain_member_demoted_mid_run():
     )
     assert delays_c == delays_e
     assert state_c == state_e
-    # The demotion boundary was genuinely crossed: the member held
-    # object-free columnar backlog when the checker appeared, and the
-    # attach demoted all of it in place.
+    # The boundary was genuinely crossed: the member held object-free
+    # backlog when the checker appeared.
     assert checker_c.capture["cols"] > 0
-    assert checker_c.capture["cols_after"] == 0
     assert checker_e.capture["cols"] == 0
     # The entry saw the hooked member and disabled fusion for the rest
     # of the run.

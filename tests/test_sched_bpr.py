@@ -182,7 +182,6 @@ class TwoLoopBPR(BPRScheduler):
             raise ConfigurationError("TwoLoopBPR needs the link capacity")
         queues = self.queues
         heads = queues.head_arrivals
-        qlist = queues.queues
         cols = queues.cols
         cheads = queues.col_heads
         last = self._last_decision
@@ -200,12 +199,7 @@ class TwoLoopBPR(BPRScheduler):
                 virtual[cid] = 0.0
             else:
                 virtual[cid] += rates[cid] * (now - last)
-            queue = qlist[cid]
-            if queue:
-                size = queue[0].size
-            else:
-                size = cols[cid][cheads[cid] + 1]
-            score = size - virtual[cid]
+            score = cols[cid][cheads[cid] + 1] - virtual[cid]
             if score < best_score:
                 best_score = score
                 best_class = cid

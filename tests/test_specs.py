@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -83,6 +84,23 @@ class TestExecution:
         assert result["kind"] == "multi-hop"
         assert result["experiments"] == 3
         assert 0.5 < result["rd"] < 5.0
+
+    def test_idle_class_gives_non_finite_ratio(self):
+        """At 5% load one class's packets all found the link idle (mean
+        delay 0.0): the ratios follow IEEE division instead of raising
+        ZeroDivisionError."""
+        run = {
+            "kind": "single-hop",
+            "utilization": 0.05,
+            "horizon": 2e4,
+            "warmup": 1e3,
+            "seed": 1,
+        }
+        (result,) = run_spec({"runs": [run]})["results"]
+        assert 0.0 in result["mean_delays"]
+        ratios = result["successive_ratios"]
+        assert len(ratios) == 3
+        assert not all(math.isfinite(ratio) for ratio in ratios)
 
     def test_results_are_json_serializable(self):
         outcome = run_spec({"runs": [single_hop_run()]})
