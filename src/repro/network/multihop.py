@@ -12,6 +12,11 @@ Builds Figure 6's configuration on the event kernel:
 * Every ``experiment_period`` an experiment launches N identical user
   flows, one per class (F packets of 500 B at average rate R_u), whose
   end-to-end queueing delays are recorded at the terminal sink.
+* The run ends once every flow has recorded its F packets: after the
+  last experiment's emission window the calendar advances one flow
+  period at a time until the terminal sink holds them all, or until
+  the horizon (``drain`` past that window plus one experiment period),
+  where experiments still in flight are truncated.
 
 Time unit: milliseconds.  Only queueing delays are measured; propagation
 and transmission delays are excluded as in the paper.
@@ -62,7 +67,10 @@ class MultiHopConfig:
     experiments: int = 100              # M
     experiment_period: float = 1000.0   # ms between experiment launches
     warmup: float = 100_000.0           # ms (paper: 100 s)
-    drain: float = 2000.0               # ms to let the last flows finish
+    #: Longest the run waits (ms) for the last flows to finish, past the
+    #: last experiment's emission window plus one experiment period; the
+    #: run ends earlier once every flow has recorded its F packets.
+    drain: float = 2000.0
     seed: int = 1
     #: ``False`` runs every hop's link evented: the reference the
     #: drain kernels are tested against (see :mod:`repro.sim.link`).
@@ -84,6 +92,15 @@ class MultiHopConfig:
             raise ConfigurationError("one mix share per class required")
         if self.flow_rate_kbps <= 0 or self.flow_packets < 1:
             raise ConfigurationError("invalid user-flow parameters")
+        # The stop rule polls from the last experiment's launch.
+        if self.experiments < 1:
+            raise ConfigurationError("experiments must be >= 1")
+        if self.experiment_period <= 0:
+            raise ConfigurationError("experiment_period must be positive")
+        if self.warmup < 0:
+            raise ConfigurationError("warmup must be non-negative")
+        if self.cross_sources_per_hop < 1:
+            raise ConfigurationError("cross_sources_per_hop must be >= 1")
         if self.hop_utilizations is not None:
             if len(self.hop_utilizations) != self.hops:
                 raise ConfigurationError(
@@ -141,7 +158,9 @@ class MultiHopResult:
     #: of their flows had fewer than ``flow_packets`` recorded delays
     #: at the horizon -- i.e. the ``drain`` settle window was too short.
     truncated_experiments: int = 0
-    #: Final departure count per hop (diagnostics / benchmarking).
+    #: Departures per hop up to the end of the run: the first poll that
+    #: finds every flow complete, or the horizon (diagnostics /
+    #: benchmarking).
     hop_departures: list[int] = field(default_factory=list)
 
     @property
@@ -181,6 +200,18 @@ def run_multihop(
     cursor spans every hop so the shared packet-id allocator hands out
     ids in the same global arrival order as the scalar path.
     ``compiled_arrivals=False`` keeps per-source scalar emission.
+
+    Only the user flows are measured, so the run stops as soon as every
+    flow has recorded its F packets.  From one flow period after the
+    last experiment's final emission, the calendar advances one flow
+    period per :meth:`~repro.sim.engine.Simulator.run` call and the
+    recorder is checked between calls; an experiment still unfinished
+    at the horizon is truncated.  Splitting the run is exact: at every
+    run horizon the drain kernels and the cursor park with the calendar
+    an evented run would hold (the re-entry contract in
+    :mod:`repro.sim.engine`), so the stop point, the comparisons and
+    ``hop_departures`` are the same in drained, evented and scalar-source
+    runs.
     """
     sim = Simulator()
     streams = RandomStreams(config.seed)
@@ -282,10 +313,24 @@ def run_multihop(
         if check_invariants
         else None
     )
-    if checkers is not None:
-        sim.run_checked(until=horizon)
-    else:
-        sim.run(until=horizon)
+    run = sim.run if checkers is None else sim.run_checked
+    # Poll from one flow period after the last flow's final emission.
+    until = (
+        config.warmup
+        + (config.experiments - 1) * config.experiment_period
+        + flow_duration
+    )
+    unfinished = range(flow_counter)  # every launched flow's id
+    while unfinished and until < horizon:
+        run(until=until)
+        unfinished = [
+            fid
+            for fid in unfinished
+            if recorder.packet_count(fid) < config.flow_packets
+        ]
+        until += config.flow_period
+    if unfinished:
+        run(until=horizon)
 
     result = MultiHopResult(config=config)
     result.hop_departures = [link.departures for link in links]

@@ -19,7 +19,10 @@ scheduler named in the Table 1 reproduction, including
 * the routed-network topology (``RouteDemux`` resolution instead of
   ``FlowDemux``), under its own ``drain`` flag;
 * the ``truncated_experiments`` diagnostic surfaced by
-  :func:`~repro.network.multihop.run_multihop`.
+  :func:`~repro.network.multihop.run_multihop`;
+* its stop rule: the run ends within one flow period of the last
+  recorded user packet, at the same point in drained, evented,
+  scalar-source and checked runs, whatever ``drain`` allows.
 """
 
 from __future__ import annotations
@@ -414,6 +417,18 @@ def test_truncated_experiments_surfaced_and_warned():
     )
 
 
+#: The benchmark's smoke cell; its flows finish well inside a 600 ms
+#: drain.
+STOP_CELL = dict(
+    hops=3,
+    utilization=0.8,
+    experiments=2,
+    warmup=500.0,
+    experiment_period=300.0,
+    seed=7,
+)
+
+
 def test_multihop_smoke_cell_drained_vs_evented():
     """End-to-end: the benchmark's own smoke cell, drained vs evented,
     compared field-for-field (delay percentiles are float arrays --
@@ -422,15 +437,7 @@ def test_multihop_smoke_cell_drained_vs_evented():
 
     import numpy as np
 
-    base = dict(
-        hops=3,
-        utilization=0.8,
-        experiments=2,
-        warmup=500.0,
-        experiment_period=300.0,
-        drain=600.0,
-        seed=7,
-    )
+    base = dict(STOP_CELL, drain=600.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         drained = run_multihop(MultiHopConfig(**base))
@@ -450,3 +457,89 @@ def test_multihop_smoke_cell_drained_vs_evented():
                     assert (v1 == v2).all()
                 else:
                     assert v1 == v2
+
+
+#: Drained, evented, scalar-source and checked runs of one config:
+#: (config fields, ``run_multihop`` keywords).
+RUN_MODES = {
+    "drained": ({}, {}),
+    "evented": ({"drain_kernel": False}, {}),
+    "scalar": ({}, {"compiled_arrivals": False}),
+    "checked": ({}, {"check_invariants": True}),
+}
+
+
+def horizon_of(config: MultiHopConfig) -> float:
+    return (
+        config.warmup
+        + config.experiments * config.experiment_period
+        + config.flow_packets * config.flow_period
+        + config.drain
+    )
+
+
+@pytest.fixture
+def run_clock(monkeypatch):
+    """Wraps ``FlowRecorder.receive`` and both run loops from outside:
+    ``last`` is the latest departure recorded at the terminal sink,
+    ``ends`` the clock after each run call."""
+    clock = {"last": 0.0, "ends": []}
+    receive = FlowRecorder.receive
+
+    def recording(self, packet):
+        if packet.flow_id is not None:
+            clock["last"] = max(clock["last"], packet.departed_at)
+        receive(self, packet)
+
+    monkeypatch.setattr(FlowRecorder, "receive", recording)
+    for name in ("run", "run_checked"):
+        loop = getattr(Simulator, name)
+
+        def timed(self, *args, _loop=loop, **kwargs):
+            _loop(self, *args, **kwargs)
+            clock["ends"].append(self.now)
+
+        monkeypatch.setattr(Simulator, name, timed)
+    return clock
+
+
+@pytest.mark.parametrize("mode", sorted(RUN_MODES))
+def test_longer_drain_changes_nothing_once_flows_finish(mode):
+    """The run ends when the last flow has recorded its F packets, not
+    at the horizon: a drain ten times longer than the flows need leaves
+    the comparisons and every hop's departure count unchanged."""
+    config_fields, run_kwargs = RUN_MODES[mode]
+    short, long = (
+        run_multihop(
+            MultiHopConfig(**STOP_CELL, **config_fields, drain=drain),
+            **run_kwargs,
+        )
+        for drain in (600.0, 6000.0)
+    )
+    assert short.truncated_experiments == long.truncated_experiments == 0
+    assert short.hop_departures == long.hop_departures
+    assert len(short.comparisons) == len(long.comparisons) == 2
+    for c1, c2 in zip(short.comparisons, long.comparisons):
+        assert (c1.percentile_matrix == c2.percentile_matrix).all()
+        assert c1.inconsistencies == c2.inconsistencies
+        assert c1.rd == c2.rd
+
+
+@pytest.mark.parametrize("mode", sorted(RUN_MODES))
+def test_clock_stops_one_flow_period_after_last_record(run_clock, mode):
+    config_fields, run_kwargs = RUN_MODES[mode]
+    config = MultiHopConfig(**STOP_CELL, **config_fields, drain=600.0)
+    result = run_multihop(config, **run_kwargs)
+    end = run_clock["ends"][-1]
+    assert not result.truncated_experiments
+    assert run_clock["last"] <= end <= run_clock["last"] + config.flow_period
+    assert end < horizon_of(config)
+
+
+def test_checked_run_reports_the_departures_it_stopped_at():
+    """A checked run stops at the same poll as an unchecked one, and
+    every hop report counts the departures ``hop_departures`` reports."""
+    config = MultiHopConfig(**STOP_CELL, drain=600.0)
+    checked = run_multihop(config, check_invariants=True)
+    assert [r.departures for r in checked.invariants] == checked.hop_departures
+    assert checked.hop_departures == run_multihop(config).hop_departures

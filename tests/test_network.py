@@ -159,6 +159,26 @@ class TestMultiHopConfig:
         with pytest.raises(ConfigurationError):
             MultiHopConfig(sdps=(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("experiments", 0),
+            ("experiments", -2),
+            ("experiment_period", 0.0),
+            ("experiment_period", -50.0),
+            ("warmup", -100.0),
+            ("cross_sources_per_hop", 0),
+            ("cross_sources_per_hop", -1),
+        ],
+    )
+    def test_experiment_shape_rejected(self, name, value):
+        """A shape with no last experiment (or none that launches
+        forward in time, or no cross traffic to size) is refused at
+        construction, not left to return nan, run backwards or divide
+        by zero."""
+        with pytest.raises(ConfigurationError, match=name):
+            MultiHopConfig(hops=2, utilization=0.8, **{name: value})
+
 
 class TestRunMultihop:
     def small_config(self, **overrides):

@@ -509,9 +509,10 @@ class TestMergedWindow:
 
 
 def test_table1_cells_draw_little_past_what_they_inject(monkeypatch):
-    """Table 1's cross traffic draws about what it injects: one window
-    of surplus per run, not a full block per stream (the per-stream
-    block cursor drew 4.7x)."""
+    """Table 1's cross traffic draws about what it injects: at most
+    about one window of surplus per run, not a full block per stream
+    (a per-stream block cursor leaves about 1.45 million gaps unused
+    here)."""
     drawn = [0]
     cursors: list[ArrivalCursor] = []
     original_draw = ParetoInterarrivals.draw_gaps
@@ -535,5 +536,8 @@ def test_table1_cells_draw_little_past_what_they_inject(monkeypatch):
             )
         )
     injected = sum(c.packets_injected for c in cursors)
-    assert len(cursors) == 2 and injected > 300_000
-    assert drawn[0] <= 1.2 * injected, drawn[0] / injected
+    assert len(cursors) == 2 and injected > 100_000
+    surplus = drawn[0] - injected
+    assert surplus <= 1.5 * compiled_arrivals.WINDOW_ARRIVALS * len(cursors), (
+        surplus
+    )
