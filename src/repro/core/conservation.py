@@ -12,8 +12,8 @@ FCFS server of the same capacity.  This module provides:
   FCFS simulation of an arrival trace (no event engine needed).
 * :func:`subset_delay_function` -- the ``subset_delay`` callback that
   :mod:`repro.core.feasibility` expects, backed by FCFS replays of the
-  trace filtered to each subset (memoized: Eq 7 touches 2^N - 1
-  subsets).
+  trace filtered to each subset (memoized on the trace: Eq 7 touches
+  2^N - 1 subsets, and every audit of one trace shares them).
 * :func:`conservation_residual` -- the relative Eq 5 residual of a
   measured (rates, delays) outcome, used as a run-level audit in the
   experiment harnesses and property tests.
@@ -108,8 +108,16 @@ def subset_delay_function(
     class table indexed by ``trace.class_ids`` -- the same arrivals, in
     the same order, as :meth:`~repro.traffic.trace.ArrivalTrace.filter_classes`
     keeps, so the value equals ``fcfs_mean_delay`` of that sub-trace.
+
+    The memo lives on the trace object, keyed by ``(capacity, warmup)``:
+    subset delays depend on the traffic alone, so every Eq 7 audit of
+    one trace -- whichever scheduler or SDP vector asks -- shares one
+    replay per subset.  Traces are never written in place (a sweep
+    runner's shared ones are read-only), so the memo cannot go stale.
+    It is not a dataclass field: the trace's equality and repr ignore it.
     """
-    cache: dict[tuple[int, ...], float] = {}
+    memos = vars(trace).setdefault("_subset_delays", {})
+    cache: dict[tuple[int, ...], float] = memos.setdefault((capacity, warmup), {})
     times, class_ids, sizes = trace.times, trace.class_ids, trace.sizes
     num_classes = trace.num_classes
 

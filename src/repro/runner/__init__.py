@@ -8,8 +8,9 @@ contract: a parallel sweep is bit-identical to a serial one.  Each
 hash + delta-aware code version, runs the misses in contiguous shards
 that stream results to an on-disk :class:`ResultStore` (O(shard)
 coordinator RAM, crash resume with ``store_dir``), publishes arrival
-traces to the workers zero-copy through shared memory
-(:func:`shared_trace`), and merges everything back in task order.
+traces to the workers zero-copy through shared memory or keeps the
+traces its workers compiled for its later cells (:func:`shared_trace`),
+and merges everything back in task order.
 
 ``--explain-cache`` support lives in :mod:`repro.runner.explain`: the
 by-task index lets a cold sweep say *which modules'* edits invalidated

@@ -92,6 +92,32 @@ class TestSingleHopCommon:
         with pytest.raises(ConfigurationError):
             SingleHopConfig(horizon=1e3, warmup=1e4)
 
+    @pytest.mark.parametrize(
+        "shares, empty",
+        [((0.4, 0.3, 0.299, 0.001), 3), ((0.001, 0.4, 0.3, 0.299), 0)],
+        ids=["top", "bottom"],
+    )
+    def test_class_without_arrivals_audits_alike_at_either_end(
+        self, shares, empty
+    ):
+        """A class that drew no arrivals has rate 0 wherever its id
+        falls: the checked run's Eq 5 audit passes, and the unchecked
+        audits see all four classes (an empty top class once made the
+        rates one short)."""
+        config = SingleHopConfig(
+            loads=ClassLoadDistribution(shares), utilization=0.5,
+            horizon=3_000.0, warmup=1_000.0, seed=1,
+        )
+        result = run_single_hop(config, check_invariants=True)
+        counts = np.bincount(result.trace.class_ids, minlength=4)
+        assert counts[empty] == 0 and len(counts) == 4
+        assert math.isfinite(result.invariants.conservation_residual)
+        with pytest.raises(ConfigurationError, match="rates must be positive"):
+            result.feasibility_report()
+        # The empty class has no mean delay, so Eq 5's residual is NaN
+        # rather than a length error.
+        assert math.isnan(result.conservation_residual())
+
 
 class TestFigure1Pipeline:
     def test_points_and_convergence_trend(self):
