@@ -58,14 +58,21 @@ class ArrivalTrace:
             self.times[mask], self.class_ids[mask], self.sizes[mask]
         )
 
-    def class_rates(self, horizon: Optional[float] = None) -> list[float]:
-        """Empirical per-class packet arrival rates over the horizon."""
-        if not len(self):
+    def class_rates(
+        self, horizon: Optional[float] = None, num_classes: int = 0
+    ) -> list[float]:
+        """Empirical per-class packet arrival rates over the horizon.
+
+        The list covers at least ``num_classes`` classes, so a class that
+        drew no arrivals reads 0 wherever its id falls; by default it
+        ends at the largest class id present.
+        """
+        if not len(self) and not num_classes:
             return []
         span = horizon if horizon is not None else float(self.times[-1])
         if span <= 0:
             raise ConfigurationError("horizon must be positive")
-        counts = np.bincount(self.class_ids, minlength=self.num_classes)
+        counts = np.bincount(self.class_ids, minlength=num_classes)
         return [float(c) / span for c in counts]
 
     def offered_load(self, capacity: float, horizon: Optional[float] = None) -> float:

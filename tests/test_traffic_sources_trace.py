@@ -103,6 +103,10 @@ class TestArrivalTrace:
         rates = self.build().class_rates(horizon=4.0)
         assert rates == pytest.approx([0.5, 0.25, 0.25])
 
+    def test_class_rates_cover_classes_without_arrivals(self):
+        rates = self.build().class_rates(horizon=4.0, num_classes=5)
+        assert rates == pytest.approx([0.5, 0.25, 0.25, 0.0, 0.0])
+
     def test_offered_load(self):
         trace = self.build()
         assert trace.offered_load(capacity=10.0, horizon=10.0) == pytest.approx(1.0)
