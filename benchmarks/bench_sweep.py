@@ -2,9 +2,9 @@
 
 Two workloads:
 
-* ``BENCH_GRID`` -- a small city grid (8 cells, one trace group of 256
+* ``BENCH_GRID`` -- a small city grid (8 cells, one trace group of 4000
   Pareto flows) through ``run_city_shard``: the coordinator compiles
-  the trace group once and the runner shares it zero-copy with 4
+  the trace group once and pickles it with each shard it sends to 4
   pool workers, which run the cells in shards.  Its cells/sec is
   ``sweep_cells_per_sec``.
 * ``run_tiny_sweep`` -- N thousand near-trivial single-hop cells
@@ -50,7 +50,7 @@ BENCH_JOBS = 4
 
 
 def run_city_shard(jobs: int = BENCH_JOBS) -> int:
-    """The bench grid through the runner (shared traces, shards)."""
+    """The bench grid through the runner (seeded shard traces, shards)."""
     with SweepRunner(jobs=jobs, cache=None) as runner:
         points = run_city(BENCH_GRID, runner=runner)
     return len(points)

@@ -32,8 +32,9 @@ each warn/fail line therefore also shows its host-normalized factor
 the ``--out`` JSON.
 
 Two sweep-runner numbers ride along: ``sweep_cells_per_sec`` (the city
-bench grid through the runner with shared traces, compared to baseline
-like any throughput metric) and ``sweep1k_coordinator_peak_rss_mb``
+bench grid through the runner, its trace group compiled once and
+pickled with each pool shard, compared to baseline like any throughput
+metric) and ``sweep1k_coordinator_peak_rss_mb``
 (peak coordinator RSS while streaming 10^3 tiny cells through the
 runner's shard store; gated on an absolute ceiling via ``--rss-gate``
 -- the coordinator holds O(shard) results, so blowing the ceiling

@@ -26,7 +26,7 @@ Recorded metrics (events or packets per second, higher is better):
 * ``sweep_runs_per_sec``          -- SweepRunner over a small single-hop
   sweep (serial, cache disabled): runner dispatch overhead + simulation
 * ``sweep_cells_per_sec``         -- the 8-cell city bench grid through
-  SweepRunner (4 jobs, traces compiled once and shared zero-copy)
+  SweepRunner (4 jobs, traces compiled once and seeded into the shards)
 * ``sweep10k_cells_per_sec``      -- 10^4 tiny cells streamed through
   the SweepRunner consume path (one shot, not best-of-N)
 * ``hybrid_horizon_speedup``      -- pure-packet / hybrid wall-clock on

@@ -7,10 +7,9 @@ contract: a parallel sweep is bit-identical to a serial one.  Each
 ``map`` call looks cells up in a :class:`ResultCache` keyed by config
 hash + delta-aware code version, runs the misses in contiguous shards
 that stream results to an on-disk :class:`ResultStore` (O(shard)
-coordinator RAM, crash resume with ``store_dir``), publishes arrival
-traces to the workers zero-copy through shared memory or keeps the
-traces its workers compiled for its later cells (:func:`shared_trace`),
-and merges everything back in task order.
+coordinator RAM, crash resume with ``store_dir``), keeps the arrival
+traces its cells compiled in one trace table for its later cells
+(:func:`shared_trace`), and merges everything back in task order.
 
 ``--explain-cache`` support lives in :mod:`repro.runner.explain`: the
 by-task index lets a cold sweep say *which modules'* edits invalidated

@@ -21,28 +21,22 @@ bit-identical to a serial one.  The parts of one ``map`` call:
   to the shard's file in a :class:`~repro.runner.store.ResultStore`
   and only a count comes back, so dispatch costs ~100 us per shard
   rather than per cell and the coordinator holds O(shard) results.
-* **Shared traces.**  ``shared_traces(pending_tasks)`` returns named
-  arrival traces the workers look up with :func:`shared_trace`.  It is
-  called only when some cell misses the cache, and each trace is
-  published once per sweep: through POSIX shared memory to pool workers
-  (a ~110-byte handle, zero-copy views on attach), by reference
-  in-process.  Hosts without shared memory fall back to pickled inline
-  handles -- same results, just copies.
-* **Traces.**  Each runner also keeps a *trace table*: the traces its
-  workers compiled, by name (single-hop cells name theirs
-  :func:`~repro.experiments.common.trace_key`), so a later cell of the
-  same runner that replays the same arrivals reuses the compiled arrays
-  instead of drawing them again.  :func:`shared_trace` looks a name up
-  in order: a trace the coordinator published, then the table, then
-  the worker's ``build()``, run once and stored.  In-process (``jobs=1``
-  or a single shard) the table is the runner's own and lasts across its
-  ``map`` calls; a pool shard gets a fresh one, shared by that shard's
-  cells only, so no worker keeps traces between shards.  Another
-  runner, even in the same process, starts empty, and a worker called
-  outside any shard compiles every time.  Past
-  :data:`TRACE_TABLE_ARRIVALS` arrivals a table drops its least
-  recently used trace, and it marks every array it holds read-only, so
-  no cell can change a later cell's arrivals.
+* **Traces.**  Workers find compiled arrival traces in one place, a
+  *trace table*, through :func:`shared_trace`: a name (single-hop
+  cells use :func:`~repro.experiments.common.trace_key`, city cells
+  :func:`~repro.scenarios.city.trace_group_key`) and a ``build()`` that
+  compiles the traces on a miss, once, for the later cells the table
+  serves.  In-process the table is the runner's own and lasts across
+  its ``map`` calls.  A pool shard gets a fresh one, shared by that
+  shard's cells only, so no worker keeps traces between shards; with
+  ``shared_traces=`` the coordinator compiles the traces of each
+  shard's cells against the runner's table (once per runner) and the
+  shard's table starts with them.  Another runner, even in the same
+  process, starts empty, and a worker called outside any shard
+  compiles every time.  Past :data:`TRACE_TABLE_ARRIVALS` arrivals a
+  table drops its least recently used entries, and it marks every
+  array it holds read-only, so no cell can change a later cell's
+  arrivals.
 * **Merge.**  Results are reassembled in task order from the cache
   (hits, read lazily) and a k-way merge over the shard files (fresh),
   and every fresh result is written to the cache together with its
@@ -65,11 +59,11 @@ import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from ..traffic.io import attach_trace, publish_trace
 from .cache import ResultCache
 from .hashing import (
     canonical_payload,
@@ -91,40 +85,56 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Worker side (pool processes, or the coordinator itself at jobs=1)
 # ----------------------------------------------------------------------
-#: Per-process registry of attached shared traces: name -> (trace,
-#: block-or-None, shm-name-or-None).  The block reference keeps the
-#: mapping alive for as long as the zero-copy views are used.
-_PROCESS_TRACES: dict[str, tuple] = {}
-
-
 #: Arrival budget of one trace table: once it holds more, the least
-#: recently used trace is dropped.  2^20 arrivals is about 24 MB
-#: of arrays; one Figure 1 utilization row at ``--scale 1`` (10 seeds of
-#: 63k-89k arrivals each) fits.
+#: recently used entries are dropped, never the newest one nor a pool
+#: shard's seeds.  2^20 arrivals is about 24 MB of arrays; one Figure 1
+#: utilization row at ``--scale 1`` (10 seeds of 63k-89k arrivals each)
+#: fits.
 TRACE_TABLE_ARRIVALS = 1 << 20
 
 
-class _TraceTable:
-    """Compiled traces by name, least recently used first."""
+def _traces_of(value) -> list:
+    """The arrival traces in a table entry: a single-hop trace, or a
+    city trace group's per-branch list."""
+    return value if isinstance(value, list) else [value]
 
-    def __init__(self) -> None:
+
+class _TraceTable:
+    """Compiled traces by name, least recently used first.
+
+    An entry is whatever a :func:`shared_trace` ``build()`` returned.
+    ``seeds`` are a pool shard's starting entries; the table keeps them
+    whatever its budget, since the shard's own cells replay them.
+    """
+
+    def __init__(self, seeds: Optional[dict] = None) -> None:
+        seeds = seeds or {}
         self._traces: OrderedDict[str, Any] = OrderedDict()
         self.arrivals = 0
+        self._seeds = frozenset(seeds)
+        for name, value in seeds.items():
+            self.put(name, value)
 
     def get(self, name: str):
-        trace = self._traces.get(name)
-        if trace is not None:
+        value = self._traces.get(name)
+        if value is not None:
             self._traces.move_to_end(name)
-        return trace
+        return value
 
-    def put(self, name: str, trace) -> None:
-        for array in (trace.times, trace.class_ids, trace.sizes):
-            array.flags.writeable = False
-        self._traces[name] = trace
-        self.arrivals += len(trace)
-        while self.arrivals > TRACE_TABLE_ARRIVALS:
-            _, dropped = self._traces.popitem(last=False)
-            self.arrivals -= len(dropped)
+    def put(self, name: str, value) -> None:
+        for trace in _traces_of(value):
+            for array in (trace.times, trace.class_ids, trace.sizes):
+                array.flags.writeable = False
+            self.arrivals += len(trace)
+        self._traces[name] = value
+        # The entry just stored, and a seed, stay even over the budget:
+        # the next cell to look it up would compile it again.
+        for old in list(self._traces)[:-1]:
+            if self.arrivals <= TRACE_TABLE_ARRIVALS:
+                break
+            if old not in self._seeds:
+                dropped = _traces_of(self._traces.pop(old))
+                self.arrivals -= sum(len(trace) for trace in dropped)
 
 
 #: The trace table of the shard this process is running, or ``None``
@@ -132,51 +142,39 @@ class _TraceTable:
 _ACTIVE_TABLE: Optional[_TraceTable] = None
 
 
-def shared_trace(name: str, build: Optional[Callable[[], Any]] = None):
-    """The trace named ``name`` for this cell.
+def shared_trace(name: str, build: Callable[[], Any]):
+    """The traces named ``name`` for this cell.
 
-    A trace the coordinator published for this sweep wins; inside a
-    runner's shard, the shard's trace table comes next.  On a miss
-    ``build()`` compiles the trace, and the table keeps it for the
-    later cells it serves.  Without ``build`` a miss returns ``None`` and
-    the caller compiles the trace itself (city workers) -- bit-identical
-    by construction, only slower.
+    Inside a runner's shard, the entry of the shard's trace table, or
+    on a miss what ``build()`` returns, which the table keeps for the
+    later cells it serves.  Outside any runner ``build()`` runs on every
+    call.
     """
-    entry = _PROCESS_TRACES.get(name)
-    if entry is not None:
-        return entry[0]
     table = _ACTIVE_TABLE
-    trace = table.get(name) if table is not None else None
-    if trace is None and build is not None:
-        trace = build()
-        if table is not None:
-            table.put(name, trace)
-    return trace
+    if table is None:
+        return build()
+    value = table.get(name)
+    if value is None:
+        value = build()
+        table.put(name, value)
+    return value
 
 
-def _register_traces(handles: dict) -> None:
-    """Attach every handle not already attached in this process.
-
-    Attach-once: a handle for an shm block this process already mapped
-    (same block name) is skipped, so the N-shards-per-worker case pays
-    one ``mmap`` per trace, not one per shard.
-    """
-    for name, handle in handles.items():
-        token = getattr(handle, "shm_name", None)
-        current = _PROCESS_TRACES.get(name)
-        if current is not None and token is not None and current[2] == token:
-            continue
-        if current is not None and current[1] is not None:
-            current[1].close()
-        trace, block = attach_trace(handle)
-        _PROCESS_TRACES[name] = (trace, block, token)
+@contextmanager
+def _active(table: _TraceTable) -> Iterator[None]:
+    """Make ``table`` the one :func:`shared_trace` consults."""
+    global _ACTIVE_TABLE
+    outer, _ACTIVE_TABLE = _ACTIVE_TABLE, table
+    try:
+        yield
+    finally:
+        _ACTIVE_TABLE = outer
 
 
 def _run_shard(
     worker: Callable[[Any], Any],
     store_path: str,
     cells: Sequence[tuple[int, Any]],
-    handles: dict,
     table: _TraceTable,
 ) -> int:
     """Run one shard against ``table``, streaming results to its file.
@@ -184,16 +182,24 @@ def _run_shard(
     Returns only the record count -- payloads stay on disk, which is
     what keeps the coordinator's pipe traffic and RAM O(1) per shard.
     """
-    global _ACTIVE_TABLE
-    _register_traces(handles)
-    outer, _ACTIVE_TABLE = _ACTIVE_TABLE, table
-    try:
-        with ShardWriter(store_path) as out:
-            for index, task in cells:
-                out.write(index, worker(task))
-    finally:
-        _ACTIVE_TABLE = outer
+    with _active(table), ShardWriter(store_path) as out:
+        for index, task in cells:
+            out.write(index, worker(task))
     return out.written
+
+
+def _run_pool_shard(
+    worker: Callable[[Any], Any],
+    store_path: str,
+    cells: Sequence[tuple[int, Any]],
+    seeds: dict,
+) -> int:
+    """Run one pool shard against a fresh table that starts with ``seeds``.
+
+    The table is built here, not pickled: numpy unpickles a read-only
+    array as writeable, and ``put`` marks the seeds read-only again.
+    """
+    return _run_shard(worker, store_path, cells, _TraceTable(seeds))
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +350,11 @@ class SweepRunner:
         ``worker`` must be a module-level function (picklable) taking one
         task and returning a JSON-serializable payload -- that is what
         makes cached, stored and freshly computed results
-        interchangeable.  ``shared_traces``, when given, maps the
-        cache-missing tasks to ``{name: ArrivalTrace}`` to publish for
-        :func:`shared_trace` lookup.  With ``consume``, each
+        interchangeable.  ``shared_traces``, when given, maps the tasks
+        of one pool shard to ``{name: traces}``, the entries its cells
+        look up with :func:`shared_trace`; the coordinator calls it
+        against the runner's own trace table, and the shard's table
+        starts with what it returns.  With ``consume``, each
         ``(index, result)`` is streamed through the callback in
         ascending index order and ``None`` is returned -- the
         bounded-memory path.
@@ -391,14 +399,11 @@ class SweepRunner:
                     pending[lo : lo + size]
                     for lo in range(0, len(pending), size)
                 ]
-                traces = (
-                    shared_traces([tasks[i] for i in pending])
-                    if shared_traces is not None
-                    else {}
-                )
                 peak_rss = max(
                     peak_rss,
-                    self._run_shards(worker, tasks, shards, store, traces),
+                    self._run_shards(
+                        worker, tasks, shards, store, shared_traces
+                    ),
                 )
             results = self._merge(worker, tasks, keys, hit, store, consume)
             peak_rss = max(peak_rss, _rss_mb())
@@ -427,69 +432,53 @@ class SweepRunner:
         tasks: Sequence[Any],
         shards: list[list[int]],
         store: ResultStore,
-        traces: dict,
+        shared_traces: Optional[Callable[[list], dict]],
     ) -> float:
         """Run every shard into ``store``; returns the peak RSS seen (MB).
 
-        Traces go to pool workers through shared memory (or pickled
-        inline handles where the host has none); an in-process run
-        registers the coordinator's own arrays and drops them after.
+        In-process shards share the runner's own trace table.  Each pool
+        shard's table starts with ``shared_traces`` of its own cells,
+        pickled with the shard; they are compiled against the runner's
+        table, so a trace the shards share compiles once.
         """
-        in_pool = self.jobs > 1 and len(shards) > 1
-        handles: dict = {}
-        blocks = []
-        for name, trace in traces.items():
-            handle, block = publish_trace(trace, use_shm=in_pool)
-            handles[name] = handle
-            if block is not None:
-                blocks.append(block)
         peak_rss = _rss_mb()
-        try:
-            if not in_pool:
-                for seq, shard in enumerate(shards):
-                    _run_shard(
-                        worker,
-                        str(store.shard_path(seq)),
-                        [(i, tasks[i]) for i in shard],
-                        handles,
-                        self._traces,
-                    )
-                    peak_rss = max(peak_rss, _rss_mb())
-                return peak_rss
-            pool = self._warm_pool(min(self.jobs, len(shards)))
-            futures = set()
+        if self.jobs == 1 or len(shards) == 1:
             for seq, shard in enumerate(shards):
-                futures.add(
-                    pool.submit(
-                        _run_shard,
-                        worker,
-                        str(store.shard_path(seq)),
-                        [(i, tasks[i]) for i in shard],
-                        handles,
-                        _TraceTable(),
-                    )
+                _run_shard(
+                    worker,
+                    str(store.shard_path(seq)),
+                    [(i, tasks[i]) for i in shard],
+                    self._traces,
                 )
-                # Backpressure: keep at most 2 waves in flight so
-                # pickled-task memory stays bounded on huge grids.
-                if len(futures) >= self.jobs * 2:
-                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        future.result()
-                    peak_rss = max(peak_rss, _rss_mb())
-            for future in futures:
-                future.result()
                 peak_rss = max(peak_rss, _rss_mb())
             return peak_rss
-        finally:
-            for block in blocks:
-                try:
-                    block.close()
-                    block.unlink()
-                except OSError:  # pragma: no cover - double unlink
-                    pass
-            if not in_pool:
-                for name in handles:
-                    _PROCESS_TRACES.pop(name, None)
+        pool = self._warm_pool(min(self.jobs, len(shards)))
+        futures = set()
+        for seq, shard in enumerate(shards):
+            seeds: dict = {}
+            if shared_traces is not None:
+                with _active(self._traces):
+                    seeds = shared_traces([tasks[i] for i in shard])
+            futures.add(
+                pool.submit(
+                    _run_pool_shard,
+                    worker,
+                    str(store.shard_path(seq)),
+                    [(i, tasks[i]) for i in shard],
+                    seeds,
+                )
+            )
+            # Backpressure: keep at most 2 waves in flight so
+            # pickled-task memory stays bounded on huge grids.
+            if len(futures) >= self.jobs * 2:
+                done, futures = wait(futures, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+                peak_rss = max(peak_rss, _rss_mb())
+        for future in futures:
+            future.result()
+            peak_rss = max(peak_rss, _rss_mb())
+        return peak_rss
 
     def _merge(
         self,

@@ -14,9 +14,9 @@ close do the measured per-class delay ratios stay to the SDP targets
 The expensive part of a city cell is compiling its arrival traces, and
 the traces depend only on the traffic geometry -- not on the scheduler
 or the SDP vector.  Every cell that shares a traffic configuration
-shares one *trace group*, compiled once in the coordinator (only for
-cells that miss the result cache) and published to the workers
-zero-copy through shared memory.
+shares one *trace group*, compiled once per sweep runner (only for
+cells that miss the result cache) and kept in its trace table; a pool
+shard receives the groups its own cells replay.
 """
 
 from .generators import (

@@ -12,13 +12,15 @@ utilization x seed.  The expensive part of a cell -- compiling
 thousands of per-flow Pareto arrival streams into per-branch traces --
 depends only on the traffic side of the config, so every cell sharing
 a :func:`trace_group_key` reuses one compiled trace set.
-:func:`run_city` and :func:`fidelity_curve` hand the sweep runner a
-trace-group compiler, so the coordinator compiles each group of the
-cache-missing cells once and the runner publishes it to the workers
-(zero-copy through shared memory in a pool); a warm re-run compiles
-nothing.  :func:`city_summary` falls back to compiling locally when
-nothing was published (a direct call), bit-identically by construction
--- the compile path is the same seeded code either way.
+:func:`city_summary` looks its group up in the sweep runner's trace
+table by that key (:func:`~repro.runner.runner.shared_trace`), as
+single-hop cells look theirs up by
+:func:`~repro.experiments.common.trace_key`: the first cell of a
+runner compiles the group, later cells replay it, and a direct call
+compiles its own.  In a pool, :func:`run_city` and
+:func:`fidelity_curve` have the coordinator compile the groups of each
+shard's cells, once per runner, and send them with the shard; a warm
+re-run compiles nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -214,23 +217,24 @@ def compile_city_traces(config: CityScenarioConfig) -> list[ArrivalTrace]:
     ]
 
 
+def _cell_traces(config: CityScenarioConfig) -> list[ArrivalTrace]:
+    """A cell's trace group, from the runner's trace table."""
+    from ..runner.runner import shared_trace
+
+    return shared_trace(
+        trace_group_key(config), partial(compile_city_traces, config)
+    )
+
+
 def city_summary(task: CityTask) -> dict:
     """Worker: simulate one city cell; JSON-able summary.
 
-    Traces come from the sweep runner's registry when the coordinator
-    published this cell's trace group
-    (:func:`~repro.runner.runner.shared_trace`), else they are compiled
-    locally -- same seeded code, bit-identical arrays.
+    The cell's per-branch traces come from the sweep runner's trace
+    table under its :func:`trace_group_key`, compiled on a miss -- the
+    same seeded code wherever it runs, so bit-identical arrays.
     """
-    from ..runner.runner import shared_trace
-
     config = task.config
-    group = trace_group_key(config)
-    traces: Optional[list] = [
-        shared_trace(f"{group}:b{b}") for b in range(config.branches)
-    ]
-    if any(trace is None for trace in traces):
-        traces = compile_city_traces(config)
+    traces = _cell_traces(config)
 
     hybrid_summary: Optional[dict] = None
     if config.hybrid is not None and config.hybrid.epsilon > 0:
@@ -349,20 +353,17 @@ def city_tasks(grid: CityGridConfig) -> list[CityTask]:
     return [CityTask(config=config) for config in grid.cells()]
 
 
-def _group_traces(tasks: Sequence[CityTask]) -> dict[str, ArrivalTrace]:
-    """Every distinct trace group among ``tasks``, compiled once.
+def _group_traces(tasks: Sequence[CityTask]) -> dict[str, list[ArrivalTrace]]:
+    """The trace group of every cell in ``tasks``, by :func:`trace_group_key`.
 
-    Keys are ``"<group>:b<branch>"``, the names :func:`city_summary`
-    looks up; the sweep runner calls this with the cache-missing tasks
-    only.
+    The sweep runner calls this for each pool shard against its own
+    trace table, so a group compiles once per runner and travels only
+    with the shards whose cells replay it.
     """
-    shared: dict[str, ArrivalTrace] = {}
-    for task in tasks:
-        group = trace_group_key(task.config)
-        if f"{group}:b0" not in shared:
-            for branch, trace in enumerate(compile_city_traces(task.config)):
-                shared[f"{group}:b{branch}"] = trace
-    return shared
+    return {
+        trace_group_key(task.config): _cell_traces(task.config)
+        for task in tasks
+    }
 
 
 def _map_cells(tasks: list[CityTask], runner) -> list[dict]:

@@ -176,7 +176,9 @@ class TraceSource:
     calendar.  ``start`` batch-converts the numpy arrays to plain Python
     lists once (one C-level pass) so the per-packet hot path does no
     numpy scalar indexing, which costs an order of magnitude more than
-    a list index.
+    a list index.  The lists go once the last arrival is out: a
+    finished cell's source may stay reachable through a reference cycle
+    until the cyclic collector runs.
 
     The source implements the link's feeder protocol (see
     :meth:`~repro.sim.link.Link.attach_feeder`): every scheduled
@@ -243,6 +245,7 @@ class TraceSource:
             self.sim.schedule(times[index], self._emit)
         else:
             self.next_time = None
+            self._times = self._class_ids = self._sizes = []
 
     # -- feeder protocol (drain kernel) --------------------------------
     def pull_col(self, now: float) -> tuple:
@@ -266,6 +269,7 @@ class TraceSource:
             sim._seq += 1
         else:
             self.next_time = None
+            self._times = self._class_ids = self._sizes = []
         return pid, cid, size
 
     def park(self, heap: list) -> None:

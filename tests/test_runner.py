@@ -7,7 +7,9 @@ The load-bearing properties:
 * cache keys track config content and code version (invalidation),
 * corrupt cache entries degrade to misses, never errors,
 * one runner compiles each single-hop trace, and replays each of its
-  Eq 7 subsets, once, and shares neither with another runner.
+  Eq 7 subsets, once, and shares neither with another runner; its trace
+  table keeps the trace it just stored, and a pool shard's seeds,
+  whatever the budget.
 """
 
 from __future__ import annotations
@@ -429,6 +431,33 @@ class TestTraceSharing:
         assert work["generate_trace"] == 3
         runner.map(single_hop_summary, [SingleHopTask(config=two)])
         assert work["generate_trace"] == 4
+
+    def test_table_keeps_the_trace_it_just_stored(self, work, monkeypatch):
+        one, two = (dataclasses.replace(TRACE_CELL, seed=seed) for seed in (1, 2))
+        monkeypatch.setattr(runner_mod, "TRACE_TABLE_ARRIVALS", 100)
+        runner = serial_runner()
+        runner.map(single_hop_summary, [SingleHopTask(config=one)] * 2)
+        assert work["generate_trace"] == 1  # over the budget, yet reused
+        runner.map(
+            single_hop_summary,
+            [SingleHopTask(config=two), SingleHopTask(config=one)],
+        )
+        assert work["generate_trace"] == 3  # two dropped one
+
+    def test_a_pool_shard_keeps_its_seeds_past_the_budget(self, monkeypatch):
+        one, two, three, four = (
+            generate_trace(dataclasses.replace(TRACE_CELL, seed=seed))
+            for seed in (1, 2, 3, 4)
+        )
+        monkeypatch.setattr(runner_mod, "TRACE_TABLE_ARRIVALS", 100)
+        table = runner_mod._TraceTable({"one": one, "two": [two]})
+        table.put("three", three)
+        table.put("four", four)
+        assert table.get("three") is None  # dropped when four came in
+        assert table.get("four") is four
+        assert table.get("one") is one
+        assert table.get("two") == [two]
+        assert table.arrivals == len(one) + len(two) + len(four)
 
     def test_a_pool_shard_shares_traces_among_its_own_cells(self):
         # At jobs=2, 16 cells go out in 2-cell shards: one trace each.

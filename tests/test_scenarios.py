@@ -7,9 +7,10 @@ The load-bearing properties:
 * trace compilation is bit-identical across processes (spawn-order
   seeded) and its group key tracks exactly the traffic-shaping fields,
 * both topologies build and run, including under the invariant checker,
-* a parallel city sweep with shared-memory traces equals the serial
-  sweep bit for bit, and either one compiles each trace group once --
-  none at all when every cell hits the cache.
+* a parallel city sweep equals the serial sweep bit for bit, and
+  either one compiles each trace group once per runner, in the
+  coordinator -- none at all when every cell hits the cache; a pool
+  shard receives only the groups its own cells replay, read-only.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+import repro.runner.runner as runner_mod
 import repro.scenarios.city as city_module
 import repro.sim.hybrid as hybrid_mod
-import repro.traffic.io as traffic_io
 from repro.errors import ConfigurationError
 from repro.runner import ResultCache, SweepRunner, serial_runner, shared_trace
 from repro.scenarios import (
@@ -84,6 +86,28 @@ def _count_compiles(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(city_module, "compile_city_traces", counted)
     return calls
+
+
+def _look_up_group(task: CityTask) -> dict:
+    """Worker: look the cell's trace group up as ``city_summary`` does,
+    and report whether this process compiled it, whether its arrays are
+    read-only, and which names the shard's trace table holds."""
+    compiled = []
+
+    def build():
+        compiled.append(True)
+        return compile_city_traces(task.config)
+
+    traces = shared_trace(trace_group_key(task.config), build)
+    return {
+        "compiled": bool(compiled),
+        "read_only": not any(
+            array.flags.writeable
+            for trace in traces
+            for array in (trace.times, trace.class_ids, trace.sizes)
+        ),
+        "table": sorted(runner_mod._ACTIVE_TABLE._traces),
+    }
 
 
 class TestConfigValidation:
@@ -245,21 +269,46 @@ class TestCityGrid:
             sharded = run_city(TINY_GRID, runner=runner)
         assert sharded == serial
 
-    def test_inline_fallback_city_sweep_equals_serial(self, monkeypatch):
-        serial = run_city(TINY_GRID, runner=serial_runner())
-        monkeypatch.setattr(traffic_io, "_SHM_PROBED", False)
-        with SweepRunner(jobs=2) as runner:
-            sharded = run_city(TINY_GRID, runner=runner)
-        assert sharded == serial
-
     def test_default_runner_compiles_each_trace_group_once(self, monkeypatch):
         compiles = _count_compiles(monkeypatch)
         points = run_city(FOUR_CELL_GRID)
         assert len(points) == 4
         assert compiles == [1]
-        # The coordinator's in-process registrations do not outlive the sweep.
+        # The runner's table does not outlive it: outside any runner
+        # every lookup compiles.
         group = trace_group_key(FOUR_CELL_GRID.base)
-        assert shared_trace(f"{group}:b0") is None
+        build = partial(city_module.compile_city_traces, FOUR_CELL_GRID.base)
+        assert shared_trace(group, build) is not shared_trace(group, build)
+        assert compiles == [3]
+
+    def test_pool_shards_receive_their_own_groups_compiled_once(
+        self, monkeypatch
+    ):
+        # 2 trace groups (seeds) x 8 cells; at jobs=2 they go out in
+        # 2-cell shards, each within one group.
+        grid = dataclasses.replace(
+            FOUR_CELL_GRID,
+            sdp_grid=((1.0, 2.0, 4.0, 8.0), (1.0, 4.0, 16.0, 64.0)),
+            seeds=(1, 2),
+        )
+        tasks = city_tasks(grid)
+        groups = [trace_group_key(task.config) for task in tasks]
+        assert len(set(groups)) == 2
+        compiles = _count_compiles(monkeypatch)
+        with SweepRunner(jobs=2) as runner:
+            for _ in range(2):
+                cells = runner.map(
+                    _look_up_group, tasks,
+                    shared_traces=city_module._group_traces,
+                )
+                assert runner.last_report.shards == 8
+                assert not any(cell["compiled"] for cell in cells)
+                assert all(cell["read_only"] for cell in cells)
+                assert [cell["table"] for cell in cells] == [
+                    [group] for group in groups
+                ]
+        # Each group compiled once, in the coordinator, over both maps.
+        assert compiles == [2]
 
     def test_warm_rerun_compiles_nothing(self, monkeypatch, tmp_path):
         cold = run_city(

@@ -1,12 +1,9 @@
-"""Tests of the sweep runner's shards: store, shm handles, merge, resume.
+"""Tests of the sweep runner's shards: store, merge, resume.
 
 The load-bearing properties:
 
 * a parallel sweep (shards in a pool) is bit-identical to the serial
-  reference (shards in-process), with and without shared-memory trace
-  publication,
-* the shm handle protocol round-trips traces exactly and degrades to
-  the pickled inline fallback when shm is unavailable,
+  reference (shards in-process),
 * delta-aware cache keys survive edits to modules outside the worker's
   import closure (zero re-execution) and invalidate on edits inside it,
   with ``--explain-cache`` naming the module,
@@ -20,11 +17,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
-import repro.traffic.io as traffic_io
-from repro.errors import ConfigurationError
 from repro.experiments.common import SingleHopConfig
 from repro.experiments.figure1 import FigureOneConfig, run_figure1
 from repro.runner import (
@@ -37,14 +31,6 @@ from repro.runner import (
     single_hop_summary,
 )
 from repro.runner.hashing import _SOURCE_OVERRIDES, invalidate_code_caches
-from repro.traffic.io import (
-    InlineTraceHandle,
-    SharedTraceHandle,
-    attach_trace,
-    publish_trace,
-    share_trace,
-)
-from repro.traffic.trace import ArrivalTrace
 
 #: 2 schedulers x 2 loads x 2 seeds, laptop-sized.
 TINY_FIG1 = FigureOneConfig(
@@ -66,52 +52,6 @@ def small_tasks(n: int = 6) -> list[SingleHopTask]:
         )
         for seed in range(1, n + 1)
     ]
-
-
-def tiny_trace() -> ArrivalTrace:
-    return ArrivalTrace(
-        times=np.array([0.5, 1.0, 2.25]),
-        class_ids=np.array([0, 1, 0], dtype=np.int64),
-        sizes=np.array([100.0, 1500.0, 40.0]),
-    )
-
-
-class TestTraceHandles:
-    def test_shm_round_trip_is_exact(self):
-        if not traffic_io.shm_available():  # pragma: no cover - no /dev/shm
-            pytest.skip("no shared memory on this host")
-        trace = tiny_trace()
-        handle, block = share_trace(trace)
-        try:
-            attached, worker_block = attach_trace(handle)
-            assert np.array_equal(attached.times, trace.times)
-            assert np.array_equal(attached.class_ids, trace.class_ids)
-            assert np.array_equal(attached.sizes, trace.sizes)
-            assert attached.class_ids.dtype == np.int64
-            worker_block.close()
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_inline_fallback_round_trip(self):
-        trace = tiny_trace()
-        handle, block = publish_trace(trace, use_shm=False)
-        assert block is None
-        assert isinstance(handle, InlineTraceHandle)
-        attached, worker_block = attach_trace(handle)
-        assert worker_block is None
-        assert np.array_equal(attached.times, trace.times)
-
-    def test_probe_failure_degrades_to_inline(self, monkeypatch):
-        monkeypatch.setattr(traffic_io, "_SHM_PROBED", False)
-        handle, block = publish_trace(tiny_trace(), use_shm=True)
-        assert isinstance(handle, InlineTraceHandle)
-        assert block is None
-
-    def test_protocol_mismatch_is_rejected(self):
-        stale = SharedTraceHandle(shm_name="x", count=1, protocol=0)
-        with pytest.raises(ConfigurationError):
-            attach_trace(stale)
 
 
 class TestResultStore:
@@ -204,18 +144,6 @@ class TestShardedParity:
         serial = run_figure1(TINY_FIG1, runner=serial_runner())
         with SweepRunner(jobs=2) as runner:
             sharded = run_figure1(TINY_FIG1, runner=runner)
-        assert sharded == serial
-
-    def test_inline_fallback_is_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(traffic_io, "_SHM_PROBED", False)
-        tasks = small_tasks(4)
-        serial = serial_runner().map(single_hop_summary, tasks)
-        with SweepRunner(jobs=2) as runner:
-            sharded = runner.map(
-                single_hop_summary,
-                tasks,
-                shared_traces=lambda pending: {"t": tiny_trace()},
-            )
         assert sharded == serial
 
     def test_consume_streams_in_ascending_order(self):
@@ -381,23 +309,6 @@ class TestDeltaAwareInvalidation:
 
 
 class TestShardWorkerRegistry:
-    def test_shared_trace_returns_none_when_unpublished(self):
-        from repro.runner import shared_trace
-
-        assert shared_trace("never-published") is None
-
-    def test_registry_attaches_inline_handles(self):
-        from repro.runner import runner as runner_mod
-
-        trace = tiny_trace()
-        handle, _ = publish_trace(trace, use_shm=False)
-        runner_mod._register_traces({"t": handle})
-        try:
-            got = runner_mod.shared_trace("t")
-            assert np.array_equal(got.times, trace.times)
-        finally:
-            runner_mod._PROCESS_TRACES.pop("t", None)
-
     def test_store_records_are_json_lines(self, tmp_path):
         path = tmp_path / "s.jsonl"
         with ShardWriter(path) as out:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import PacketSink, Simulator
+from repro.schedulers import make_scheduler
+from repro.sim import Link, PacketSink, Simulator
 from repro.traffic import (
     ConstantInterarrivals,
     FixedPacketSize,
@@ -174,3 +175,41 @@ class TestTraceSource:
             simulator.run()
             outputs.append([p.created_at for p in sink.packets])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("drain", [False, True], ids=["evented", "drained"])
+    def test_exhausted_source_holds_no_per_packet_list(
+        self, sim, drain, monkeypatch
+    ):
+        """A finished cell's source can stay reachable through a
+        reference cycle until the cyclic collector runs; once its last
+        arrival is out it holds none of its per-packet lists.  The last
+        arrival leaves through ``_emit`` on an evented link and through
+        ``pull_col`` when the drain kernel pulls it inline."""
+        pulls = []
+        original_pull = TraceSource.pull_col
+
+        def pull_col(source, now):
+            pulls.append(now)
+            return original_pull(source, now)
+
+        monkeypatch.setattr(TraceSource, "pull_col", pull_col)
+        # The drain enters at the first completion (3.0) and pulls the
+        # arrivals at 3.5 and 4.0 inline.
+        trace = ArrivalTrace(
+            np.array([1.0, 2.0, 3.5, 4.0]),
+            np.array([0, 1, 0, 1]),
+            np.array([2.0, 2.0, 2.0, 1.0]),
+        )
+        link = Link(
+            sim, make_scheduler("wtp", (1.0, 2.0)), capacity=1.0,
+            target=PacketSink(), drain=drain,
+        )
+        source = TraceSource(sim, link, trace)
+        source.start()
+        sim.run()
+        assert link.departures == 4
+        assert len(pulls) == (2 if drain else 0)
+        assert (source._times, source._class_ids, source._sizes) == ([], [], [])
+        source.start()  # still idempotent: nothing replays again
+        sim.run()
+        assert link.departures == 4
