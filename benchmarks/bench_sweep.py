@@ -9,10 +9,10 @@ Two workloads:
   ``sweep_cells_per_sec``.
 * ``run_tiny_sweep`` -- N thousand near-trivial single-hop cells
   through the runner's streaming consume path.  Its report's
-  ``coordinator_peak_rss_mb`` is what bounds the coordinator: results
-  go to shard files and stream back one at a time, so peak RSS must
-  stay flat as the grid grows (recorded alongside the rate by
-  ``record_bench``).
+  ``coordinator_peak_rss_mb`` is what bounds the coordinator: each
+  shard's results come back as one list and stream through ``consume``
+  in task order, so peak RSS must stay flat as the grid grows
+  (recorded alongside the rate by ``record_bench``).
 
 Both entry points return the cell count so ``best_rate`` can turn
 wall-clock into cells/sec.

@@ -36,9 +36,9 @@ bench grid through the runner, its trace group compiled once and
 pickled with each pool shard, compared to baseline like any throughput
 metric) and ``sweep1k_coordinator_peak_rss_mb``
 (peak coordinator RSS while streaming 10^3 tiny cells through the
-runner's shard store; gated on an absolute ceiling via ``--rss-gate``
--- the coordinator holds O(shard) results, so blowing the ceiling
-means results are accumulating in RAM again).
+runner's merge; gated on an absolute ceiling via ``--rss-gate`` -- the
+coordinator holds O(shard) results, so blowing the ceiling means
+results are accumulating in RAM again).
 
 The hybrid fluid/packet engine contributes absolute hard gates (from
 :mod:`bench_hybrid`'s smoke cells): the DDP fidelity error of a hybrid
@@ -114,10 +114,10 @@ DEFAULT_HARD_THRESHOLD = 0.35
 DEFAULT_ALLOCATION_GATE = 0.25
 
 #: Max coordinator peak RSS (MB) while streaming 10^3 tiny cells
-#: through the shard store.  The measured figure is ~45 MB (interpreter
-#: + numpy + per-cell keys); the store keeps result payloads on disk,
-#: so comfortably clearing this ceiling at 10^3 cells is what certifies
-#: the O(shard) coordinator-memory claim on CI.
+#: through the sweep runner's merge.  The measured figure is ~45 MB
+#: (interpreter + numpy + per-cell keys); the merge holds a few shards'
+#: payloads at a time, so comfortably clearing this ceiling at 10^3
+#: cells is what certifies the O(shard) coordinator-memory claim on CI.
 DEFAULT_RSS_GATE_MB = 256.0
 
 #: Metrics gated on absolute value (lower is better), excluded from the
@@ -332,9 +332,10 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_RSS_GATE_MB,
         help=(
             "max coordinator peak RSS in MB while streaming 10^3 tiny "
-            f"cells through the shard store (default {DEFAULT_RSS_GATE_MB:g}; "
-            "measured ~45 MB -- blowing this means results accumulate "
-            "in coordinator RAM again)"
+            "cells through the runner's merge "
+            f"(default {DEFAULT_RSS_GATE_MB:g}; measured ~45 MB -- "
+            "blowing this means results accumulate in coordinator RAM "
+            "again)"
         ),
     )
     args = parser.parse_args(argv)

@@ -48,11 +48,11 @@ Recorded metrics (events or packets per second, higher is better):
   microbenchmarks from :mod:`bench_sources`
 
 A separate ``sweep_streaming`` section records the coordinator's peak
-RSS at 10^3 and 10^4 streamed cells (results go to shard files and
-stream back one record at a time, so the two figures must stay within
-a few tens of MB of each other -- that flatness IS the O(shard) memory
-claim, checked by eye in the record and by gate in
-:mod:`check_regression`).
+RSS at 10^3 and 10^4 streamed cells (each shard's results come back
+as one list and stream through the merge in task order, so the two
+figures must stay within a few tens of MB of each other -- that
+flatness IS the O(shard) memory claim, checked by eye in the record
+and by gate in :mod:`check_regression`).
 
 plus the end-to-end figure-1 smoke sweep, in seconds (lower is better):
 

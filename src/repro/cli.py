@@ -14,7 +14,8 @@ cores and the on-disk result cache:
 ``--jobs 0`` (the default) means "one worker per CPU"; ``--jobs 1``
 forces serial execution.  Re-running an identical sweep is served from
 the content-addressed cache under ``--cache-dir`` (default
-``.repro-cache/``); pass ``--no-cache`` to disable it.
+``.repro-cache/``), and so is every shard a killed sweep finished, so
+its rerun executes only the rest; pass ``--no-cache`` to disable it.
 """
 
 from __future__ import annotations
@@ -301,8 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=Path(DEFAULT_CACHE_DIR),
         help=(
-            "directory of the content-addressed result cache "
-            f"(default: {DEFAULT_CACHE_DIR})"
+            "directory of the content-addressed result cache; a killed "
+            "sweep rerun with it executes only the cells it had not "
+            f"finished (default: {DEFAULT_CACHE_DIR})"
         ),
     )
     parser.add_argument(
@@ -352,16 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--store-dir",
-        type=Path,
-        default=None,
-        help=(
-            "keep each sweep's shard files in this directory; a killed "
-            "sweep pointed back at the same directory resumes from the "
-            "complete records (default: fresh temp dir, no resume)"
-        ),
-    )
-    parser.add_argument(
         "--explain-cache",
         action="store_true",
         help=(
@@ -407,12 +399,7 @@ def main(argv: list[str] | None = None) -> int:
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    runner = SweepRunner(
-        jobs=jobs,
-        cache=cache,
-        store_dir=args.store_dir,
-        explain=args.explain_cache,
-    )
+    runner = SweepRunner(jobs=jobs, cache=cache, explain=args.explain_cache)
 
     # "all" reproduces the paper's figures/tables; the city-scale grid
     # is opt-in (it is this library's extension, not a paper artifact).

@@ -24,7 +24,8 @@ from ..core.conservation import (
     subset_delay_function,
 )
 from ..core.ddp import ddps_from_sdps
-from ..core.feasibility import FeasibilityReport, check_proportional_feasibility
+from ..core.feasibility import FeasibilityReport, check_feasibility
+from ..core.model import ProportionalDelayModel
 from ..errors import ConfigurationError
 from ..invariants import InvariantChecker, InvariantReport, verify_conservation_law
 from ..runner.hashing import fingerprint
@@ -118,13 +119,24 @@ class SingleHopResult:
             self.trace, self.config.capacity, self.config.warmup
         )
 
-    def conservation_residual(self) -> float:
-        """Relative Eq 5 residual of the measured class delays."""
+    def _active_classes(self) -> tuple[list[float], list[int]]:
+        """Every class's arrival rate, and the ids of the classes that
+        drew arrivals.  A class that drew none holds no backlog and adds
+        nothing to either side of Eq 5 or Eq 7, so the audits range over
+        the others, as ``verify_conservation_law`` does."""
         rates = self.trace.class_rates(
             self.config.horizon, self.config.num_classes
         )
+        return rates, [cid for cid, rate in enumerate(rates) if rate > 0]
+
+    def conservation_residual(self) -> float:
+        """Relative Eq 5 residual of the measured class delays."""
+        rates, active = self._active_classes()
+        delays = self.mean_delays
         return conservation_residual(
-            rates, self.mean_delays, self.fcfs_aggregate_delay()
+            [rates[cid] for cid in active],
+            [delays[cid] for cid in active],
+            self.fcfs_aggregate_delay(),
         )
 
     def feasibility_report(
@@ -134,18 +146,31 @@ class SingleHopResult:
 
         The tolerance is loose because subset delays are *measured*; the
         paper performs the identical check by simulating the FCFS
-        server.
+        server.  Eq 6 gives the classes that drew arrivals the same
+        delays with or without the others; the report names subsets by
+        class id.
         """
         ddps = ddps_from_sdps(self.config.sdps)
-        rates = self.trace.class_rates(
-            self.config.horizon, self.config.num_classes
-        )
+        rates, active = self._active_classes()
         subset_delay = subset_delay_function(
             self.trace, self.config.capacity, self.config.warmup
         )
-        return check_proportional_feasibility(
-            ddps, rates, subset_delay, relative_tolerance
+
+        def ids(subset: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(active[i] for i in subset)
+
+        delays = ProportionalDelayModel(ddps).class_delays(
+            rates, subset_delay(tuple(active))
         )
+        report = check_feasibility(
+            [rates[cid] for cid in active],
+            [delays[cid] for cid in active],
+            lambda subset: subset_delay(ids(subset)),
+            relative_tolerance,
+        )
+        report.margins = {ids(s): m for s, m in report.margins.items()}
+        report.violations = [(ids(s), *sides) for s, *sides in report.violations]
+        return report
 
 
 #: The :class:`SingleHopConfig` fields :func:`generate_trace` reads.

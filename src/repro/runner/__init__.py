@@ -5,11 +5,12 @@ driver.  :class:`SweepRunner` runs independent seeded cells -- in
 process at ``jobs=1``, over a process pool otherwise -- and keeps one
 contract: a parallel sweep is bit-identical to a serial one.  Each
 ``map`` call looks cells up in a :class:`ResultCache` keyed by config
-hash + delta-aware code version, runs the misses in contiguous shards
-that stream results to an on-disk :class:`ResultStore` (O(shard)
-coordinator RAM, crash resume with ``store_dir``), keeps the arrival
-traces its cells compiled in one trace table for its later cells
-(:func:`shared_trace`), and merges everything back in task order.
+hash + delta-aware code version, runs the misses in contiguous shards,
+keeps the arrival traces its cells compiled in one trace table for its
+later cells (:func:`shared_trace`), and merges everything back in task
+order.  The cache is the one place a finished cell is kept: each
+shard's results go into it as the shard ends, so a sweep that dies
+midway resumes from it, and coordinator RAM stays O(shard).
 
 ``--explain-cache`` support lives in :mod:`repro.runner.explain`: the
 by-task index lets a cold sweep say *which modules'* edits invalidated
@@ -29,7 +30,6 @@ from .hashing import (
     worker_manifest,
 )
 from .runner import SweepReport, SweepRunner, cache_key, serial_runner, shared_trace
-from .store import ResultStore, ShardWriter
 from .tasks import (
     MicroscopicTask,
     MultiHopTask,
@@ -53,8 +53,6 @@ __all__ = [
     "SweepReport",
     "SweepRunner",
     "shared_trace",
-    "ResultStore",
-    "ShardWriter",
     "CellExplanation",
     "ExplainReport",
     "explain_cells",

@@ -1,5 +1,10 @@
 """Content-addressed on-disk result cache for sweep runs.
 
+The cache is the one place a sweep keeps a finished cell: the sweep
+runner writes each shard's fresh results here as soon as the shard
+ends, so a sweep killed midway resumes from it, and its rerun executes
+only the cells no finished shard covered.
+
 Layout: one JSON blob per result under ``<cache_dir>/<key[:2]>/<key>.json``
 where ``key`` is the SHA-256 cache key of (worker, code version, task).
 Writes are atomic (temp file + rename) so a killed sweep never leaves a

@@ -1,4 +1,4 @@
-"""Parallel sweep execution: sharded dispatch over an on-disk results store.
+"""Parallel sweep execution: sharded dispatch, merged through the result cache.
 
 The paper's evaluation is a grid of independent seeded simulations
 (Figure 1 alone is 2 schedulers x 7 utilizations x 10 seeds), which is
@@ -17,10 +17,10 @@ bit-identical to a serial one.  The parts of one ``map`` call:
   results, and a warm re-run executes nothing.
 * **Shards.**  The pending cells are cut into contiguous shards.  At
   ``jobs=1`` (or with a single shard) they run in-process; otherwise
-  one pool task runs a whole shard.  Either way each result is appended
-  to the shard's file in a :class:`~repro.runner.store.ResultStore`
-  and only a count comes back, so dispatch costs ~100 us per shard
-  rather than per cell and the coordinator holds O(shard) results.
+  one pool task runs a whole shard, so dispatch costs ~100 us per shard
+  rather than per cell.  A shard returns its ``(index, payload)`` list,
+  each payload already through the one JSON round trip a cached payload
+  makes, so fresh and cached results read alike.
 * **Traces.**  Workers find compiled arrival traces in one place, a
   *trace table*, through :func:`shared_trace`: a name (single-hop
   cells use :func:`~repro.experiments.common.trace_key`, city cells
@@ -37,31 +37,30 @@ bit-identical to a serial one.  The parts of one ``map`` call:
   table drops its least recently used entries, and it marks every
   array it holds read-only, so no cell can change a later cell's
   arrivals.
-* **Merge.**  Results are reassembled in task order from the cache
-  (hits, read lazily) and a k-way merge over the shard files (fresh),
-  and every fresh result is written to the cache together with its
-  by-task index entry.  With ``consume=`` each ``(index, result)``
-  streams through the callback instead of into a list, so coordinator
+* **Merge.**  As soon as a shard ends, its fresh results are written
+  to the cache together, each with its by-task index entry; then they
+  are handed out in task order, between cache hits read lazily as
+  their turn comes.  With ``consume=`` each ``(index, result)`` streams
+  through the callback instead of into a list, and a pool keeps at most
+  ``jobs * 2`` shards submitted and not yet merged, so coordinator
   memory stays bounded by the shard size whatever the grid size
   (``SweepReport.coordinator_peak_rss_mb`` records the observed peak).
-* **Resume.**  Without ``store_dir`` the shard files live in a
-  temporary directory that is deleted afterwards.  With it they
-  survive a crash, and re-running the same grid salvages every complete
-  record and executes only the missing cells.
+* **Resume.**  The cache is the one place a finished cell is kept.  A
+  sweep that dies midway has cached every shard that ended, and a
+  rerun with the same cache executes only the cells it had not
+  finished.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
-import shutil
-import tempfile
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .cache import ResultCache
@@ -71,7 +70,6 @@ from .hashing import (
     worker_code_version,
     worker_manifest,
 )
-from .store import ResultStore, ShardWriter
 
 __all__ = [
     "SweepRunner",
@@ -171,35 +169,38 @@ def _active(table: _TraceTable) -> Iterator[None]:
         _ACTIVE_TABLE = outer
 
 
+def _round_trip(payload: Any) -> Any:
+    """``payload`` as the cache hands it back: tuples read as lists,
+    non-string keys as strings."""
+    return json.loads(json.dumps(payload))
+
+
 def _run_shard(
     worker: Callable[[Any], Any],
-    store_path: str,
     cells: Sequence[tuple[int, Any]],
     table: _TraceTable,
-) -> int:
-    """Run one shard against ``table``, streaming results to its file.
+) -> list[tuple[int, Any]]:
+    """Run one shard against ``table``; returns its ``(index, payload)`` list.
 
-    Returns only the record count -- payloads stay on disk, which is
-    what keeps the coordinator's pipe traffic and RAM O(1) per shard.
+    Each payload makes its one JSON round trip here, in whichever
+    process runs the shard, so a fresh payload reads exactly like a
+    cached one.
     """
-    with _active(table), ShardWriter(store_path) as out:
-        for index, task in cells:
-            out.write(index, worker(task))
-    return out.written
+    with _active(table):
+        return [(index, _round_trip(worker(task))) for index, task in cells]
 
 
 def _run_pool_shard(
     worker: Callable[[Any], Any],
-    store_path: str,
     cells: Sequence[tuple[int, Any]],
     seeds: dict,
-) -> int:
+) -> list[tuple[int, Any]]:
     """Run one pool shard against a fresh table that starts with ``seeds``.
 
     The table is built here, not pickled: numpy unpickles a read-only
     array as writeable, and ``put`` marks the seeds read-only again.
     """
-    return _run_shard(worker, store_path, cells, _TraceTable(seeds))
+    return _run_shard(worker, cells, _TraceTable(seeds))
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +224,6 @@ class SweepReport:
 
     total: int
     cache_hits: int
-    resumed: int
     executed: int
     shards: int
     jobs: int
@@ -233,10 +233,9 @@ class SweepReport:
 
     def summary(self) -> str:
         """One-line human-readable report (printed by the CLI)."""
-        resumed = f", {self.resumed} resumed" if self.resumed else ""
         return (
-            f"{self.worker}: {self.total} runs, {self.cache_hits} cache hits"
-            f"{resumed}, {self.executed} executed in {self.shards} shards "
+            f"{self.worker}: {self.total} runs, {self.cache_hits} cache hits, "
+            f"{self.executed} executed in {self.shards} shards "
             f"(jobs={self.jobs}, {self.elapsed:.1f}s, "
             f"peak rss {self.coordinator_peak_rss_mb:.0f} MB)"
         )
@@ -267,17 +266,13 @@ class SweepRunner:
         Worker process count; ``None`` means ``os.cpu_count()``.  With
         ``jobs=1`` (or a single shard) everything runs in-process -- no
         pool, no pickling -- which is also the default the experiment
-        drivers construct when no runner is passed.  Otherwise pending
-        cells go out in ``ceil(pending / (jobs * 4))``-cell shards
-        (clamped to ``[1, 512]``): four waves per worker for load
-        balance, capped so a shard file stays cheap to salvage.
+        drivers construct when no runner is passed.  Pending cells go
+        out in ``ceil(pending / (jobs * 4))``-cell shards (clamped to
+        ``[1, 512]``): four waves per worker for load balance, capped so
+        one shard's results stay small in the coordinator.
     cache:
-        Optional :class:`ResultCache`; ``None`` disables caching.
-    store_dir:
-        Directory for the shard files.  ``None`` uses a fresh temporary
-        directory per ``map`` call (deleted afterwards -- no resume);
-        a real path makes the sweep crash-resumable.  The store holds
-        one grid at a time: opening a different grid resets it.
+        Optional :class:`ResultCache`; ``None`` disables caching, and
+        with it resume.
     explain:
         Collect an :class:`~repro.runner.explain.ExplainReport` per map
         call into ``self.explanations`` (requires a cache).
@@ -285,7 +280,6 @@ class SweepRunner:
 
     jobs: Optional[int] = 1
     cache: Optional[ResultCache] = None
-    store_dir: Optional[str | Path] = None
     explain: bool = False
     reports: list[SweepReport] = field(default_factory=list, init=False)
     explanations: list[Any] = field(default_factory=list, init=False)
@@ -295,6 +289,11 @@ class SweepRunner:
             self.jobs = os.cpu_count() or 1
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1: {self.jobs}")
+        if self.explain and self.cache is None:
+            raise ValueError(
+                "explain needs a cache: its by-task index says why a cell "
+                "missed"
+            )
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_size = 0
         self._traces = _TraceTable()
@@ -349,79 +348,90 @@ class SweepRunner:
 
         ``worker`` must be a module-level function (picklable) taking one
         task and returning a JSON-serializable payload -- that is what
-        makes cached, stored and freshly computed results
-        interchangeable.  ``shared_traces``, when given, maps the tasks
-        of one pool shard to ``{name: traces}``, the entries its cells
-        look up with :func:`shared_trace`; the coordinator calls it
-        against the runner's own trace table, and the shard's table
-        starts with what it returns.  With ``consume``, each
-        ``(index, result)`` is streamed through the callback in
-        ascending index order and ``None`` is returned -- the
-        bounded-memory path.
+        makes cached and freshly computed results interchangeable.
+        ``shared_traces``, when given, maps the tasks of one pool shard
+        to ``{name: traces}``, the entries its cells look up with
+        :func:`shared_trace`; the coordinator calls it against the
+        runner's own trace table, and the shard's table starts with what
+        it returns.  With ``consume``, each ``(index, result)`` is
+        streamed through the callback in ascending index order and
+        ``None`` is returned -- the bounded-memory path.
         """
         started = time.perf_counter()
         peak_rss = _rss_mb()
-        # Keys cost a closure hash on first use; a sweep with neither a
-        # cache nor a kept store never reads them.
-        keyed = self.cache is not None or self.store_dir is not None
-        keys = [cache_key(worker, task) if keyed else None for task in tasks]
-        hit = [self.cache is not None and key in self.cache for key in keys]
+        cache = self.cache
+        # Keys cost a closure hash on first use; a sweep without a cache
+        # never reads them.
+        keys = [
+            cache_key(worker, task) if cache is not None else None
+            for task in tasks
+        ]
+        hit = [cache is not None and key in cache for key in keys]
 
-        if self.explain and self.cache is not None:
+        if self.explain:
             from .explain import explain_cells
 
-            self.explanations.append(
-                explain_cells(self.cache, worker, tasks, keys)
-            )
+            self.explanations.append(explain_cells(cache, worker, tasks, keys))
 
-        misses = [index for index, cached in enumerate(hit) if not cached]
-        store: Optional[ResultStore] = None
-        pending: list[int] = []
+        pending = [index for index, cached in enumerate(hit) if not cached]
         shards: list[list[int]] = []
-        try:
-            if misses:
-                store = ResultStore(
-                    self.store_dir
-                    if self.store_dir is not None
-                    else tempfile.mkdtemp(prefix="repro-sweep-")
-                )
-                on_disk = store.open_grid(
-                    fingerprint(keys),
-                    f"{worker.__module__}.{worker.__qualname__}",
-                    len(tasks),
-                )
-                pending = [index for index in misses if index not in on_disk]
-            if pending:
-                size = max(
-                    1, min(512, math.ceil(len(pending) / (self.jobs * 4)))
-                )
-                shards = [
-                    pending[lo : lo + size]
-                    for lo in range(0, len(pending), size)
-                ]
-                peak_rss = max(
-                    peak_rss,
-                    self._run_shards(
-                        worker, tasks, shards, store, shared_traces
-                    ),
-                )
-            results = self._merge(worker, tasks, keys, hit, store, consume)
+        if pending:
+            size = max(1, min(512, math.ceil(len(pending) / (self.jobs * 4))))
+            shards = [
+                pending[lo : lo + size] for lo in range(0, len(pending), size)
+            ]
+        if cache is not None:
+            from .explain import task_fingerprint
+
+            code = worker_code_version(worker)
+            manifest = worker_manifest(worker)
+
+        def ended(shard: list[tuple[int, Any]]) -> None:
+            """Cache one shard's fresh results together, as it ends."""
+            nonlocal peak_rss
+            if cache is not None:
+                for index, payload in shard:
+                    cache.put(keys[index], payload)
+                    cache.put_index(
+                        task_fingerprint(worker, tasks[index]),
+                        {"key": keys[index], "code": code, "modules": manifest},
+                    )
             peak_rss = max(peak_rss, _rss_mb())
-        finally:
-            if store is not None and self.store_dir is None:
-                shutil.rmtree(store.directory, ignore_errors=True)
+
+        # The shards cover the misses in ascending order, so the fresh
+        # payloads come in the order the merge asks for them.
+        fresh = (
+            payload
+            for shard in self._run_shards(
+                worker, tasks, shards, shared_traces, ended
+            )
+            for _, payload in shard
+        )
+        results: Optional[list[Any]] = None if consume else []
+        for index, task in enumerate(tasks):
+            if not hit[index]:
+                payload = next(fresh)
+            else:
+                payload = cache.get(keys[index])
+                if payload is None:  # blob corrupt, or deleted since the lookup
+                    rerun = _run_shard(worker, [(index, task)], self._traces)
+                    ended(rerun)
+                    payload = rerun[0][1]
+            if consume is not None:
+                consume(index, payload)
+            else:
+                results.append(payload)
 
         self.reports.append(
             SweepReport(
                 total=len(tasks),
-                cache_hits=len(tasks) - len(misses),
-                resumed=len(misses) - len(pending),
+                cache_hits=len(tasks) - len(pending),
                 executed=len(pending),
                 shards=len(shards),
                 jobs=self.jobs,
                 elapsed=time.perf_counter() - started,
                 worker=worker.__qualname__,
-                coordinator_peak_rss_mb=peak_rss,
+                coordinator_peak_rss_mb=max(peak_rss, _rss_mb()),
             )
         )
         return results
@@ -431,105 +441,64 @@ class SweepRunner:
         worker: Callable[[Any], Any],
         tasks: Sequence[Any],
         shards: list[list[int]],
-        store: ResultStore,
         shared_traces: Optional[Callable[[list], dict]],
-    ) -> float:
-        """Run every shard into ``store``; returns the peak RSS seen (MB).
+        ended: Callable[[list[tuple[int, Any]]], None],
+    ) -> Iterator[list[tuple[int, Any]]]:
+        """Each shard's ``(index, payload)`` list, in shard order.
 
-        In-process shards share the runner's own trace table.  Each pool
-        shard's table starts with ``shared_traces`` of its own cells,
-        pickled with the shard; they are compiled against the runner's
-        table, so a trace the shards share compiles once.
+        ``ended`` gets each list as soon as its shard ends -- in a pool,
+        in the order they end -- so a shard that fails leaves every
+        shard that ended before it, and every one still running then,
+        in the cache.  In-process shards share the runner's own trace
+        table.  Each pool shard's table starts with ``shared_traces``
+        of its own cells, pickled with the shard; they are compiled
+        against the runner's table, so a trace the shards share
+        compiles once.
         """
-        peak_rss = _rss_mb()
         if self.jobs == 1 or len(shards) == 1:
-            for seq, shard in enumerate(shards):
-                _run_shard(
-                    worker,
-                    str(store.shard_path(seq)),
-                    [(i, tasks[i]) for i in shard],
-                    self._traces,
+            for shard in shards:
+                results = _run_shard(
+                    worker, [(i, tasks[i]) for i in shard], self._traces
                 )
-                peak_rss = max(peak_rss, _rss_mb())
-            return peak_rss
+                ended(results)
+                yield results
+            return
         pool = self._warm_pool(min(self.jobs, len(shards)))
-        futures = set()
-        for seq, shard in enumerate(shards):
-            seeds: dict = {}
-            if shared_traces is not None:
-                with _active(self._traces):
-                    seeds = shared_traces([tasks[i] for i in shard])
-            futures.add(
-                pool.submit(
+        running: dict = {}  # future -> shard number
+        done: dict[int, list[tuple[int, Any]]] = {}
+        submitted = 0
+        for seq in range(len(shards)):
+            # At most jobs * 2 shards submitted and not yet merged, so a
+            # consume= sweep stays O(shard) in the coordinator.
+            while submitted < min(len(shards), seq + self.jobs * 2):
+                shard = shards[submitted]
+                seeds: dict = {}
+                if shared_traces is not None:
+                    with _active(self._traces):
+                        seeds = shared_traces([tasks[i] for i in shard])
+                future = pool.submit(
                     _run_pool_shard,
                     worker,
-                    str(store.shard_path(seq)),
                     [(i, tasks[i]) for i in shard],
                     seeds,
                 )
-            )
-            # Backpressure: keep at most 2 waves in flight so
-            # pickled-task memory stays bounded on huge grids.
-            if len(futures) >= self.jobs * 2:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-                peak_rss = max(peak_rss, _rss_mb())
-        for future in futures:
-            future.result()
-            peak_rss = max(peak_rss, _rss_mb())
-        return peak_rss
-
-    def _merge(
-        self,
-        worker: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        keys: Sequence[str],
-        hit: Sequence[bool],
-        store: Optional[ResultStore],
-        consume: Optional[Callable[[int, Any], None]],
-    ) -> Optional[list[Any]]:
-        """Reassemble results in task order; cache the fresh ones.
-
-        Cache-hit payloads are read lazily *during* the merge and handed
-        straight to ``consume`` (or appended), so they never pile up
-        ahead of time; store records stream through the k-way merge one
-        at a time.
-        """
-        if self.cache is not None:
-            from .explain import task_fingerprint
-
-            code = worker_code_version(worker)
-            manifest = worker_manifest(worker)
-        results: Optional[list[Any]] = None if consume else []
-        records = store.iter_results() if store is not None else iter(())
-        record = next(records, None)
-        for index, task in enumerate(tasks):
-            payload = self.cache.get(keys[index]) if hit[index] else None
-            if payload is None:
-                if hit[index]:  # blob corrupt, or deleted since the lookup
-                    payload = worker(task)
-                else:
-                    while record is not None and record[0] < index:
-                        record = next(records, None)
-                    if record is None or record[0] != index:
-                        raise RuntimeError(
-                            f"sweep lost cell {index}: no store record and "
-                            f"no cache hit (store: {store.directory})"
-                        )
-                    payload = record[1]
-                    record = next(records, None)
-                if self.cache is not None:
-                    self.cache.put(keys[index], payload)
-                    self.cache.put_index(
-                        task_fingerprint(worker, task),
-                        {"key": keys[index], "code": code, "modules": manifest},
-                    )
-            if consume is not None:
-                consume(index, payload)
-            else:
-                results.append(payload)
-        return results
+                running[future] = submitted
+                submitted += 1
+            try:
+                while seq not in done:
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        results = future.result()
+                        ended(results)
+                        done[running.pop(future)] = results
+            except BaseException:
+                # Cancel the shards not yet started; cache what the
+                # running ones finish, so a rerun resumes past them.
+                for future in running:
+                    if not future.cancel() and future.exception() is None:
+                        ended(future.result())
+                raise
+            yield done.pop(seq)
 
 
 def serial_runner() -> SweepRunner:

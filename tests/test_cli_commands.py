@@ -42,18 +42,16 @@ class TestCLISmoke:
         assert "--explain-cache" in capsys.readouterr().err
 
     def test_store_dir_alone_leaves_a_resumable_store(self, capsys, tmp_path):
-        store = tmp_path / "store"
+        """The result cache is the one store a sweep keeps: pointed back
+        at the same cache directory, a rerun executes nothing."""
         argv = [
-            "figure3", "--scale", "0.05", "--jobs", "1", "--no-cache",
-            "--store-dir", str(store),
+            "figure3", "--scale", "0.05", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(argv) == 0
-        assert "2 executed" in capsys.readouterr().out
-        assert (store / "MANIFEST.json").is_file()
-        assert len(list(store.glob("shard-*.jsonl"))) == 2
-        # Pointed back at the same store, the sweep salvages every cell.
+        assert "0 cache hits, 2 executed" in capsys.readouterr().out
         assert main(argv) == 0
-        assert "2 resumed, 0 executed" in capsys.readouterr().out
+        assert "2 cache hits, 0 executed" in capsys.readouterr().out
 
     def test_help_lists_all_experiments(self, capsys):
         with pytest.raises(SystemExit):

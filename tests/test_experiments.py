@@ -101,9 +101,10 @@ class TestSingleHopCommon:
         self, shares, empty
     ):
         """A class that drew no arrivals has rate 0 wherever its id
-        falls: the checked run's Eq 5 audit passes, and the unchecked
-        audits see all four classes (an empty top class once made the
-        rates one short)."""
+        falls, and every audit ranges over the other three: the checked
+        run's Eq 5 residual and the unchecked one agree, and Eq 7
+        checks the 6 proper subsets of the classes that drew arrivals,
+        named by class id."""
         config = SingleHopConfig(
             loads=ClassLoadDistribution(shares), utilization=0.5,
             horizon=3_000.0, warmup=1_000.0, seed=1,
@@ -111,12 +112,14 @@ class TestSingleHopCommon:
         result = run_single_hop(config, check_invariants=True)
         counts = np.bincount(result.trace.class_ids, minlength=4)
         assert counts[empty] == 0 and len(counts) == 4
-        assert math.isfinite(result.invariants.conservation_residual)
-        with pytest.raises(ConfigurationError, match="rates must be positive"):
-            result.feasibility_report()
-        # The empty class has no mean delay, so Eq 5's residual is NaN
-        # rather than a length error.
-        assert math.isnan(result.conservation_residual())
+        residual = result.conservation_residual()
+        assert math.isfinite(residual)
+        assert residual == result.invariants.conservation_residual
+        report = result.feasibility_report()
+        assert report.feasible
+        assert len(report.margins) == 6
+        assert not any(empty in subset for subset in report.margins)
+        assert math.isfinite(report.conservation_residual)
 
 
 class TestFigure1Pipeline:

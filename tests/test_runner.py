@@ -6,6 +6,8 @@ The load-bearing properties:
 * a warm cache serves a repeated sweep with zero simulations executed,
 * cache keys track config content and code version (invalidation),
 * corrupt cache entries degrade to misses, never errors,
+* a payload makes one JSON round trip whichever way it comes back --
+  fresh from either tier, cached, or rerun over a corrupt blob,
 * one runner compiles each single-hop trace, and replays each of its
   Eq 7 subsets, once, and shares neither with another runner; its trace
   table keeps the trace it just stored, and a pool shard's seeds,
@@ -148,6 +150,11 @@ class TestResultCache:
         assert len(cache) == 0
 
 
+def tuple_worker(value: int) -> tuple:
+    """A worker whose payload the JSON round trip changes."""
+    return (value, value / 2)
+
+
 class TestSweepRunner:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
@@ -195,6 +202,27 @@ class TestSweepRunner:
             single_hop_summary, [task]
         )
         assert cached == fresh
+
+    def test_a_payload_reads_alike_fresh_cached_and_rerun(self, tmp_path):
+        tasks = [1, 2]
+        expected = [[1, 0.5], [2, 1.0]]  # tuples come back as lists
+        for jobs in (1, 2):
+            with SweepRunner(jobs=jobs) as runner:
+                assert runner.map(tuple_worker, tasks) == expected
+            assert runner.last_report.shards == 2
+        cache = ResultCache(tmp_path)
+        with SweepRunner(jobs=1, cache=cache) as runner:
+            assert runner.map(tuple_worker, tasks) == expected
+            assert runner.map(tuple_worker, tasks) == expected
+        assert runner.last_report.cache_hits == 2
+
+        # A corrupt blob reads as a miss: the cell reruns in the
+        # coordinator and is cached again.
+        key = cache_key(tuple_worker, tasks[0])
+        cache.path_for(key).write_text("{")
+        with SweepRunner(jobs=1, cache=cache) as runner:
+            assert runner.map(tuple_worker, tasks) == expected
+        assert cache.get(key) == expected[0]
 
     def test_changed_config_misses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

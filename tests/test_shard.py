@@ -1,4 +1,4 @@
-"""Tests of the sweep runner's shards: store, merge, resume.
+"""Tests of the sweep runner's shards: merge, cache, resume.
 
 The load-bearing properties:
 
@@ -7,15 +7,15 @@ The load-bearing properties:
 * delta-aware cache keys survive edits to modules outside the worker's
   import closure (zero re-execution) and invalidate on edits inside it,
   with ``--explain-cache`` naming the module,
-* the on-disk result store salvages complete records after a crash and
-  a resumed sweep executes only the missing cells -- including a shard
-  file whose records are out of order, which scan and merge both skip.
+* the result cache is the one place a finished cell is kept: a sweep
+  whose worker raises partway leaves every shard that ended in it, in
+  process and in a pool, and a rerun executes only the rest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import os
 
 import pytest
 
@@ -23,10 +23,9 @@ from repro.experiments.common import SingleHopConfig
 from repro.experiments.figure1 import FigureOneConfig, run_figure1
 from repro.runner import (
     ResultCache,
-    ResultStore,
-    ShardWriter,
     SingleHopTask,
     SweepRunner,
+    cache_key,
     serial_runner,
     single_hop_summary,
 )
@@ -54,81 +53,19 @@ def small_tasks(n: int = 6) -> list[SingleHopTask]:
     ]
 
 
-class TestResultStore:
-    def test_writer_enforces_ascending_indices(self, tmp_path):
-        with ShardWriter(tmp_path / "s.jsonl") as out:
-            out.write(3, {"x": 1})
-            with pytest.raises(ValueError):
-                out.write(3, {"x": 2})
+@dataclasses.dataclass(frozen=True)
+class Cell:
+    """One cell of a runner-only sweep; ``poison`` names a file whose
+    presence makes cell 4 fail."""
 
-    def test_truncated_tail_is_salvaged(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.open_grid("grid-a", "w", total=4)
-        with ShardWriter(store.shard_path(0)) as out:
-            out.write(0, {"v": 0})
-            out.write(1, {"v": 1})
-        # Simulate a crash mid-write: chop the last record in half.
-        path = store.shard_files()[0]
-        text = path.read_text()
-        path.write_text(text[: len(text) - 7])
+    value: int
+    poison: str
 
-        resumed = ResultStore(tmp_path)
-        done = resumed.open_grid("grid-a", "w", total=4)
-        assert done == {0}
-        assert resumed.partial_files
-        assert list(resumed.iter_results()) == [(0, {"v": 0})]
 
-    def test_resumed_run_gets_fresh_shard_files(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.open_grid("grid-a", "w", total=2)
-        with ShardWriter(store.shard_path(0)) as out:
-            out.write(0, {"v": 0})
-        resumed = ResultStore(tmp_path)
-        resumed.open_grid("grid-a", "w", total=2)
-        assert resumed.shard_path(0) != store.shard_path(0)
-
-    def test_different_grid_resets_the_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.open_grid("grid-a", "w", total=1)
-        with ShardWriter(store.shard_path(0)) as out:
-            out.write(0, {"v": 0})
-        other = ResultStore(tmp_path)
-        done = other.open_grid("grid-b", "w", total=1)
-        assert done == set()
-        assert not other.shard_files()
-
-    def test_out_of_order_record_is_neither_done_nor_merged(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.open_grid("grid-a", "w", total=4)
-        store.shard_path(0).write_text(
-            "".join(
-                json.dumps({"i": i, "r": {"v": i}}) + "\n" for i in (0, 1, 3, 2)
-            )
-        )
-        resumed = ResultStore(tmp_path)
-        done = resumed.open_grid("grid-a", "w", total=4)
-        assert done == {0, 1, 3}
-        assert resumed.partial_files == resumed.shard_files()
-        assert [i for i, _ in resumed.iter_results()] == [0, 1, 3]
-
-    def test_merge_dedups_first_wins_across_runs(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.open_grid("grid-a", "w", total=3)
-        with ShardWriter(store.shard_path(0)) as out:
-            out.write(0, {"run": "first"})
-            out.write(2, {"run": "first"})
-        resumed = ResultStore(tmp_path)
-        resumed.open_grid("grid-a", "w", total=3)
-        with ShardWriter(resumed.shard_path(0)) as out:
-            out.write(1, {"run": "second"})
-            out.write(2, {"run": "second"})  # duplicate of run 0's cell
-        final = ResultStore(tmp_path)
-        final.open_grid("grid-a", "w", total=3)
-        assert list(final.iter_results()) == [
-            (0, {"run": "first"}),
-            (1, {"run": "second"}),
-            (2, {"run": "first"}),
-        ]
+def flaky_worker(cell: Cell) -> dict:
+    if cell.value == 4 and os.path.exists(cell.poison):
+        raise RuntimeError(f"cell {cell.value} failed")
+    return {"value": cell.value, "ratio": cell.value / 7}
 
 
 class TestShardedParity:
@@ -174,8 +111,10 @@ class TestShardedParity:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
+        with pytest.raises(ValueError, match="explain needs a cache"):
+            SweepRunner(explain=True)
         settable = [f.name for f in dataclasses.fields(SweepRunner) if f.init]
-        assert settable == ["jobs", "cache", "store_dir", "explain"]
+        assert settable == ["jobs", "cache", "explain"]
 
 
 class TestShardedCacheAndResume:
@@ -190,51 +129,33 @@ class TestShardedCacheAndResume:
         assert parallel.last_report.executed == 0
         assert second == first
 
-    def test_crash_resume_executes_only_missing_cells(self, tmp_path):
-        tasks = small_tasks(6)
-        store_dir = tmp_path / "store"
-        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
-            first = runner.map(single_hop_summary, tasks)
-        assert runner.last_report.executed == 6
-        assert runner.last_report.shards == 3
-
-        # "Crash": drop one whole shard file and truncate another
-        # mid-record, leaving 3 complete cells on disk.
-        store = ResultStore(store_dir)
-        files = store.shard_files()
-        files[0].unlink()
-        lines = files[1].read_text().splitlines(keepends=True)
-        files[1].write_text(lines[0] + lines[1][:10])
-
-        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
-            second = runner.map(single_hop_summary, tasks)
-        report = runner.last_report
-        assert report.resumed == 3
-        assert report.executed == 3
-        assert second == first
-
-    def test_out_of_order_shard_file_resumes(self, tmp_path):
-        """Every cell on disk, one file out of order: the stray cell reruns."""
-        tasks = small_tasks(4)
-        store_dir = tmp_path / "store"
-        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
-            first = runner.map(single_hop_summary, tasks)
-        files = ResultStore(store_dir).shard_files()
-        lines = [
-            line
-            for path in files
-            for line in path.read_text().splitlines(keepends=True)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_sweep_resumes_from_the_cache(self, tmp_path, jobs):
+        """Shards: [0, 1] [2, 3] [4, 5] in process, one cell each in a
+        pool.  Every shard ahead of the failing one has started when it
+        fails, so each ends in the cache."""
+        poison = tmp_path / "poison"
+        poison.touch()
+        tasks = [Cell(value, str(poison)) for value in range(6)]
+        cache = ResultCache(tmp_path / "cache")
+        with SweepRunner(jobs=jobs, cache=cache) as runner:
+            with pytest.raises(RuntimeError, match="cell 4 failed"):
+                runner.map(flaky_worker, tasks)
+        kept = [
+            index
+            for index, task in enumerate(tasks)
+            if cache_key(flaky_worker, task) in cache
         ]
-        for path in files:
-            path.unlink()
-        files[0].write_text(lines[0] + lines[1] + lines[3] + lines[2])
+        assert kept[:4] == [0, 1, 2, 3] and 4 not in kept
+        if jobs == 1:
+            assert kept == [0, 1, 2, 3]
 
-        with SweepRunner(jobs=1, store_dir=store_dir) as runner:
-            second = runner.map(single_hop_summary, tasks)
-        report = runner.last_report
-        assert report.resumed == 3
-        assert report.executed == 1
-        assert second == first
+        poison.unlink()
+        with SweepRunner(jobs=jobs, cache=cache) as runner:
+            resumed = runner.map(flaky_worker, tasks)
+        assert runner.last_report.cache_hits == len(kept)
+        assert runner.last_report.executed == len(tasks) - len(kept)
+        assert resumed == serial_runner().map(flaky_worker, tasks)
 
     def test_explain_reports_full_hits_on_warm_rerun(self, tmp_path):
         tasks = small_tasks(3)
@@ -306,12 +227,3 @@ class TestDeltaAwareInvalidation:
         assert warm.last_report.executed == 0
         (report,) = warm.explanations
         assert report.hit_rate == 1.0
-
-
-class TestShardWorkerRegistry:
-    def test_store_records_are_json_lines(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        with ShardWriter(path) as out:
-            out.write(0, {"mean": 1.5})
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line) == {"i": 0, "r": {"mean": 1.5}}
