@@ -1,17 +1,12 @@
 """Simulation output analysis (warm-up detection, batch-means CIs,
 terminal plotting)."""
 
-from .ascii_plot import bar_chart, box_row, scatter, sparkline
-from .probing import ProbeInjector
-from .stats import BatchMeansResult, batch_means, mser_warmup
+from .. import _lazy_exports
 
-__all__ = [
-    "BatchMeansResult",
-    "batch_means",
-    "mser_warmup",
-    "ProbeInjector",
-    "bar_chart",
-    "box_row",
-    "scatter",
-    "sparkline",
-]
+_EXPORTS = {
+    ".ascii_plot": ("bar_chart", "box_row", "scatter", "sparkline"),
+    ".probing": ("ProbeInjector",),
+    ".stats": ("BatchMeansResult", "batch_means", "mser_warmup"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -16,6 +16,9 @@ forces serial execution.  Re-running an identical sweep is served from
 the content-addressed cache under ``--cache-dir`` (default
 ``.repro-cache/``), and so is every shard a killed sweep finished, so
 its rerun executes only the rest; pass ``--no-cache`` to disable it.
+
+Each subcommand imports its drivers (and exporters) when it runs, so
+``--help`` loads no simulation code and one figure loads only its own.
 """
 
 from __future__ import annotations
@@ -25,46 +28,12 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .experiments.ablations import (
-    absolute_vs_relative,
-    adaptive_wtp_correction,
-    additive_convergence,
-    plr_demo,
-    quantization_sweep,
-    scheduler_comparison,
-    sdp_ratio_sweep,
-    wtp_starvation_demo,
-)
-from .experiments.figure1 import (
-    SDP_RATIO_2,
-    SDP_RATIO_4,
-    FigureOneConfig,
-    format_figure1,
-    run_figure1,
-)
-from .experiments.figure2 import FigureTwoConfig, format_figure2, run_figure2
-from .experiments.figure3 import FigureThreeConfig, format_figure3, run_figure3
-from .experiments.figure45 import MicroscopicConfig, format_figure45, run_figure45
-from .experiments.export import (
-    figure1_to_csv,
-    figure2_to_csv,
-    figure3_to_csv,
-    figure45_to_json,
-    table1_to_csv,
-)
-from .experiments.figures_svg import (
-    figure1_svg,
-    figure2_svg,
-    figure3_svg,
-    figure45_svg,
-    save_figures,
-    table1_svg,
-)
-from .experiments.reporting import format_ablation_rows
-from .experiments.table1 import TableOneConfig, format_table1, run_table1
-from .runner import DEFAULT_CACHE_DIR, ResultCache, SweepRunner
+from .runner import DEFAULT_CACHE_DIR
+
+if TYPE_CHECKING:
+    from .runner import SweepRunner
 
 __all__ = ["main"]
 
@@ -75,6 +44,14 @@ def _figure1(
     runner: SweepRunner,
     checked: bool,
 ) -> str:
+    from .experiments.figure1 import (
+        SDP_RATIO_2,
+        SDP_RATIO_4,
+        FigureOneConfig,
+        format_figure1,
+        run_figure1,
+    )
+
     parts = []
     for sdps, label in ((SDP_RATIO_2, "1a"), (SDP_RATIO_4, "1b")):
         config = FigureOneConfig(
@@ -84,6 +61,9 @@ def _figure1(
         parts.append(f"--- Figure {label} ---")
         parts.append(format_figure1(points))
         if export_dir is not None:
+            from .experiments.export import figure1_to_csv
+            from .experiments.figures_svg import figure1_svg, save_figures
+
             figure1_to_csv(points, export_dir / f"figure{label}.csv")
             save_figures({f"figure{label}": figure1_svg(points)}, export_dir)
     return "\n".join(parts)
@@ -95,6 +75,9 @@ def _figure2(
     runner: SweepRunner,
     checked: bool,
 ) -> str:
+    from .experiments.figure1 import SDP_RATIO_2, SDP_RATIO_4
+    from .experiments.figure2 import FigureTwoConfig, format_figure2, run_figure2
+
     parts = []
     for sdps, label in ((SDP_RATIO_2, "2a"), (SDP_RATIO_4, "2b")):
         config = FigureTwoConfig(
@@ -104,6 +87,9 @@ def _figure2(
         parts.append(f"--- Figure {label} ---")
         parts.append(format_figure2(points))
         if export_dir is not None:
+            from .experiments.export import figure2_to_csv
+            from .experiments.figures_svg import figure2_svg, save_figures
+
             figure2_to_csv(points, export_dir / f"figure{label}.csv")
             save_figures({f"figure{label}": figure2_svg(points)}, export_dir)
     return "\n".join(parts)
@@ -115,9 +101,14 @@ def _figure3(
     runner: SweepRunner,
     checked: bool,
 ) -> str:
+    from .experiments.figure3 import FigureThreeConfig, format_figure3, run_figure3
+
     config = FigureThreeConfig(check_invariants=checked).scaled(scale)
     boxes = run_figure3(config, runner=runner)
     if export_dir is not None:
+        from .experiments.export import figure3_to_csv
+        from .experiments.figures_svg import figure3_svg, save_figures
+
         figure3_to_csv(boxes, export_dir / "figure3.csv")
         save_figures({"figure3": figure3_svg(boxes)}, export_dir)
     return format_figure3(boxes)
@@ -129,9 +120,18 @@ def _figure45(
     runner: SweepRunner,
     checked: bool,
 ) -> str:
+    from .experiments.figure45 import (
+        MicroscopicConfig,
+        format_figure45,
+        run_figure45,
+    )
+
     config = MicroscopicConfig(check_invariants=checked).scaled(scale)
     views = run_figure45(config, runner=runner)
     if export_dir is not None:
+        from .experiments.export import figure45_to_json
+        from .experiments.figures_svg import figure45_svg, save_figures
+
         figure45_to_json(views, export_dir / "figure45.json")
         charts = figure45_svg(views)
         save_figures(
@@ -148,9 +148,14 @@ def _table1(
     runner: SweepRunner,
     checked: bool,
 ) -> str:
+    from .experiments.table1 import TableOneConfig, format_table1, run_table1
+
     config = TableOneConfig(check_invariants=checked).scaled(scale)
     cells = run_table1(config, runner=runner)
     if export_dir is not None:
+        from .experiments.export import table1_to_csv
+        from .experiments.figures_svg import save_figures, table1_svg
+
         table1_to_csv(cells, export_dir / "table1.csv")
         save_figures({"table1": table1_svg(cells)}, export_dir)
     return format_table1(cells)
@@ -176,6 +181,18 @@ def _ablations(
 ) -> str:
     del export_dir  # nothing tabular worth exporting
     del scale, checked  # ablations are already laptop-sized
+    from .experiments.ablations import (
+        absolute_vs_relative,
+        adaptive_wtp_correction,
+        additive_convergence,
+        plr_demo,
+        quantization_sweep,
+        scheduler_comparison,
+        sdp_ratio_sweep,
+        wtp_starvation_demo,
+    )
+    from .experiments.reporting import format_ablation_rows
+
     parts = [
         format_ablation_rows(
             sdp_ratio_sweep(runner=runner), "SDP-ratio sweep (worst rel. error)"
@@ -396,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.hybrid_epsilon <= 0:
             parser.error("--fidelity-curve needs --hybrid-epsilon > 0")
         fidelity_curve_epsilon = args.hybrid_epsilon
+
+    from .runner import ResultCache, SweepRunner
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     cache = None if args.no_cache else ResultCache(args.cache_dir)

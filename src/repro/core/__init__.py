@@ -1,54 +1,37 @@
 """Core: the proportional differentiation model, feasibility and metrics."""
 
-from .conservation import (
-    conservation_residual,
-    fcfs_mean_delay,
-    fcfs_mean_delay_per_class,
-    fcfs_waiting_times,
-    subset_delay_function,
-)
-from .ddp import DelayDifferentiationParameters, ddps_from_sdps, sdps_from_ddps
-from .delay_curve import DelayCurve, estimate_delay_curve, thin_trace
-from .feasibility import (
-    FeasibilityReport,
-    check_feasibility,
-    check_proportional_feasibility,
-    proper_subsets,
-)
-from .metrics import (
-    EndToEndComparison,
-    PercentileSummary,
-    compare_flow_percentiles,
-    interval_rd,
-    rd_series,
-    successive_ratio_rd,
-    summarize_rd,
-)
-from .model import AdditiveDelayModel, ProportionalDelayModel
+from .. import _lazy_exports
 
-__all__ = [
-    "conservation_residual",
-    "fcfs_mean_delay",
-    "fcfs_mean_delay_per_class",
-    "fcfs_waiting_times",
-    "subset_delay_function",
-    "DelayDifferentiationParameters",
-    "ddps_from_sdps",
-    "sdps_from_ddps",
-    "DelayCurve",
-    "estimate_delay_curve",
-    "thin_trace",
-    "FeasibilityReport",
-    "check_feasibility",
-    "check_proportional_feasibility",
-    "proper_subsets",
-    "EndToEndComparison",
-    "PercentileSummary",
-    "compare_flow_percentiles",
-    "interval_rd",
-    "rd_series",
-    "successive_ratio_rd",
-    "summarize_rd",
-    "AdditiveDelayModel",
-    "ProportionalDelayModel",
-]
+_EXPORTS = {
+    ".conservation": (
+        "conservation_residual",
+        "fcfs_mean_delay",
+        "fcfs_mean_delay_per_class",
+        "fcfs_waiting_times",
+        "subset_delay_function",
+    ),
+    ".ddp": (
+        "DelayDifferentiationParameters",
+        "ddps_from_sdps",
+        "sdps_from_ddps",
+    ),
+    ".delay_curve": ("DelayCurve", "estimate_delay_curve", "thin_trace"),
+    ".feasibility": (
+        "FeasibilityReport",
+        "check_feasibility",
+        "check_proportional_feasibility",
+        "proper_subsets",
+    ),
+    ".metrics": (
+        "EndToEndComparison",
+        "PercentileSummary",
+        "compare_flow_percentiles",
+        "interval_rd",
+        "rd_series",
+        "successive_ratio_rd",
+        "summarize_rd",
+    ),
+    ".model": ("AdditiveDelayModel", "ProportionalDelayModel"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,16 +1,12 @@
 """Loss differentiation (the paper's future-work direction)."""
 
-from .base import DropPolicy
-from .plr import PLRDropper, validate_ldps
-from .red import REDDropper, REDGate, RIODropper
-from .tail_drop import TailDropPolicy
+from .. import _lazy_exports
 
-__all__ = [
-    "DropPolicy",
-    "PLRDropper",
-    "validate_ldps",
-    "REDDropper",
-    "REDGate",
-    "RIODropper",
-    "TailDropPolicy",
-]
+_EXPORTS = {
+    ".base": ("DropPolicy",),
+    ".plr": ("PLRDropper", "validate_ldps"),
+    ".red": ("REDDropper", "REDGate", "RIODropper"),
+    ".tail_drop": ("TailDropPolicy",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

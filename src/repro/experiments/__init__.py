@@ -1,76 +1,55 @@
 """Experiment harnesses: one module per paper figure/table + ablations."""
 
-from .common import (
-    SingleHopConfig,
-    SingleHopResult,
-    generate_trace,
-    replay_through_scheduler,
-    run_single_hop,
-)
-from .figure1 import (
-    SDP_RATIO_2,
-    SDP_RATIO_4,
-    FigureOneConfig,
-    FigureOnePoint,
-    format_figure1,
-    run_figure1,
-)
-from .figure2 import FigureTwoConfig, FigureTwoPoint, format_figure2, run_figure2
-from .figure3 import (
-    FigureThreeBox,
-    FigureThreeConfig,
-    format_figure3,
-    run_figure3,
-)
-from .figure45 import (
-    MicroscopicConfig,
-    MicroscopicViews,
-    format_figure45,
-    run_figure45,
-    sawtooth_score,
-)
-from .analytic_overlay import OverlayRow, format_overlay, run_analytic_overlay
-from .lossy import LossyConfig, LossyPoint, format_lossy, run_lossy_sweep
-from .specs import load_spec, run_spec, run_spec_file
-from .table1 import TableOneCell, TableOneConfig, format_table1, run_table1
+from .. import _lazy_exports
 
-__all__ = [
-    "SingleHopConfig",
-    "SingleHopResult",
-    "generate_trace",
-    "replay_through_scheduler",
-    "run_single_hop",
-    "SDP_RATIO_2",
-    "SDP_RATIO_4",
-    "FigureOneConfig",
-    "FigureOnePoint",
-    "format_figure1",
-    "run_figure1",
-    "FigureTwoConfig",
-    "FigureTwoPoint",
-    "format_figure2",
-    "run_figure2",
-    "FigureThreeBox",
-    "FigureThreeConfig",
-    "format_figure3",
-    "run_figure3",
-    "MicroscopicConfig",
-    "MicroscopicViews",
-    "format_figure45",
-    "run_figure45",
-    "sawtooth_score",
-    "TableOneCell",
-    "TableOneConfig",
-    "format_table1",
-    "run_table1",
-    "LossyConfig",
-    "LossyPoint",
-    "format_lossy",
-    "run_lossy_sweep",
-    "load_spec",
-    "run_spec",
-    "run_spec_file",
-    "OverlayRow",
-    "format_overlay",
-    "run_analytic_overlay",
-]
+_EXPORTS = {
+    ".common": (
+        "SingleHopConfig",
+        "SingleHopResult",
+        "generate_trace",
+        "replay_through_scheduler",
+        "run_single_hop",
+    ),
+    ".figure1": (
+        "SDP_RATIO_2",
+        "SDP_RATIO_4",
+        "FigureOneConfig",
+        "FigureOnePoint",
+        "format_figure1",
+        "run_figure1",
+    ),
+    ".figure2": (
+        "FigureTwoConfig",
+        "FigureTwoPoint",
+        "format_figure2",
+        "run_figure2",
+    ),
+    ".figure3": (
+        "FigureThreeBox",
+        "FigureThreeConfig",
+        "format_figure3",
+        "run_figure3",
+    ),
+    ".figure45": (
+        "MicroscopicConfig",
+        "MicroscopicViews",
+        "format_figure45",
+        "run_figure45",
+        "sawtooth_score",
+    ),
+    ".analytic_overlay": (
+        "OverlayRow",
+        "format_overlay",
+        "run_analytic_overlay",
+    ),
+    ".lossy": ("LossyConfig", "LossyPoint", "format_lossy", "run_lossy_sweep"),
+    ".specs": ("load_spec", "run_spec", "run_spec_file"),
+    ".table1": (
+        "TableOneCell",
+        "TableOneConfig",
+        "format_table1",
+        "run_table1",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -16,7 +16,7 @@ prescribes for Figures 1 and 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.conservation import (
     conservation_residual,
@@ -27,7 +27,6 @@ from ..core.ddp import ddps_from_sdps
 from ..core.feasibility import FeasibilityReport, check_feasibility
 from ..core.model import ProportionalDelayModel
 from ..errors import ConfigurationError
-from ..invariants import InvariantChecker, InvariantReport, verify_conservation_law
 from ..runner.hashing import fingerprint
 from ..schedulers.base import Scheduler
 from ..schedulers.registry import make_scheduler
@@ -40,6 +39,9 @@ from ..traffic.pareto import ParetoInterarrivals
 from ..traffic.sizes import paper_trimodal_sizes
 from ..traffic.trace import ArrivalTrace, TraceSource, build_class_trace, merge_traces
 from ..units import PAPER_LINK_CAPACITY, PAPER_P_UNIT
+
+if TYPE_CHECKING:
+    from ..invariants import InvariantReport
 
 __all__ = ["SingleHopConfig", "SingleHopResult", "generate_trace", "trace_key",
            "run_single_hop", "replay_through_scheduler"]
@@ -261,8 +263,11 @@ def replay_through_scheduler(
 
     source = TraceSource(sim, link, trace)
     source.start()
-    checker = InvariantChecker(link).attach() if check_invariants else None
-    if checker is not None:
+    checker = None
+    if check_invariants:
+        from ..invariants import InvariantChecker
+
+        checker = InvariantChecker(link).attach()
         sim.run_checked(until=config.horizon)
     else:
         sim.run(until=config.horizon)
@@ -270,6 +275,8 @@ def replay_through_scheduler(
         interval.finalize()
     invariants = None
     if checker is not None:
+        from ..invariants import verify_conservation_law
+
         invariants = checker.finalize()
         invariants.conservation_residual = verify_conservation_law(
             trace.class_rates(config.horizon, config.num_classes),

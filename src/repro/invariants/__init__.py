@@ -31,21 +31,16 @@ checks costs exactly nothing.  Violations raise the structured
 simulation time.
 """
 
-from __future__ import annotations
+from .. import _lazy_exports
 
-from .checker import InvariantChecker, InvariantReport
-from .conservation import verify_conservation_law
-from .scheduler_checks import (
-    register_scheduler_check,
-    registered_scheduler_checks,
-    scheduler_check_for,
-)
+_EXPORTS = {
+    ".checker": ("InvariantChecker", "InvariantReport"),
+    ".conservation": ("verify_conservation_law",),
+    ".scheduler_checks": (
+        "register_scheduler_check",
+        "registered_scheduler_checks",
+        "scheduler_check_for",
+    ),
+}
 
-__all__ = [
-    "InvariantChecker",
-    "InvariantReport",
-    "verify_conservation_law",
-    "register_scheduler_check",
-    "registered_scheduler_checks",
-    "scheduler_check_for",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,25 +1,18 @@
 """Multi-hop network substrate for the Section 6 user-perspective study."""
 
-from .crosstraffic import MixedClassSource
-from .flows import FlowRecorder, UserFlow
-from .multihop import (
-    LINK_CAPACITY_BYTES_PER_MS,
-    MultiHopConfig,
-    MultiHopResult,
-    run_multihop,
-)
-from .routed import RoutedNetwork, RouteDemux
-from .topology import FlowDemux
+from .. import _lazy_exports
 
-__all__ = [
-    "MixedClassSource",
-    "FlowRecorder",
-    "UserFlow",
-    "MultiHopConfig",
-    "MultiHopResult",
-    "run_multihop",
-    "LINK_CAPACITY_BYTES_PER_MS",
-    "FlowDemux",
-    "RoutedNetwork",
-    "RouteDemux",
-]
+_EXPORTS = {
+    ".crosstraffic": ("MixedClassSource",),
+    ".flows": ("FlowRecorder", "UserFlow"),
+    ".multihop": (
+        "LINK_CAPACITY_BYTES_PER_MS",
+        "MultiHopConfig",
+        "MultiHopResult",
+        "run_multihop",
+    ),
+    ".routed": ("RoutedNetwork", "RouteDemux"),
+    ".topology": ("FlowDemux",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.metrics import EndToEndComparison, compare_flow_percentiles
 from ..errors import ConfigurationError
-from ..invariants import InvariantChecker, InvariantReport
 from ..sim.engine import Simulator
 from ..sim.link import Link, PacketSink
 from ..sim.rng import RandomStreams
@@ -41,6 +40,9 @@ from ..traffic.source import PacketIdAllocator
 from .crosstraffic import MixedClassSource
 from .flows import FlowRecorder, UserFlow
 from .topology import FlowDemux
+
+if TYPE_CHECKING:
+    from ..invariants import InvariantReport
 
 __all__ = ["MultiHopConfig", "MultiHopResult", "run_multihop"]
 
@@ -308,12 +310,13 @@ def run_multihop(
         + flow_duration
         + config.drain
     )
-    checkers = (
-        [InvariantChecker(link).attach() for link in links]
-        if check_invariants
-        else None
-    )
-    run = sim.run if checkers is None else sim.run_checked
+    checkers = None
+    run = sim.run
+    if check_invariants:
+        from ..invariants import InvariantChecker
+
+        checkers = [InvariantChecker(link).attach() for link in links]
+        run = sim.run_checked
     # Poll from one flow period after the last flow's final emission.
     until = (
         config.warmup

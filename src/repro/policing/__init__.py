@@ -1,5 +1,9 @@
 """Absolute-DiffServ edge behaviours (Premium/Assured), for contrast."""
 
-from .token_bucket import AssuredMarker, PremiumPolicer, TokenBucket
+from .. import _lazy_exports
 
-__all__ = ["AssuredMarker", "PremiumPolicer", "TokenBucket"]
+_EXPORTS = {
+    ".token_bucket": ("AssuredMarker", "PremiumPolicer", "TokenBucket"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -17,52 +17,41 @@ by-task index lets a cold sweep say *which modules'* edits invalidated
 it rather than just counting misses.
 """
 
-from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .explain import CellExplanation, ExplainReport, explain_cells, task_fingerprint
-from .hashing import (
-    canonical_payload,
-    code_version,
-    dependency_closure,
-    fingerprint,
-    module_imports,
-    task_code_version,
-    worker_code_version,
-    worker_manifest,
-)
-from .runner import SweepReport, SweepRunner, cache_key, serial_runner, shared_trace
-from .tasks import (
-    MicroscopicTask,
-    MultiHopTask,
-    SingleHopTask,
-    microscopic_summary,
-    multihop_summary,
-    single_hop_summary,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_CACHE_DIR",
-    "ResultCache",
-    "canonical_payload",
-    "code_version",
-    "dependency_closure",
-    "module_imports",
-    "task_code_version",
-    "worker_code_version",
-    "worker_manifest",
-    "fingerprint",
-    "SweepReport",
-    "SweepRunner",
-    "shared_trace",
-    "CellExplanation",
-    "ExplainReport",
-    "explain_cells",
-    "task_fingerprint",
-    "cache_key",
-    "serial_runner",
-    "SingleHopTask",
-    "MicroscopicTask",
-    "MultiHopTask",
-    "single_hop_summary",
-    "microscopic_summary",
-    "multihop_summary",
-]
+_EXPORTS = {
+    ".cache": ("DEFAULT_CACHE_DIR", "ResultCache"),
+    ".explain": (
+        "CellExplanation",
+        "ExplainReport",
+        "explain_cells",
+        "task_fingerprint",
+    ),
+    ".hashing": (
+        "canonical_payload",
+        "code_version",
+        "dependency_closure",
+        "fingerprint",
+        "module_imports",
+        "task_code_version",
+        "worker_code_version",
+        "worker_manifest",
+    ),
+    ".runner": (
+        "SweepReport",
+        "SweepRunner",
+        "cache_key",
+        "serial_runner",
+        "shared_trace",
+    ),
+    ".tasks": (
+        "MicroscopicTask",
+        "MultiHopTask",
+        "SingleHopTask",
+        "microscopic_summary",
+        "multihop_summary",
+        "single_hop_summary",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

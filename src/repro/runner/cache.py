@@ -78,7 +78,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as blob:
-                json.dump(entry, blob, separators=(",", ":"))
+                # json.dumps encodes in C; json.dump always takes the
+                # pure-Python encoder.  The text is the same.
+                blob.write(json.dumps(entry, separators=(",", ":")))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -109,7 +111,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as blob:
-                json.dump({"task": task_fp, **entry}, blob, separators=(",", ":"))
+                blob.write(
+                    json.dumps({"task": task_fp, **entry}, separators=(",", ":"))
+                )
             os.replace(tmp_name, path)
         except BaseException:
             try:

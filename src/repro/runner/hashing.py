@@ -17,13 +17,19 @@ The import closure is computed from the AST -- every ``import`` /
 function-local lazy imports, resolved against the package's module
 table.  Package ``__init__`` files enter the closure only when an
 import statement targets the package itself (``from ..invariants import
-InvariantChecker``): they are re-export shims, and the defining modules
-they re-export from are reached through their own import statements.
+InvariantChecker``).  They are lazy re-export tables: each names, in a
+literal ``_EXPORTS`` dict, the modules it re-exports from and imports
+them on first use (:func:`repro._lazy_exports`), so a package's imports
+are the modules its table names, read from the table exactly as from
+the ``from .x import name`` lines they stand for.  Without that,
+``from ..invariants import InvariantChecker`` would reach no checker
+module, and an edit to the checker would serve stale checked cells.
 This is deliberately conservative in one direction only -- a module the
 closure includes but the task never executes costs a spurious
 invalidation, never a stale hit.  The one rule authors must uphold is
 that dynamic imports built from strings (``importlib.import_module(f"
-...")``) are invisible to the AST walk; the package has none.
+...")``) are invisible to the AST walk; the package has none besides
+the export tables' own, which are read as above.
 
 :func:`code_version` (a single hash over every module) is kept for
 whole-package consumers and as the fallback for workers defined outside
@@ -38,7 +44,7 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "fingerprint",
@@ -136,41 +142,84 @@ def module_hash(name: str) -> str:
     return hashlib.sha256(_module_source(name)).hexdigest()
 
 
+#: Statement fields that hold nested statement lists.  Imports are
+#: statements, so these reach every import a module holds.
+_BLOCKS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def _statements(body: list) -> Iterator[ast.AST]:
+    """Every statement of ``body``, nested blocks included, in order
+    (``except`` handlers and ``case`` clauses appear as their own
+    nodes)."""
+    for node in body:
+        yield node
+        for block in _BLOCKS:
+            nested = getattr(node, block, None)
+            if nested:
+                yield from _statements(nested)
+
+
+def _export_table(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """A package ``__init__``'s ``_EXPORTS`` table (empty if none)."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "_EXPORTS"
+        ):
+            return ast.literal_eval(node.value)
+    return {}
+
+
 @lru_cache(maxsize=None)
 def module_imports(name: str) -> tuple[str, ...]:
     """Direct ``repro``-internal imports of one module (sorted).
 
-    Walks the full AST, so function-local lazy imports (the workers'
-    idiom) and ``TYPE_CHECKING`` imports are included.
+    Walks every statement, so function-local lazy imports (the workers'
+    idiom) and ``TYPE_CHECKING`` imports are included.  A package also
+    imports each module its ``_EXPORTS`` table names, resolved as the
+    ``from .module import names`` line the entry stands for.
     """
     modules = package_modules()
     tree = ast.parse(_module_source(name))
+    is_package = modules[name].name == "__init__.py"
     # The package a relative import is resolved against: the module's
     # own name when it *is* a package, else its parent.
-    package = name if modules[name].name == "__init__.py" else name.rsplit(".", 1)[0]
+    package = name if is_package else name.rsplit(".", 1)[0]
     found: set[str] = set()
-    for node in ast.walk(tree):
+
+    def import_from(level: int, module: str, names) -> None:
+        if level == 0:
+            base_parts = module.split(".")
+        else:
+            parent_parts = package.split(".")
+            if level - 1 >= len(parent_parts):
+                return  # relative import escaping the package
+            base_parts = parent_parts[: len(parent_parts) - (level - 1)]
+            if module:
+                base_parts = base_parts + module.split(".")
+        base = ".".join(p for p in base_parts if p)
+        if base in modules:
+            found.add(base)
+        for alias in names:
+            candidate = f"{base}.{alias}" if base else alias
+            if candidate in modules:
+                found.add(candidate)
+
+    for node in _statements(tree.body):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in modules:
                     found.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base_parts = (node.module or "").split(".")
-            else:
-                parent_parts = package.split(".")
-                if node.level - 1 >= len(parent_parts):
-                    continue  # relative import escaping the package
-                base_parts = parent_parts[: len(parent_parts) - (node.level - 1)]
-                if node.module:
-                    base_parts = base_parts + node.module.split(".")
-            base = ".".join(p for p in base_parts if p)
-            if base in modules:
-                found.add(base)
-            for alias in node.names:
-                candidate = f"{base}.{alias.name}" if base else alias.name
-                if candidate in modules:
-                    found.add(candidate)
+            import_from(
+                node.level, node.module or "", [alias.name for alias in node.names]
+            )
+    if is_package:
+        for module, names in _export_table(tree).items():
+            relative = module.lstrip(".")
+            import_from(len(module) - len(relative), relative, names)
     found.discard(name)
     return tuple(sorted(found))
 

@@ -58,10 +58,9 @@ import math
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from .cache import ResultCache
 from .hashing import (
@@ -70,6 +69,9 @@ from .hashing import (
     worker_code_version,
     worker_manifest,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "SweepRunner",
@@ -308,8 +310,11 @@ class SweepRunner:
 
         Reusing one pool across ``map`` calls saves a fork+import round
         trip per grid; a pool sized for an earlier, larger grid is kept
-        (idle workers are cheap, respawning is not).
+        (idle workers are cheap, respawning is not).  The pool stack is
+        imported here, so a process that never runs a pool never loads it.
         """
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._pool is not None and self._pool_size < workers:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -408,6 +413,7 @@ class SweepRunner:
             for _, payload in shard
         )
         results: Optional[list[Any]] = None if consume else []
+        reruns = 0
         for index, task in enumerate(tasks):
             if not hit[index]:
                 payload = next(fresh)
@@ -416,6 +422,7 @@ class SweepRunner:
                 if payload is None:  # blob corrupt, or deleted since the lookup
                     rerun = _run_shard(worker, [(index, task)], self._traces)
                     ended(rerun)
+                    reruns += 1
                     payload = rerun[0][1]
             if consume is not None:
                 consume(index, payload)
@@ -425,9 +432,9 @@ class SweepRunner:
         self.reports.append(
             SweepReport(
                 total=len(tasks),
-                cache_hits=len(tasks) - len(pending),
-                executed=len(pending),
-                shards=len(shards),
+                cache_hits=len(tasks) - len(pending) - reruns,
+                executed=len(pending) + reruns,
+                shards=len(shards) + reruns,
                 jobs=self.jobs,
                 elapsed=time.perf_counter() - started,
                 worker=worker.__qualname__,
@@ -463,6 +470,8 @@ class SweepRunner:
                 ended(results)
                 yield results
             return
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         pool = self._warm_pool(min(self.jobs, len(shards)))
         running: dict = {}  # future -> shard number
         done: dict[int, list[tuple[int, Any]]] = {}

@@ -19,54 +19,35 @@ cells that miss the result cache) and kept in its trace table; a pool
 shard receives the groups its own cells replay.
 """
 
-from .generators import (
-    CITY_SIZES,
-    CITY_SIZE_PROBS,
-    TOPOLOGIES,
-    branch_flow_counts,
-    build_city_topology,
-    flow_classes,
-    heavy_tail_sizes,
-)
-from .city import (
-    CityGridConfig,
-    CityScenarioConfig,
-    CityTask,
-    city_summary,
-    city_tasks,
-    city_to_csv,
-    compile_city_traces,
-    fidelity_curve,
-    fidelity_curve_base,
-    fidelity_curve_svg,
-    fidelity_curve_to_csv,
-    format_city,
-    format_fidelity_curve,
-    run_city,
-    trace_group_key,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CITY_SIZES",
-    "CITY_SIZE_PROBS",
-    "TOPOLOGIES",
-    "branch_flow_counts",
-    "build_city_topology",
-    "flow_classes",
-    "heavy_tail_sizes",
-    "CityGridConfig",
-    "CityScenarioConfig",
-    "CityTask",
-    "city_summary",
-    "city_tasks",
-    "city_to_csv",
-    "compile_city_traces",
-    "fidelity_curve",
-    "fidelity_curve_base",
-    "fidelity_curve_svg",
-    "fidelity_curve_to_csv",
-    "format_city",
-    "format_fidelity_curve",
-    "run_city",
-    "trace_group_key",
-]
+_EXPORTS = {
+    ".generators": (
+        "CITY_SIZES",
+        "CITY_SIZE_PROBS",
+        "TOPOLOGIES",
+        "branch_flow_counts",
+        "build_city_topology",
+        "flow_classes",
+        "heavy_tail_sizes",
+    ),
+    ".city": (
+        "CityGridConfig",
+        "CityScenarioConfig",
+        "CityTask",
+        "city_summary",
+        "city_tasks",
+        "city_to_csv",
+        "compile_city_traces",
+        "fidelity_curve",
+        "fidelity_curve_base",
+        "fidelity_curve_svg",
+        "fidelity_curve_to_csv",
+        "format_city",
+        "format_fidelity_curve",
+        "run_city",
+        "trace_group_key",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from ..sim.monitor import DelayMonitor
 from ..sim.rng import RandomStreams
 from ..traffic.pareto import ParetoInterarrivals
 from ..traffic.trace import ArrivalTrace, TraceSource, build_class_trace, merge_traces
-from ..sim.hybrid import HybridConfig
 from .generators import (
     TOPOLOGIES,
     LoadShape,
@@ -50,6 +49,9 @@ from .generators import (
     flow_classes,
     heavy_tail_sizes,
 )
+
+if TYPE_CHECKING:
+    from ..sim.hybrid import HybridConfig
 
 __all__ = [
     "CityScenarioConfig",
@@ -510,6 +512,8 @@ def fidelity_curve(
         raise ConfigurationError(
             f"epsilon must be positive for a fidelity curve: {epsilon}"
         )
+    from ..sim.hybrid import HybridConfig
+
     cells: list[CityScenarioConfig] = []
     for rho in utilizations:
         pure = dataclasses.replace(base, utilization=rho)

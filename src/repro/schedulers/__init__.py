@@ -1,42 +1,26 @@
 """Packet schedulers: the paper's WTP and BPR plus baselines/extensions."""
 
-from .adaptive_wtp import AdaptiveWTPScheduler
-from .additive import AdditiveDelayScheduler
-from .base import Scheduler, validate_sdps
-from .drr import DRRScheduler
-from .bpr import (
-    BPRScheduler,
-    FluidBPRTracker,
-    fluid_backlogs,
-    fluid_clearing_time,
-)
-from .fcfs import FCFSScheduler
-from .hpd import HPDScheduler
-from .pad import PADScheduler
-from .quantized_wtp import QuantizedWTPScheduler
-from .registry import available_schedulers, make_scheduler
-from .strict_priority import StrictPriorityScheduler
-from .wfq import SCFQScheduler, WFQScheduler
-from .wtp import WTPScheduler
+from .. import _lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "validate_sdps",
-    "AdaptiveWTPScheduler",
-    "DRRScheduler",
-    "WTPScheduler",
-    "BPRScheduler",
-    "FluidBPRTracker",
-    "fluid_backlogs",
-    "fluid_clearing_time",
-    "FCFSScheduler",
-    "StrictPriorityScheduler",
-    "SCFQScheduler",
-    "WFQScheduler",
-    "AdditiveDelayScheduler",
-    "PADScheduler",
-    "QuantizedWTPScheduler",
-    "HPDScheduler",
-    "make_scheduler",
-    "available_schedulers",
-]
+_EXPORTS = {
+    ".adaptive_wtp": ("AdaptiveWTPScheduler",),
+    ".additive": ("AdditiveDelayScheduler",),
+    ".base": ("Scheduler", "validate_sdps"),
+    ".drr": ("DRRScheduler",),
+    ".bpr": (
+        "BPRScheduler",
+        "FluidBPRTracker",
+        "fluid_backlogs",
+        "fluid_clearing_time",
+    ),
+    ".fcfs": ("FCFSScheduler",),
+    ".hpd": ("HPDScheduler",),
+    ".pad": ("PADScheduler",),
+    ".quantized_wtp": ("QuantizedWTPScheduler",),
+    ".registry": ("available_schedulers", "make_scheduler"),
+    ".strict_priority": ("StrictPriorityScheduler",),
+    ".wfq": ("SCFQScheduler", "WFQScheduler"),
+    ".wtp": ("WTPScheduler",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

@@ -11,37 +11,39 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..errors import ConfigurationError
-from .adaptive_wtp import AdaptiveWTPScheduler
-from .additive import AdditiveDelayScheduler
 from .base import Scheduler
-from .bpr import BPRScheduler
-from .drr import DRRScheduler
-from .fcfs import FCFSScheduler
-from .hpd import HPDScheduler
-from .pad import PADScheduler
-from .quantized_wtp import QuantizedWTPScheduler
-from .strict_priority import StrictPriorityScheduler
-from .wfq import SCFQScheduler
-from .wtp import WTPScheduler
 
 __all__ = ["make_scheduler", "available_schedulers"]
 
+
+def _exported(name: str) -> type[Scheduler]:
+    """The scheduler class ``repro.schedulers`` exports as ``name``.
+
+    The package imports the class's module on first use, so a run
+    loads only the schedulers it builds; its export table keeps every
+    scheduler module in the import closure of this module.
+    """
+    from .. import schedulers
+
+    return getattr(schedulers, name)
+
+
 _FACTORIES: dict[str, Callable[[Sequence[float]], Scheduler]] = {
-    "wtp": lambda sdps: WTPScheduler(sdps),
-    "bpr": lambda sdps: BPRScheduler(sdps),
-    "pad": lambda sdps: PADScheduler(sdps),
-    "hpd": lambda sdps: HPDScheduler(sdps),
-    "adaptive-wtp": lambda sdps: AdaptiveWTPScheduler(sdps),
+    "wtp": lambda sdps: _exported("WTPScheduler")(sdps),
+    "bpr": lambda sdps: _exported("BPRScheduler")(sdps),
+    "pad": lambda sdps: _exported("PADScheduler")(sdps),
+    "hpd": lambda sdps: _exported("HPDScheduler")(sdps),
+    "adaptive-wtp": lambda sdps: _exported("AdaptiveWTPScheduler")(sdps),
     # Quantized WTP: default epoch of one paper p-unit (11.2 units).
-    "qwtp": lambda sdps: QuantizedWTPScheduler(sdps, epoch=11.2),
-    "fcfs": lambda sdps: FCFSScheduler(len(sdps)),
-    "strict": lambda sdps: StrictPriorityScheduler(len(sdps)),
+    "qwtp": lambda sdps: _exported("QuantizedWTPScheduler")(sdps, epoch=11.2),
+    "fcfs": lambda sdps: _exported("FCFSScheduler")(len(sdps)),
+    "strict": lambda sdps: _exported("StrictPriorityScheduler")(len(sdps)),
     # Capacity differentiation: SDPs double as static weights.
-    "scfq": lambda sdps: SCFQScheduler(sdps),
-    "wfq": lambda sdps: SCFQScheduler(sdps),
-    "drr": lambda sdps: DRRScheduler(sdps),
+    "scfq": lambda sdps: _exported("SCFQScheduler")(sdps),
+    "wfq": lambda sdps: _exported("SCFQScheduler")(sdps),
+    "drr": lambda sdps: _exported("DRRScheduler")(sdps),
     # Additive model: SDPs are offsets in time units; shift so s_1 = 0.
-    "additive": lambda sdps: AdditiveDelayScheduler(
+    "additive": lambda sdps: _exported("AdditiveDelayScheduler")(
         [s - min(sdps) for s in sdps]
     ),
 }

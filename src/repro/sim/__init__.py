@@ -1,39 +1,23 @@
 """Discrete-event simulation substrate (kernel, packets, queues, links)."""
 
-from .engine import Simulator
-from .events import EventHandle
-from .hybrid import HybridConfig, HybridController, run_hybrid_city
-from .link import Link, PacketSink
-from .monitor import (
-    BacklogSampler,
-    DelayMonitor,
-    IntervalDelayMonitor,
-    PacketTap,
-    ThroughputMonitor,
-)
-from .packet import Packet
-from .process import AsyncQueue, Event, Process, spawn
-from .queues import ClassQueueSet
-from .rng import RandomStreams
+from .. import _lazy_exports
 
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "HybridConfig",
-    "HybridController",
-    "run_hybrid_city",
-    "Link",
-    "PacketSink",
-    "BacklogSampler",
-    "DelayMonitor",
-    "IntervalDelayMonitor",
-    "PacketTap",
-    "ThroughputMonitor",
-    "Packet",
-    "AsyncQueue",
-    "Event",
-    "Process",
-    "spawn",
-    "ClassQueueSet",
-    "RandomStreams",
-]
+_EXPORTS = {
+    ".engine": ("Simulator",),
+    ".events": ("EventHandle",),
+    ".hybrid": ("HybridConfig", "HybridController", "run_hybrid_city"),
+    ".link": ("Link", "PacketSink"),
+    ".monitor": (
+        "BacklogSampler",
+        "DelayMonitor",
+        "IntervalDelayMonitor",
+        "PacketTap",
+        "ThroughputMonitor",
+    ),
+    ".packet": ("Packet",),
+    ".process": ("AsyncQueue", "Event", "Process", "spawn"),
+    ".queues": ("ClassQueueSet",),
+    ".rng": ("RandomStreams",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

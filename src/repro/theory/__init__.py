@@ -1,29 +1,25 @@
 """Closed-form queueing results used to validate the simulator."""
 
-from .kleinrock import proportional_delays_mg1, tdp_heavy_load_ratio, tdp_waits
-from .mg1 import (
-    ServiceDistribution,
-    md1_mean_wait,
-    mg1_mean_wait,
-    mm1_mean_wait,
-    residual_work,
-)
-from .priority import (
-    aggregate_residual,
-    per_class_services,
-    strict_priority_waits,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "proportional_delays_mg1",
-    "tdp_heavy_load_ratio",
-    "tdp_waits",
-    "ServiceDistribution",
-    "md1_mean_wait",
-    "mg1_mean_wait",
-    "mm1_mean_wait",
-    "residual_work",
-    "strict_priority_waits",
-    "aggregate_residual",
-    "per_class_services",
-]
+_EXPORTS = {
+    ".kleinrock": (
+        "proportional_delays_mg1",
+        "tdp_heavy_load_ratio",
+        "tdp_waits",
+    ),
+    ".mg1": (
+        "ServiceDistribution",
+        "md1_mean_wait",
+        "mg1_mean_wait",
+        "mm1_mean_wait",
+        "residual_work",
+    ),
+    ".priority": (
+        "aggregate_residual",
+        "per_class_services",
+        "strict_priority_waits",
+    ),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

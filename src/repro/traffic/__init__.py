@@ -1,54 +1,34 @@
 """Traffic models: interarrival processes, packet sizes, load mixes."""
 
-from .base import InterarrivalProcess, PacketSizeSampler
-from .compile import (
-    DEFAULT_CHUNK,
-    ArrivalCursor,
-    CompiledMixedSource,
-    CompiledSource,
-)
-from .deterministic import ConstantInterarrivals
-from .ecn import ECNMarker, ECNSource
-from .io import load_trace, load_trace_csv, save_trace, save_trace_csv
-from .mix import (
-    FIGURE2_LOAD_DISTRIBUTIONS,
-    PAPER_DEFAULT_LOADS,
-    ClassLoadDistribution,
-    uniform_loads,
-)
-from .mmpp import MMPPInterarrivals
-from .onoff import OnOffInterarrivals
-from .pareto import PAPER_PARETO_SHAPE, ParetoInterarrivals
-from .poisson import PoissonInterarrivals
-from .sizes import DiscretePacketSizes, FixedPacketSize, paper_trimodal_sizes
-from .source import PacketIdAllocator, TrafficSource
+from .. import _lazy_exports
 
-__all__ = [
-    "InterarrivalProcess",
-    "PacketSizeSampler",
-    "ArrivalCursor",
-    "CompiledMixedSource",
-    "CompiledSource",
-    "DEFAULT_CHUNK",
-    "ConstantInterarrivals",
-    "ECNMarker",
-    "ECNSource",
-    "load_trace",
-    "load_trace_csv",
-    "save_trace",
-    "save_trace_csv",
-    "ClassLoadDistribution",
-    "PAPER_DEFAULT_LOADS",
-    "FIGURE2_LOAD_DISTRIBUTIONS",
-    "uniform_loads",
-    "MMPPInterarrivals",
-    "OnOffInterarrivals",
-    "ParetoInterarrivals",
-    "PAPER_PARETO_SHAPE",
-    "PoissonInterarrivals",
-    "DiscretePacketSizes",
-    "FixedPacketSize",
-    "paper_trimodal_sizes",
-    "PacketIdAllocator",
-    "TrafficSource",
-]
+_EXPORTS = {
+    ".base": ("InterarrivalProcess", "PacketSizeSampler"),
+    ".compile": (
+        "DEFAULT_CHUNK",
+        "ArrivalCursor",
+        "CompiledMixedSource",
+        "CompiledSource",
+    ),
+    ".deterministic": ("ConstantInterarrivals",),
+    ".ecn": ("ECNMarker", "ECNSource"),
+    ".io": ("load_trace", "load_trace_csv", "save_trace", "save_trace_csv"),
+    ".mix": (
+        "FIGURE2_LOAD_DISTRIBUTIONS",
+        "PAPER_DEFAULT_LOADS",
+        "ClassLoadDistribution",
+        "uniform_loads",
+    ),
+    ".mmpp": ("MMPPInterarrivals",),
+    ".onoff": ("OnOffInterarrivals",),
+    ".pareto": ("PAPER_PARETO_SHAPE", "ParetoInterarrivals"),
+    ".poisson": ("PoissonInterarrivals",),
+    ".sizes": (
+        "DiscretePacketSizes",
+        "FixedPacketSize",
+        "paper_trimodal_sizes",
+    ),
+    ".source": ("PacketIdAllocator", "TrafficSource"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

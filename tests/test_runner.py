@@ -131,6 +131,21 @@ class TestResultCache:
         cache.path_for(key).write_text("{ truncated")
         assert cache.get(key) is None
 
+    def test_blobs_are_the_compact_json_of_their_entries(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "1" * 62
+        payload = {"ratios": [1.5, float("nan")], "label": "\u00e9", "n": 3}
+        cache.put(key, payload)
+        assert cache.path_for(key).read_bytes() == json.dumps(
+            {"key": key, "result": payload}, separators=(",", ":")
+        ).encode("utf-8")
+        task_fp = "cd" + "2" * 62
+        entry = {"key": key, "code": "c0de", "modules": {"repro.errors": "f00d"}}
+        cache.put_index(task_fp, entry)
+        assert cache.index_path_for(task_fp).read_bytes() == json.dumps(
+            {"task": task_fp, **entry}, separators=(",", ":")
+        ).encode("utf-8")
+
     def test_entry_with_wrong_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "12" + "0" * 62
@@ -223,6 +238,18 @@ class TestSweepRunner:
         with SweepRunner(jobs=1, cache=cache) as runner:
             assert runner.map(tuple_worker, tasks) == expected
         assert cache.get(key) == expected[0]
+
+    def test_a_rerun_over_a_corrupt_blob_counts_as_executed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        tasks = [1, 2]
+        with SweepRunner(jobs=1, cache=cache) as runner:
+            runner.map(tuple_worker, tasks)
+        cache.path_for(cache_key(tuple_worker, tasks[0])).write_text("{")
+        with SweepRunner(jobs=1, cache=cache) as runner:
+            runner.map(tuple_worker, tasks)
+        report = runner.last_report
+        assert (report.cache_hits, report.executed) == (1, 1)
+        assert "2 runs, 1 cache hits, 1 executed in 1 shards" in report.summary()
 
     def test_changed_config_misses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
