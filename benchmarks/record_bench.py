@@ -16,7 +16,8 @@ Recorded metrics (events or packets per second, higher is better):
 * ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding
 * ``multihop_packets_per_sec``    -- Table 1 smoke cell (4 hops,
   rho=0.85, WTP, compiled arrivals): the chain-fused drain kernel's
-  guarded workload
+  guarded workload, counted in the departures it simulates (the
+  warm-up's credited cross traffic excluded)
 * ``multihop_drr_packets_per_sec`` -- the same cell under DRR: the
   guarded workload of a scheduler with hooks, whose own
   ``choose_class``/``on_select`` run inside the chain-fused drain

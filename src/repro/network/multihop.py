@@ -12,11 +12,17 @@ Builds Figure 6's configuration on the event kernel:
 * Every ``experiment_period`` an experiment launches N identical user
   flows, one per class (F packets of 500 B at average rate R_u), whose
   end-to-end queueing delays are recorded at the terminal sink.
-* The run ends once every flow has recorded its F packets: after the
-  last experiment's emission window the calendar advances one flow
-  period at a time until the terminal sink holds them all, or until
-  the horizon (``drain`` past that window plus one experiment period),
-  where experiments still in flight are truncated.
+* After each experiment's emission window the calendar advances one
+  flow period at a time until the terminal sink holds every launched
+  flow's F packets, or the next launch comes.  After the last
+  experiment the run ends there, or at the horizon (``drain`` past
+  that window plus one experiment period), where experiments still in
+  flight are truncated.
+* No user packet is in flight during the warm-up, nor between the
+  moment every launched flow is recorded and the next launch, so no
+  comparison reads those stretches.  There each hop's cross arrivals
+  up to its last idle instant are drawn and credited to the hop's
+  counters, but never simulated (:func:`run_multihop`).
 
 Time unit: milliseconds.  Only queueing delays are measured; propagation
 and transmission delays are excluded as in the paper.
@@ -33,6 +39,7 @@ from ..errors import ConfigurationError
 from ..sim.engine import Simulator
 from ..sim.link import Link, PacketSink
 from ..sim.rng import RandomStreams
+from ..schedulers import draingen
 from ..schedulers.registry import make_scheduler
 from ..traffic.compile import ArrivalCursor, CompiledMixedSource
 from ..traffic.pareto import ParetoInterarrivals
@@ -162,8 +169,13 @@ class MultiHopResult:
     truncated_experiments: int = 0
     #: Departures per hop up to the end of the run: the first poll that
     #: finds every flow complete, or the horizon (diagnostics /
-    #: benchmarking).
+    #: benchmarking).  Includes the credited ``hop_skipped``.
     hop_departures: list[int] = field(default_factory=list)
+    #: Cross arrivals per hop dropped before its last idle instant and
+    #: credited without simulation (see :func:`run_multihop`); included
+    #: in ``hop_departures``, and all 0 when the run simulates every
+    #: packet.
+    hop_skipped: list[int] = field(default_factory=list)
 
     @property
     def rd(self) -> float:
@@ -180,6 +192,40 @@ class MultiHopResult:
     def inconsistent_cells(self) -> int:
         """Total inconsistent cells across all experiments."""
         return sum(c.inconsistencies for c in self.comparisons)
+
+
+def _busy_until(link: Link, now: float, service: float) -> float | None:
+    """When ``link`` finishes its present work, adding one ``service``
+    per queued packet as its drain does; ``None`` when a busy link's
+    pending completion is unknown."""
+    if not link.busy:
+        return now
+    key = link._pending_key
+    if key is None:
+        return None
+    busy = key[0]
+    for _ in range(link.backlog_packets):
+        busy += service
+    return busy
+
+
+def _idle_scan(busy: float, service: float):
+    """Cutoff callable for :meth:`ArrivalCursor.drop_before`: the
+    latest arrival that finds the hop idle (``a > busy``, strictly)
+    when every packet takes ``service``, starting from ``busy``."""
+
+    def scan(times: list) -> float | None:
+        nonlocal busy
+        resume = None
+        for a in times:
+            if a > busy:
+                resume = a
+                busy = a + service
+            else:
+                busy += service
+        return resume
+
+    return scan
 
 
 def run_multihop(
@@ -204,16 +250,61 @@ def run_multihop(
     ``compiled_arrivals=False`` keeps per-source scalar emission.
 
     Only the user flows are measured, so the run stops as soon as every
-    flow has recorded its F packets.  From one flow period after the
-    last experiment's final emission, the calendar advances one flow
-    period per :meth:`~repro.sim.engine.Simulator.run` call and the
-    recorder is checked between calls; an experiment still unfinished
-    at the horizon is truncated.  Splitting the run is exact: at every
-    run horizon the drain kernels and the cursor park with the calendar
-    an evented run would hold (the re-entry contract in
-    :mod:`repro.sim.engine`), so the stop point, the comparisons and
-    ``hop_departures`` are the same in drained, evented and scalar-source
-    runs.
+    flow has recorded its F packets.  After each experiment's emission
+    window (its launch plus F flow periods) the calendar advances one
+    flow period per :meth:`~repro.sim.engine.Simulator.run` call, and
+    the recorder is checked between calls, until every launched flow is
+    recorded or the next launch comes.  After the last experiment an
+    experiment still unfinished at the horizon is truncated.  Splitting
+    the run is exact: at every run horizon the drain kernels and the
+    cursor park with the calendar an evented run would hold (the
+    re-entry contract in :mod:`repro.sim.engine`), so the stop point,
+    the comparisons and ``hop_departures`` are the same in drained,
+    evented and scalar-source runs.
+
+    Idle-instant skips.  A *stretch* opens at the warm-up (time 0,
+    every hop empty) and at each poll that finds every launched flow
+    recorded before the next launch; it ends at that launch.  Each hop
+    scans its cross arrivals ``a`` in the stretch in time order from
+    its busy-until (the stretch start when idle, else its pending
+    completion plus one service time ``d = packet_size / capacity``
+    per queued packet): ``busy = a + d if a > busy else busy + d``.
+    The last arrival with ``a > busy`` is the hop's resume instant, and
+    :meth:`~repro.traffic.compile.ArrivalCursor.drop_before` drops the
+    hop's arrivals before it.  Each dropped arrival departs its hop
+    before the resume instant in the full run, so it is credited where
+    that run counts it: the link's ``arrivals``, ``departures`` and
+    ``bytes_sent``, one ``d`` of ``busy_time``, and the hop's
+    ``FlowDemux.cross_packets`` and cross sink.  ``hop_departures``
+    therefore equals the full run's, and ``hop_skipped`` reports the
+    credited arrivals per hop.  The skip is exact by three facts:
+
+    1. Cross traffic leaves after one hop (:class:`FlowDemux` to the
+       cross sink), so user flows are the only traffic between hops,
+       and none is in flight during a stretch.
+    2. Every packet has ``config.packet_size``, so each completion is
+       the previous completion, or the arrival that opened the busy
+       period, plus the same ``d``, whatever the service order.  The
+       scan's chained floats are therefore the kernel's, and with the
+       strict test an arrival that ties the hop's last completion is
+       never a resume instant.
+    3. At the resume instant the hop is empty in both runs, because
+       the skipping run holds a subset of the work, and a scheduler
+       whose choices read only its queues evolves from there on its
+       arrivals alone.  The cursor's one pending event reserves its
+       sequence number at other points once arrivals are dropped, which
+       can only reorder an exact float tie between a Pareto-drawn cross
+       arrival and another event: the tie class the cursor already
+       accepts against the scalar sources.
+
+    The skip runs only where all three hold: cross traffic is compiled,
+    the run is unchecked, and every hop's scheduler keeps both hooks as
+    the base no-ops (``draingen.generated_drain_pair`` returns ``(None,
+    None)``; see :mod:`repro.schedulers.base`).  The scalar-source and
+    checked runs simulate every packet: they are the references the
+    skip is tested against.  Dropped arrivals take no packet id, so
+    later cross-traffic ids shift; no Table 1 output reads them.
+    User-flow ids do not change.
     """
     sim = Simulator()
     streams = RandomStreams(config.seed)
@@ -277,10 +368,13 @@ def run_multihop(
 
     # User experiments: every experiment_period after warm-up, one flow
     # per class enters at the first hop simultaneously.
+    launches = [
+        config.warmup + experiment * config.experiment_period
+        for experiment in range(config.experiments)
+    ]
     flow_counter = 0
     experiment_flows: list[tuple[int, ...]] = []
-    for experiment in range(config.experiments):
-        start = config.warmup + experiment * config.experiment_period
+    for start in launches:
         flow_ids = [0] * config.num_classes
         # Launch the higher class first: the flows' packets arrive at
         # identical instants, and same-instant events fire in insertion
@@ -317,26 +411,63 @@ def run_multihop(
 
         checkers = [InvariantChecker(link).attach() for link in links]
         run = sim.run_checked
-    # Poll from one flow period after the last flow's final emission.
-    until = (
-        config.warmup
-        + (config.experiments - 1) * config.experiment_period
-        + flow_duration
+    hop_skipped = [0] * config.hops
+    skipping = (
+        cursor is not None
+        and checkers is None
+        and all(
+            draingen.generated_drain_pair(link.scheduler) == (None, None)
+            for link in links
+        )
     )
-    unfinished = range(flow_counter)  # every launched flow's id
-    while unfinished and until < horizon:
-        run(until=until)
-        unfinished = [
-            fid
-            for fid in unfinished
-            if recorder.packet_count(fid) < config.flow_packets
-        ]
-        until += config.flow_period
-    if unfinished:
-        run(until=horizon)
+    service = config.packet_size / config.capacity
+
+    def skip_to(end: float) -> None:
+        """Drop every hop's cross arrivals before its last idle instant
+        before ``end`` and credit them to the hop's counters."""
+        scans = {}
+        for link in links:
+            busy = _busy_until(link, sim.now, service)
+            if busy is not None:
+                scans[link] = _idle_scan(busy, service)
+        dropped = cursor.drop_before(end, scans)
+        for hop, link in enumerate(links):
+            n = dropped.get(link, 0)
+            link.arrivals += n
+            link.departures += n
+            link.bytes_sent += n * config.packet_size
+            link.busy_time += n * service
+            link.target.cross_packets += n
+            link.target.cross_sink.received += n
+            hop_skipped[hop] += n
+
+    if skipping and config.warmup > 0:
+        skip_to(launches[0])  # the warm-up: every hop is empty at 0
+    unfinished: list[int] = []
+    for experiment, launch in enumerate(launches):
+        unfinished += experiment_flows[experiment]
+        last = experiment + 1 == config.experiments
+        limit = horizon if last else launches[experiment + 1]
+        # Poll from one flow period after the experiment's final
+        # emission until every launched flow is recorded or ``limit``.
+        until = launch + flow_duration
+        while unfinished and until < limit:
+            run(until=until)
+            unfinished = [
+                fid
+                for fid in unfinished
+                if recorder.packet_count(fid) < config.flow_packets
+            ]
+            until += config.flow_period
+        if last:
+            if unfinished:
+                run(until=horizon)
+        elif skipping and not unfinished:
+            skip_to(limit)
 
     result = MultiHopResult(config=config)
     result.hop_departures = [link.departures for link in links]
+    result.hop_skipped = hop_skipped
     if checkers is not None:
         result.invariants = [checker.finalize() for checker in checkers]
     for flow_ids in experiment_flows:

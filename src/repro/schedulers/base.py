@@ -43,6 +43,16 @@ path: golden runs and the drain-vs-event tests pin exact float
 equality.  A class that overrides ``select`` or ``enqueue`` itself
 opts out of the contract; its links run evented, like a link with the
 invariant checker attached.
+
+A scheduler that keeps both hooks as the base no-ops (WTP, quantized
+WTP, FCFS, strict priority, additive) keeps no state between
+decisions: its ``choose_class`` reads only the queues and constructor
+constants.  At an empty queue set it is therefore in the same state
+however it got there, which Table 1's idle-instant skip relies on
+(:func:`~repro.network.multihop.run_multihop`).  A scheduler whose
+decisions carry history (BPR's credits, PAD's and HPD's delay sums,
+adaptive WTP's delay averages, DRR's deficits, SCFQ's finish tags)
+updates it in a hook, and the skip leaves its runs alone.
 """
 
 from __future__ import annotations

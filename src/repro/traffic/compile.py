@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import inf, nextafter
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -343,6 +343,54 @@ class CompiledMixedSource(_CompiledStream):
         return indices, np.full(count, self.packet_size)
 
 
+def _join(blocks: list[tuple]) -> tuple:
+    """One ``(times, class_ids, sizes)`` block from consecutive ones."""
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+def _drop_before(
+    streams: list[_CompiledStream],
+    end: float,
+    cutoff: Callable[[list], Optional[float]],
+) -> int:
+    """Drop the arrivals of ``streams`` before the cutoff that
+    ``cutoff`` reports over their merged times before ``end`` (see
+    :meth:`ArrivalCursor.drop_before`); returns how many it dropped."""
+    live = [s for s in streams if s._rest is not None or not s._exhausted]
+    if not live:
+        return 0
+    span = WINDOW_ARRIVALS / sum(1.0 / s.interarrivals.mean for s in live)
+    lower = min(
+        s._carry if s._rest is None else float(s._rest[0][0]) for s in live
+    )
+    held: list[list[tuple]] = [[] for _ in streams]
+    dropped = 0
+    while lower < end:
+        upper = min(lower + span, end)
+        if upper <= lower:
+            upper = nextafter(lower, inf)
+        taken = [s._take(upper) for s in streams]
+        times = [block[0] for blocks in taken for block in blocks]
+        for kept, blocks in zip(held, taken):
+            kept.extend(blocks)
+        if times:
+            cut = cutoff(np.sort(np.concatenate(times)).tolist())
+            if cut is not None:
+                for j, kept in enumerate(held):
+                    if kept:
+                        block = _join(kept)
+                        k = int(np.searchsorted(block[0], cut, side="left"))
+                        dropped += k
+                        held[j] = [tuple(col[k:] for col in block)]
+        lower = upper
+    for stream, kept in zip(streams, held):
+        if stream._rest is not None:
+            kept.append(stream._rest)
+        kept = [block for block in kept if len(block[0])]
+        stream._rest = _join(kept) if kept else None
+    return dropped
+
+
 class ArrivalCursor:
     """Merged injection cursor over compiled streams.
 
@@ -383,6 +431,10 @@ class ArrivalCursor:
     boundaries (and therefore sequence-number consumption) stay
     bit-identical to an evented run; :meth:`park` restores the real
     event with the identical key.
+
+    Between runs, :meth:`drop_before` drops a target's arrivals before
+    a cutoff found by scanning them, without injecting them: Table 1's
+    idle-instant skips (:func:`~repro.network.multihop.run_multihop`).
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -429,12 +481,98 @@ class ArrivalCursor:
             if attach is not None:
                 attach(self)
         self._live = list(self._streams)
+        self._arm()
+
+    def _arm(self) -> None:
+        """Load the next window and schedule its first arrival."""
         if self._refill():
             sim = self.sim
             first = self._window[0][0]
             self.next_time = first
             self.next_seq = sim._seq
             sim.schedule(first, self._fire)
+
+    def drop_before(
+        self,
+        end: float,
+        cutoffs: Mapping[Receiver, Callable[[list], Optional[float]]],
+    ) -> dict[Receiver, int]:
+        """Drop each listed target's arrivals before its cutoff.
+
+        Call with the calendar at rest (between
+        :meth:`~repro.sim.engine.Simulator.run` calls).  The arrivals
+        that the streams of each target in ``cutoffs`` would inject
+        before ``end`` are drawn one window at a time, and each
+        window's arrival times, merged in time order, go as a list to
+        ``cutoffs[target]``.  It returns the target's latest cutoff, or
+        ``None`` when that window moves it nowhere.  The target's
+        arrivals before the latest cutoff are dropped: drawn, but never
+        injected, given no packet id or stream count.  Arrivals at or
+        after ``end`` are never dropped.  Only the arrivals from the
+        latest cutoff on are held, so memory stays one window plus the
+        span after the cutoff, however far off ``end`` is.  Every
+        stream draws the same values, in the same order, as it would
+        without the drop.
+
+        The current window's un-injected arrivals go back to their
+        streams first, so every kept arrival is injected in the same
+        order as before.  The cursor's one calendar event is then
+        re-armed at the earliest kept arrival under a fresh sequence
+        number.  Returns the number of arrivals dropped per listed
+        target.
+        """
+        sim = self.sim
+        if not self._started or sim._running or self._virtual:
+            raise SchedulingError(
+                "drop_before needs a started cursor and the calendar at rest"
+            )
+        self._spill_window()
+        streams = self._streams
+        dropped = {
+            target: _drop_before(
+                [s for s in streams if s.target is target], end, cutoff
+            )
+            for target, cutoff in cutoffs.items()
+        }
+        if self.next_time is not None:
+            heap = sim._heap
+            seq = self.next_seq
+            k = next(k for k, entry in enumerate(heap) if entry[1] == seq)
+            del heap[k]
+            heapq.heapify(heap)
+            self.next_time = None
+        self._live = [
+            s for s in streams if s._rest is not None or not s._exhausted
+        ]
+        self._arm()
+        return dropped
+
+    def _spill_window(self) -> None:
+        """Hand the current window's un-injected arrivals back to their
+        streams, ahead of what each drew past the window, and empty the
+        window (its lists are freed on return)."""
+        times, cids, sizes, owners = self._window
+        i = self._i
+        self._window = ([], [], [], [])
+        self._i = 0
+        self._tails = []
+        if i == len(times):
+            return
+        streams = self._streams
+        # The window is sorted stably by time, so a stable sort by
+        # stream keeps each stream's arrivals in time order.
+        rank = {stream: j for j, stream in enumerate(streams)}
+        keys = np.array([rank[stream] for stream in owners[i:]])
+        order = np.argsort(keys, kind="stable")
+        cols = [np.array(col[i:])[order] for col in (times, cids, sizes)]
+        edges = np.searchsorted(keys[order], np.arange(len(streams) + 1))
+        for j, stream in enumerate(streams):
+            lo, hi = edges[j], edges[j + 1]
+            if lo < hi:
+                block = tuple(col[lo:hi] for col in cols)
+                if stream._rest is not None:
+                    block = _join([block, stream._rest])
+                stream._rest = block
 
     def _refill(self) -> bool:
         """Load the next non-empty window; False when every stream is
